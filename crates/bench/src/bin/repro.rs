@@ -55,6 +55,7 @@ use pc_bench::experiments::{self as exp, Scale};
 use std::time::Instant;
 
 fn main() {
+    validate_env();
     // Honor PC_FAULT for any subcommand (panics on an invalid spec):
     // an armed run is an explicitly broken simulator, which is exactly
     // what `fault-matrix` quantifies and what PC_BLESS refuses.
@@ -237,6 +238,42 @@ fn main() {
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
+}
+
+/// Checks the `PC_*` variables that configure the whole run, before
+/// anything reads them: `pc_par::max_threads` keeps its first read for
+/// the rest of the process, and the library parsers would otherwise
+/// fall back silently (`PC_BENCH_THREADS`) or panic mid-report
+/// (`PC_RSS_QUEUES`, `PC_RX_ENGINE`). A bad value exits 2 with one line
+/// on stderr.
+fn validate_env() {
+    // Lossy, so a non-UTF-8 value fails its parse instead of reading as
+    // unset; `{v:?}` keeps a value with a newline on one line.
+    let var = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    if let Some(v) = var("PC_BENCH_THREADS") {
+        if !v.parse::<usize>().is_ok_and(|n| n > 0) {
+            die(&format!(
+                "PC_BENCH_THREADS must be a positive integer, got {v:?}"
+            ));
+        }
+    }
+    if let Some(v) = var("PC_RSS_QUEUES") {
+        let queues = 1..=pc_nic::MAX_RSS_QUEUES;
+        if !v.parse::<usize>().is_ok_and(|n| queues.contains(&n)) {
+            die(&format!(
+                "PC_RSS_QUEUES must be {}..={}, got {v:?}",
+                queues.start(),
+                queues.end()
+            ));
+        }
+    }
+    if let Some(v) = var("PC_RX_ENGINE") {
+        if pc_core::RxEngine::parse(&v).is_none() {
+            die(&format!(
+                "PC_RX_ENGINE must be batched|per-frame|per-access, got {v:?}"
+            ));
+        }
+    }
 }
 
 fn run_fleet_cmd(tenants: usize, scale: Scale, seed: u64) {

@@ -13,7 +13,7 @@
 use crate::testbed::TestBed;
 use pc_cache::{Cycles, Hierarchy, PhysAddr, SlicedCache};
 use pc_nic::IgbDriver;
-use pc_probe::{oracle_eviction_sets, AddressPool, EvictionSet, PrimeProbe};
+use pc_probe::{oracle_eviction_sets, AddressPool, PrimeProbe};
 
 /// Blocks probed per half-page: blocks 0..5. Block 4's set distinguishes
 /// "exactly 4 blocks" (≤ copybreak, buffer reused in place) from
@@ -130,19 +130,27 @@ impl ChasingSpy {
     pub fn for_pages(llc: &SlicedCache, pool: &AddressPool, pages: &[PhysAddr]) -> Self {
         assert!(!pages.is_empty(), "spy needs at least one buffer to chase");
         let threshold = pc_cache::LatencyModel::server_defaults().miss_threshold();
+        // Every buffer's targets in one oracle call, so targets on the
+        // same pages' set indices share one walk over the pool: blocks
+        // 0..TRACKED_BLOCKS of each half-page, buffer by buffer, lower
+        // half first.
+        const HALVES: [u64; 2] = [0, 32];
+        let targets: Vec<_> = pages
+            .iter()
+            .flat_map(|page| {
+                HALVES.into_iter().flat_map(move |half_start| {
+                    (0..TRACKED_BLOCKS as u64).map(move |b| page.add_blocks(half_start + b))
+                })
+            })
+            .map(|line| llc.locate(line))
+            .collect();
+        let mut probes = oracle_eviction_sets(llc, pool, &targets)
+            .into_iter()
+            .map(|s| PrimeProbe::new(s, threshold));
         let buffers: Vec<BufferProbes> = pages
             .iter()
-            .map(|page| {
-                let halves = [0u64, 32].map(|half_start| {
-                    let targets: Vec<_> = (0..TRACKED_BLOCKS as u64)
-                        .map(|b| llc.locate(page.add_blocks(half_start + b)))
-                        .collect();
-                    let sets: Vec<EvictionSet> = oracle_eviction_sets(llc, pool, &targets);
-                    sets.into_iter()
-                        .map(|s| PrimeProbe::new(s, threshold))
-                        .collect()
-                });
-                BufferProbes { halves }
+            .map(|_| BufferProbes {
+                halves: HALVES.map(|_| probes.by_ref().take(TRACKED_BLOCKS).collect()),
             })
             .collect();
         let armed = vec![0u8; buffers.len()];

@@ -242,8 +242,9 @@ impl Hierarchy {
         let ops = ops.into_iter();
         // The dominant caller is `PrimeProbe::prime` with a handful of
         // ops per call: when the trace provably cannot shard (one slice,
-        // or a known-short iterator) stream it with no allocation and no
-        // thread-pool sizing — both cost real time at that call rate.
+        // or a known-short iterator) stream it straight through, without
+        // copying it into the scratch first — at that call rate the copy
+        // would cost as much as the replay.
         let short = matches!(ops.size_hint(), (_, Some(hi)) if hi < crate::llc::PAR_BATCH_MIN);
         if short || self.llc.geometry().slices() <= 1 {
             return self.run_trace_sequential(ops);

@@ -13,7 +13,11 @@
 //! * [`max_threads`] — the one place the `PC_BENCH_THREADS` environment
 //!   variable is read. `PC_BENCH_THREADS=1` forces every parallel path
 //!   in the workspace (experiment repetitions, the sharded LLC engine,
-//!   fingerprint captures) down its sequential branch end to end.
+//!   fingerprint captures) down its sequential branch end to end. The
+//!   count is resolved **once per process** and cached, so changing the
+//!   variable mid-run does nothing: tests that need a specific count
+//!   call the `_threads` APIs ([`parallel_map_threads`] and friends,
+//!   `Hierarchy::run_trace_threads`, …) instead.
 //! * [`mix_seed`] — the shared seed-derivation mix. Work that runs on
 //!   another thread must *never* consume a caller's RNG stream; it gets
 //!   its own `SmallRng` seeded with `mix_seed(base, salt)` where `salt`
@@ -39,19 +43,31 @@
 #![warn(missing_docs)]
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Upper bound on worker threads (`PC_BENCH_THREADS` overrides; `1`
 /// forces sequential execution, e.g. for debugging or the CI
 /// determinism gate).
+///
+/// Resolved **once per process**, on the first call: the environment
+/// and `available_parallelism()` (which reads cgroup files on Linux)
+/// are consulted then and never again, so the hot callers — every
+/// testbed delivery, batch replay and monitor sample — pay one load.
+/// Setting `PC_BENCH_THREADS` after the first call has no effect; code
+/// that needs a specific count (tests, benches) passes it to the
+/// `_threads` variants instead.
 pub fn max_threads() -> usize {
-    if let Ok(v) = std::env::var("PC_BENCH_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        if let Ok(v) = std::env::var("PC_BENCH_THREADS") {
+            if let Ok(n) = v.parse::<usize>() {
+                return n.max(1);
+            }
         }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(4)
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(4)
+    })
 }
 
 /// Derives an independent seed from a base seed and a work-item salt

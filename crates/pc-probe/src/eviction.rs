@@ -8,7 +8,7 @@
 //! group testing, the standard technique from Liu et al. that Mastik
 //! implements.
 
-use crate::pool::AddressPool;
+use crate::pool::{AddressPool, LINES_PER_PAGE};
 use pc_cache::{CacheOp, Cycles, Hierarchy, PhysAddr, SliceSet, SlicedCache};
 
 /// `ways` attacker addresses that all map to one (slice, set) pair —
@@ -151,12 +151,21 @@ pub fn build_eviction_sets_for_index(
 ///
 /// Uses the cache's slice hash directly, so it is **instrumentation, not
 /// attack code** — the equivalent of the paper's one-time offline phase
-/// being precomputed. Returns one set per requested target, in order.
+/// being precomputed. Returns one set per requested target, in order:
+/// the first `ways` pool addresses, in pool order, that land in the
+/// target slice-set.
+///
+/// Targets are served in groups that draw on the same pool pages (equal
+/// set index rounded down to a page): one walk over the pool fills the
+/// whole group and stops once every member holds `ways` addresses. So
+/// pass every target of a set-up in one call — the chasing spy's 2 560
+/// probe targets share 32 such groups on the paper's machine.
 ///
 /// # Panics
 ///
-/// Panics if the pool cannot supply `ways` addresses for some target
-/// (allocate a larger pool).
+/// Panics if a target's set index is out of range, or if the pool
+/// cannot supply `ways` addresses for some target (allocate a larger
+/// pool).
 pub fn oracle_eviction_sets(
     llc: &SlicedCache,
     pool: &AddressPool,
@@ -164,15 +173,42 @@ pub fn oracle_eviction_sets(
 ) -> Vec<EvictionSet> {
     let geom = llc.geometry();
     let ways = geom.ways();
-    targets
-        .iter()
-        .map(|t| {
-            let addrs: Vec<PhysAddr> = pool
-                .addresses_with_index(&geom, t.set)
-                .into_iter()
-                .filter(|a| llc.slice_hash().slice_of(*a) == t.slice)
-                .take(ways)
-                .collect();
+    let page_of = |i: usize| {
+        assert!(
+            targets[i].set < geom.sets_per_slice(),
+            "set index out of range"
+        );
+        targets[i].set / LINES_PER_PAGE
+    };
+    // Grown by push, not preallocated to `ways`: with exact-size blocks
+    // glibc trimmed and re-grew its heap between the recovery
+    // experiments' repeated set-ups, re-faulting their pages and doubling
+    // the measured set-up time.
+    let mut sets: Vec<Vec<PhysAddr>> = vec![Vec::new(); targets.len()];
+    let mut order: Vec<usize> = (0..targets.len()).collect();
+    order.sort_by_key(|&i| page_of(i));
+    for group in order.chunk_by(|&a, &b| page_of(a) == page_of(b)) {
+        let mut unfilled = group.len();
+        for page in pool.pages_covering(&geom, targets[group[0]].set) {
+            if unfilled == 0 {
+                break;
+            }
+            for &i in group {
+                let (t, set) = (&targets[i], &mut sets[i]);
+                if set.len() == ways {
+                    continue;
+                }
+                let a = page.add_blocks((t.set % LINES_PER_PAGE) as u64);
+                if llc.slice_hash().slice_of(a) == t.slice {
+                    set.push(a);
+                    unfilled -= usize::from(set.len() == ways);
+                }
+            }
+        }
+    }
+    sets.into_iter()
+        .zip(targets)
+        .map(|(addrs, t)| {
             assert!(
                 addrs.len() == ways,
                 "pool supplies only {}/{} addresses for {t}; allocate a larger pool",

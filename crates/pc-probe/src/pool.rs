@@ -5,10 +5,14 @@
 //! remains opaque. We model the same knowledge boundary: the pool exposes
 //! addresses *grouped by set index* but nothing about slices.
 
-use pc_cache::{CacheGeometry, PhysAddr, PAGE_SIZE};
+use pc_cache::{CacheGeometry, PhysAddr, LINE_SIZE, PAGE_SIZE};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+
+/// Cache lines per page: the number of consecutive set indices one page
+/// covers.
+pub(crate) const LINES_PER_PAGE: usize = PAGE_SIZE / LINE_SIZE;
 
 /// A set of unique pages owned by the spy, disjoint by construction from
 /// the NIC's buffer region (different physical ranges).
@@ -69,22 +73,35 @@ impl AddressPool {
         &self.pages
     }
 
-    /// Every owned address whose set index equals `set_index`.
+    /// Every owned address whose set index equals `set_index`, in pool
+    /// order.
     ///
     /// For page-aligned set indices these are page bases; for other
     /// indices they are page bases plus the right line offset — the same
     /// trick the spy uses to monitor blocks 1..3 of the NIC buffers.
     pub fn addresses_with_index(&self, geom: &CacheGeometry, set_index: usize) -> Vec<PhysAddr> {
-        assert!(set_index < geom.sets_per_slice(), "set index out of range");
-        // A page covers 64 consecutive set indices starting at a multiple
-        // of 64; address = page_base + in_page_line*64 matches set_index
-        // iff the page's base index covers it.
-        let in_page = (set_index % 64) as u64;
-        self.pages
-            .iter()
-            .filter(|p| geom.set_index(**p) == set_index - (set_index % 64))
+        let in_page = (set_index % LINES_PER_PAGE) as u64;
+        self.pages_covering(geom, set_index)
             .map(|p| p.add_blocks(in_page))
             .collect()
+    }
+
+    /// The page bases, in pool order, that hold an address with set
+    /// index `set_index`: a page covers the `LINES_PER_PAGE`
+    /// consecutive set indices from its base's, so these are the pages
+    /// whose base index is `set_index` rounded down to a page.
+    pub(crate) fn pages_covering(
+        &self,
+        geom: &CacheGeometry,
+        set_index: usize,
+    ) -> impl Iterator<Item = PhysAddr> + '_ {
+        assert!(set_index < geom.sets_per_slice(), "set index out of range");
+        let base = set_index - set_index % LINES_PER_PAGE;
+        let geom = *geom;
+        self.pages
+            .iter()
+            .copied()
+            .filter(move |p| geom.set_index(*p) == base)
     }
 }
 
