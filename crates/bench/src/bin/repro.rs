@@ -56,9 +56,9 @@ use std::time::Instant;
 
 fn main() {
     validate_env();
-    // Honor PC_FAULT for any subcommand (panics on an invalid spec):
-    // an armed run is an explicitly broken simulator, which is exactly
-    // what `fault-matrix` quantifies and what PC_BLESS refuses.
+    // Honor PC_FAULT for any subcommand (validated above): an armed run
+    // is an explicitly broken simulator, which is exactly what
+    // `fault-matrix` quantifies and what PC_BLESS refuses.
     pc_cache::fault::arm_from_env();
     let mut scale = Scale::Quick;
     let mut smoke = false;
@@ -89,8 +89,13 @@ fn main() {
                 tenants = args
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--tenants needs a positive number"));
+                    .filter(|n| (1..=pc_bench::fleet::MAX_TENANTS).contains(n))
+                    .unwrap_or_else(|| {
+                        die(&format!(
+                            "--tenants needs 1..={} tenants",
+                            pc_bench::fleet::MAX_TENANTS
+                        ))
+                    });
             }
             // Engine selection for every TestBed the run constructs
             // (scenarios and figure experiments alike): the CI
@@ -243,9 +248,9 @@ fn die(msg: &str) -> ! {
 /// Checks the `PC_*` variables that configure the whole run, before
 /// anything reads them: `pc_par::max_threads` keeps its first read for
 /// the rest of the process, and the library parsers would otherwise
-/// fall back silently (`PC_BENCH_THREADS`) or panic mid-report
-/// (`PC_RSS_QUEUES`, `PC_RX_ENGINE`). A bad value exits 2 with one line
-/// on stderr.
+/// fall back silently (`PC_BENCH_THREADS`) or panic (`PC_RSS_QUEUES`,
+/// `PC_RX_ENGINE` mid-report, `PC_FAULT` when armed). A bad value exits
+/// 2 with one line on stderr.
 fn validate_env() {
     // Lossy, so a non-UTF-8 value fails its parse instead of reading as
     // unset; `{v:?}` keeps a value with a newline on one line.
@@ -272,6 +277,12 @@ fn validate_env() {
             die(&format!(
                 "PC_RX_ENGINE must be batched|per-frame|per-access, got {v:?}"
             ));
+        }
+    }
+    if let Some(v) = var("PC_FAULT") {
+        if let Err(e) = pc_cache::fault::FaultSpec::parse(&v) {
+            // The parser quotes the spec; escaping keeps it one line.
+            die(&format!("PC_FAULT: {}", e.escape_debug()));
         }
     }
 }

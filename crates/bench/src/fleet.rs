@@ -49,6 +49,14 @@ pub struct TenantTemplate {
     pub weight: u32,
 }
 
+/// The largest fleet `repro fleet --tenants N` accepts (2^20 tenants).
+///
+/// A fleet builds its job list and collects every tenant's outcome —
+/// O(tenants) memory — before the merge, so an unbounded count ends in
+/// an allocation abort rather than an error. The cap sits three orders
+/// of magnitude above the 1024-tenant acceptance fleet.
+pub const MAX_TENANTS: usize = 1 << 20;
+
 /// Everything a fleet run needs. `threads` is explicit (rather than
 /// read from the environment at run time) so determinism tests can pin
 /// {1,2,4} workers side by side in one process.

@@ -1,23 +1,44 @@
-//! `repro` validates its configuration variables once, at startup: a
-//! bad `PC_BENCH_THREADS`, `PC_RSS_QUEUES` or `PC_RX_ENGINE` exits 2
-//! with one `repro:` line on stderr, before any output and without a
-//! panic.
+//! `repro` validates its configuration once, at startup: a bad
+//! `PC_BENCH_THREADS`, `PC_RSS_QUEUES`, `PC_RX_ENGINE` or `PC_FAULT`,
+//! or a `--tenants` count above the fleet cap, exits 2 with one
+//! `repro:` line on stderr, before any output and without a panic or
+//! an allocation abort.
 
 use std::process::{Command, Output};
 
 /// The variables `repro` validates; each run starts with all unset.
-const VARS: [&str; 3] = ["PC_BENCH_THREADS", "PC_RSS_QUEUES", "PC_RX_ENGINE"];
+const VARS: [&str; 4] = [
+    "PC_BENCH_THREADS",
+    "PC_RSS_QUEUES",
+    "PC_RX_ENGINE",
+    "PC_FAULT",
+];
 
-fn repro_with(var: &str, value: &str) -> Output {
+fn repro(env: &[(&str, &str)], args: &[&str]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     for v in VARS {
         cmd.env_remove(v);
     }
-    cmd.env_remove("PC_FAULT")
-        .env(var, value)
-        .arg("table2")
+    cmd.envs(env.iter().copied())
+        .args(args)
         .output()
         .expect("repro runs")
+}
+
+fn repro_with(var: &str, value: &str) -> Output {
+    repro(&[(var, value)], &["table2"])
+}
+
+/// Exit 2, nothing on stdout, one `repro:` line on stderr naming
+/// `needle`, no panic.
+fn assert_one_line_exit_2(out: &Output, what: &str, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: stderr {stderr}");
+    assert!(out.stdout.is_empty(), "{what}: printed to stdout");
+    assert_eq!(stderr.lines().count(), 1, "{what}: stderr {stderr}");
+    assert!(stderr.starts_with("repro: "), "{what}: stderr {stderr}");
+    assert!(stderr.contains(needle), "{what}: message names {needle}");
+    assert!(!stderr.contains("panicked"), "{what}: stderr {stderr}");
 }
 
 #[test]
@@ -30,17 +51,23 @@ fn bad_configuration_exits_2_with_one_line() {
         ("PC_RSS_QUEUES", "17"),
         ("PC_RSS_QUEUES", "four"),
         ("PC_RX_ENGINE", "bogus"),
+        ("PC_FAULT", "bogus"),
+        ("PC_FAULT", "stale-lru"),
+        ("PC_FAULT", "stale-lru:1:2:3"),
+        ("PC_FAULT", "stale-lru:1\nextra"),
     ];
     for (var, value) in cases {
         let out = repro_with(var, value);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        let what = format!("{var}={value:?}");
-        assert_eq!(out.status.code(), Some(2), "{what}: stderr {stderr}");
-        assert!(out.stdout.is_empty(), "{what}: printed to stdout");
-        assert_eq!(stderr.lines().count(), 1, "{what}: stderr {stderr}");
-        assert!(stderr.starts_with("repro: "), "{what}: stderr {stderr}");
-        assert!(stderr.contains(var), "{what}: message names the variable");
-        assert!(!stderr.contains("panicked"), "{what}: stderr {stderr}");
+        assert_one_line_exit_2(&out, &format!("{var}={value:?}"), var);
+    }
+}
+
+#[test]
+fn tenants_above_the_cap_exit_2_with_one_line() {
+    let cap = pc_bench::fleet::MAX_TENANTS;
+    for n in [0.to_string(), "5000000000000".into(), (cap + 1).to_string()] {
+        let out = repro(&[], &["--tenants", &n, "fleet"]);
+        assert_one_line_exit_2(&out, &format!("--tenants {n}"), "--tenants");
     }
 }
 
@@ -50,6 +77,7 @@ fn valid_configuration_runs() {
         ("PC_BENCH_THREADS", "1"),
         ("PC_RSS_QUEUES", "16"),
         ("PC_RX_ENGINE", "per-frame"),
+        ("PC_FAULT", "stale-lru:1"),
     ] {
         let out = repro_with(var, value);
         assert!(

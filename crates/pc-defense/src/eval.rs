@@ -1,7 +1,7 @@
 //! Experiment harnesses for the defense figures (14, 15, 16) and the
 //! Table II baseline description.
 
-use crate::loadgen::{cycles_to_ms, run_http_load, LoadGenConfig};
+use crate::loadgen::{run_http_load, LoadGenConfig};
 use crate::workloads::{file_copy, nginx, tcp_recv, NginxConfig, Workbench, WorkloadMetrics};
 use pc_cache::{CacheGeometry, DdioMode};
 use pc_nic::{DriverConfig, RandomizeMode};
@@ -219,7 +219,29 @@ pub fn fig16_defenses() -> [(&'static str, DdioMode, RandomizeMode); 5] {
 /// baseline right at the saturation knee; `realloc_cost` models a page
 /// allocation plus streaming-DMA map/unmap and a coherent descriptor
 /// rewrite (§III-A notes how expensive those writes are).
+///
+/// The five defenses run concurrently, one `pc_par::parallel_map` item
+/// each. Every defense is its own machine built from `seed`, sharing no
+/// RNG with the others, so no per-item seed derivation is needed and
+/// the rows — in [`fig16_defenses`] × percentile order — are identical
+/// at any thread count. (Figures 14 and 15 stay sequential: each costs
+/// about 0.1–0.2 s at quick scale, too little to pay for a fan-out.)
 pub fn fig16_tail_latency(requests: usize, seed: u64) -> Vec<Fig16Row> {
+    pc_par::parallel_map(fig16_defenses().to_vec(), |defense| {
+        fig16_defense(defense, requests, seed)
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// One defense of Figure 16: its machine warmed with nginx requests,
+/// then the open-loop load; one row per paper percentile.
+fn fig16_defense(
+    (name, ddio, randomize): (&'static str, DdioMode, RandomizeMode),
+    requests: usize,
+    seed: u64,
+) -> Vec<Fig16Row> {
     let nginx_cfg = NginxConfig {
         working_set_bytes: 12 << 20, // fits the LLC: misses don't dominate
         compute_cycles: 145_000,     // service ≈ 190k cycles → util ≈ 1.01
@@ -229,32 +251,26 @@ pub fn fig16_tail_latency(requests: usize, seed: u64) -> Vec<Fig16Row> {
         requests,
         ..LoadGenConfig::paper_defaults()
     };
-    let mut rows = Vec::new();
-    for (name, ddio, randomize) in fig16_defenses() {
-        let driver_cfg = DriverConfig {
-            randomize,
-            realloc_cost: 5_000,
-            ..DriverConfig::paper_defaults()
-        };
-        let mut bench = Workbench::new(CacheGeometry::xeon_e5_2660(), ddio, driver_cfg, seed);
-        // Warm the cache so the measured phase is steady-state.
-        for _ in 0..200 {
-            bench.nginx_request(&nginx_cfg);
-        }
-        let mut report = run_http_load(&mut bench, &nginx_cfg, &lg);
-        for (i, p) in crate::histogram::LatencyHistogram::PAPER_PERCENTILES
-            .iter()
-            .enumerate()
-        {
-            let ladder = report.histogram.paper_ladder();
-            rows.push(Fig16Row {
-                defense: name,
-                percentile: *p,
-                latency_ms: cycles_to_ms(ladder[i]),
-            });
-        }
+    let driver_cfg = DriverConfig {
+        randomize,
+        realloc_cost: 5_000,
+        ..DriverConfig::paper_defaults()
+    };
+    let mut bench = Workbench::new(CacheGeometry::xeon_e5_2660(), ddio, driver_cfg, seed);
+    // Warm the cache so the measured phase is steady-state.
+    for _ in 0..200 {
+        bench.nginx_request(&nginx_cfg);
     }
-    rows
+    let ladder = run_http_load(&mut bench, &nginx_cfg, &lg).ladder_ms();
+    crate::histogram::LatencyHistogram::PAPER_PERCENTILES
+        .iter()
+        .zip(ladder)
+        .map(|(&percentile, latency_ms)| Fig16Row {
+            defense: name,
+            percentile,
+            latency_ms,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -313,6 +329,30 @@ mod tests {
                     < (ddio.norm_read + ddio.norm_write) * 1.25,
                 "{w}: adaptive traffic too far from DDIO"
             );
+        }
+    }
+
+    #[test]
+    fn fig16_fan_out_matches_sequential_defenses() {
+        for seed in [3, 2020] {
+            let fanned = fig16_tail_latency(1_500, seed);
+            let sequential: Vec<Fig16Row> = fig16_defenses()
+                .into_iter()
+                .flat_map(|defense| fig16_defense(defense, 1_500, seed))
+                .collect();
+            assert_eq!(fanned.len(), 30, "seed {seed}: 5 defenses x 6 percentiles");
+            assert_eq!(fanned.len(), sequential.len(), "seed {seed}");
+            for (i, (a, b)) in fanned.iter().zip(&sequential).enumerate() {
+                assert_eq!(a.defense, b.defense, "seed {seed}, row {i}");
+                assert_eq!(a.percentile.to_bits(), b.percentile.to_bits());
+                assert_eq!(
+                    a.latency_ms.to_bits(),
+                    b.latency_ms.to_bits(),
+                    "seed {seed}, row {i}: {} at p{}",
+                    a.defense,
+                    a.percentile
+                );
+            }
         }
     }
 
