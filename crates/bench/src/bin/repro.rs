@@ -56,10 +56,14 @@ use std::time::Instant;
 
 fn main() {
     validate_env();
-    // Honor PC_FAULT for any subcommand (validated above): an armed run
-    // is an explicitly broken simulator, which is exactly what
-    // `fault-matrix` quantifies and what PC_BLESS refuses.
-    pc_cache::fault::arm_from_env();
+    // Honor PC_FAULT for any subcommand: an armed run is an explicitly
+    // broken simulator, which is exactly what `fault-matrix` quantifies
+    // and what PC_BLESS refuses. A malformed value exits 2 here, before
+    // any work; the parser quotes the spec, and escaping keeps it one
+    // line.
+    if let Err(e) = pc_cache::fault::arm_from_env() {
+        die(&e.escape_debug().to_string());
+    }
     let mut scale = Scale::Quick;
     let mut smoke = false;
     let mut seed = 2020u64;
@@ -249,8 +253,8 @@ fn die(msg: &str) -> ! {
 /// anything reads them: `pc_par::max_threads` keeps its first read for
 /// the rest of the process, and the library parsers would otherwise
 /// fall back silently (`PC_BENCH_THREADS`) or panic (`PC_RSS_QUEUES`,
-/// `PC_RX_ENGINE` mid-report, `PC_FAULT` when armed). A bad value exits
-/// 2 with one line on stderr.
+/// `PC_RX_ENGINE` mid-report). A bad value exits 2 with one line on
+/// stderr. `PC_FAULT` is checked where `main` arms it.
 fn validate_env() {
     // Lossy, so a non-UTF-8 value fails its parse instead of reading as
     // unset; `{v:?}` keeps a value with a newline on one line.
@@ -277,12 +281,6 @@ fn validate_env() {
             die(&format!(
                 "PC_RX_ENGINE must be batched|per-frame|per-access, got {v:?}"
             ));
-        }
-    }
-    if let Some(v) = var("PC_FAULT") {
-        if let Err(e) = pc_cache::fault::FaultSpec::parse(&v) {
-            // The parser quotes the spec; escaping keeps it one line.
-            die(&format!("PC_FAULT: {}", e.escape_debug()));
         }
     }
 }

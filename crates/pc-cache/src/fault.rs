@@ -409,17 +409,17 @@ pub fn consultations() -> u64 {
 }
 
 /// Arms from the `PC_FAULT` environment variable if set, returning the
-/// armed spec. A malformed value is a hard error (panic) — a fault
-/// that silently fails to arm would fake a surviving mutant.
-pub fn arm_from_env() -> Option<FaultSpec> {
-    let v = std::env::var("PC_FAULT").ok()?;
-    match FaultSpec::parse(&v) {
-        Ok(spec) => {
-            arm(spec);
-            Some(spec)
-        }
-        Err(e) => panic!("invalid PC_FAULT: {e}"),
-    }
+/// armed spec (`Ok(None)` when unset). A malformed value — non-UTF-8
+/// included — is an `Err` with a one-line `PC_FAULT: …` message and
+/// arms nothing; callers must not carry on, since a fault that
+/// silently fails to arm would fake a surviving mutant.
+pub fn arm_from_env() -> Result<Option<FaultSpec>, String> {
+    let Some(v) = std::env::var_os("PC_FAULT") else {
+        return Ok(None);
+    };
+    let spec = FaultSpec::parse(&v.to_string_lossy()).map_err(|e| format!("PC_FAULT: {e}"))?;
+    arm(spec);
+    Ok(Some(spec))
 }
 
 /// Guard for golden refreshes: `Err` when a fault is armed (in-process

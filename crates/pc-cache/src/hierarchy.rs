@@ -14,6 +14,14 @@ use crate::memory::MemoryStats;
 use crate::ops::{CacheOp, OpBuffer, OpSink};
 use crate::Cycles;
 
+/// How many ops ahead of the replay the inline [`Hierarchy::run_ops`]
+/// walk hints each op's LLC row into the host cache. A paper-geometry
+/// model is ≈ 4 MiB of host memory and a request's working-set reads
+/// land on random sets, so nearly every access misses the host's L2;
+/// 8 ops (≈ 0.5 µs of replay) covers an L3 or DRAM fetch. Distances 4
+/// and 16 measured no better on Figure 16's load.
+const PREFETCH_DISTANCE: usize = 8;
+
 /// Latency (in cycles) of the modelled components.
 ///
 /// Absolute values are calibrated to a ~3.3 GHz server-class part; only
@@ -247,7 +255,7 @@ impl Hierarchy {
         // would cost as much as the replay.
         let short = matches!(ops.size_hint(), (_, Some(hi)) if hi < crate::llc::PAR_BATCH_MIN);
         if short || self.llc.geometry().slices() <= 1 {
-            return self.run_trace_sequential(ops);
+            return self.run_trace_sequential(ops, |_, _| {});
         }
         // Collect into the reusable scratch (capacity carried across
         // calls; taken out for the duration so the borrow of `self`
@@ -282,7 +290,7 @@ impl Hierarchy {
             self.mem.writes += sum.dram_writes;
             return sum;
         }
-        self.run_trace_sequential(ops.iter().copied())
+        self.run_trace_sequential(ops.iter().copied(), |_, _| {})
     }
 
     /// Replays a recorded op batch: the ops through the trace engine
@@ -294,9 +302,21 @@ impl Hierarchy {
     /// get byte-identical results to issuing the same ops one at a time
     /// against the hierarchy — which is exactly what pointing the emit
     /// code at the hierarchy itself (it implements [`OpSink`]) does.
+    ///
+    /// A buffer below the sharding threshold (every Workbench request
+    /// behind Figures 14–16) replays inline, and that walk prefetches:
+    /// before op *i* it decodes op *i* + 8's line address from the
+    /// buffer and hints that op's `(slice, set)` row — line words, LRU
+    /// stamps, set record — into the host's L1. The hint touches no
+    /// simulated state, so accesses, their order, statistics and RNG
+    /// draws are exactly the unhinted walk's.
     pub fn run_ops(&mut self, buf: &OpBuffer) -> TraceSummary {
         let mut sum = if buf.len() < crate::llc::PAR_BATCH_MIN {
-            self.run_trace_sequential(buf.iter())
+            self.run_trace_sequential(buf.iter(), |llc, i| {
+                if let Some(addr) = buf.line_addr(i + PREFETCH_DISTANCE) {
+                    llc.prefetch(addr);
+                }
+            })
         } else {
             // Sharding wants a contiguous slice; decode the packed words
             // into the trace scratch once, then fan out.
@@ -516,10 +536,13 @@ impl Hierarchy {
     }
 
     /// The clock-advancing sequential walk shared by every `run_trace`
-    /// path that doesn't shard.
-    fn run_trace_sequential<I>(&mut self, ops: I) -> TraceSummary
+    /// path that doesn't shard. `ahead(llc, i)` runs before op `i`
+    /// replays — the inline `run_ops` prefetch; every other caller
+    /// passes a no-op, which compiles away.
+    fn run_trace_sequential<I, F>(&mut self, ops: I, mut ahead: F) -> TraceSummary
     where
         I: Iterator<Item = CacheOp>,
+        F: FnMut(&SlicedCache, usize),
     {
         let _engine = crate::fault::engine_scope(crate::fault::Engine::Batch);
         let mut sum = TraceSummary::default();
@@ -529,7 +552,8 @@ impl Hierarchy {
         // The latency rule's mode input is loop-invariant; hoist it so
         // the per-op work is the access and a few adds.
         let allocates = self.llc.mode().allocates_in_llc();
-        for op in ops {
+        for (i, op) in ops.enumerate() {
+            ahead(&self.llc, i);
             let out = self.llc.access(op.addr, op.kind);
             reads += u64::from(out.dram_reads);
             writes += u64::from(out.dram_writes);

@@ -44,7 +44,10 @@
 //! assert!(cold > warm);
 //! ```
 
-#![forbid(unsafe_code)]
+// One item opts back in: the host-cache prefetch hint behind the inline
+// op-batch replay (`store::hint_line`). Everything else stays safe code.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 mod addr;

@@ -338,6 +338,16 @@ impl SlicedCache {
         }
     }
 
+    /// Hints the host cache with the `(slice, set)` row `addr` maps
+    /// to, so a replay loop can fetch it a few ops before it accesses
+    /// it. No simulated state changes: no access, no statistic, no RNG
+    /// draw.
+    #[inline]
+    pub(crate) fn prefetch(&self, addr: PhysAddr) {
+        let ss = self.locate(addr);
+        self.shards[ss.slice].prefetch(ss.set);
+    }
+
     /// Whether `addr` is currently cached (oracle for tests).
     pub fn contains(&self, addr: PhysAddr) -> bool {
         let ss = self.locate(addr);

@@ -316,6 +316,16 @@ impl OpBuffer {
         }
     }
 
+    /// Line address of op `index`, decoded straight from its packed
+    /// word (no lead, no escape cursor), or `None` past the end: the
+    /// inline replay's prefetch lookahead.
+    #[inline]
+    pub(crate) fn line_addr(&self, index: usize) -> Option<PhysAddr> {
+        self.words
+            .get(index)
+            .map(|&word| PhysAddr::new(word & ADDR_MASK))
+    }
+
     /// Cycles of advance emitted after the last op (applied by
     /// [`crate::Hierarchy::run_ops`] once the ops have replayed).
     pub fn trailing(&self) -> Cycles {

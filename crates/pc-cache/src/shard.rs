@@ -113,6 +113,13 @@ impl Shard {
         self.stats = CacheStats::new();
     }
 
+    /// Hints local set `set`'s row into the host cache ahead of an
+    /// access to it (see `LineStore::prefetch`).
+    #[inline]
+    pub(crate) fn prefetch(&self, set: usize) {
+        self.store.prefetch(set);
+    }
+
     /// Way of local set `set` holding `tag`, if valid (oracle).
     pub(crate) fn lookup(&self, set: usize, tag: u64) -> Option<usize> {
         self.store.lookup(set, tag)

@@ -62,6 +62,44 @@ fn pack(tag: u64, domain: Domain, dirty: bool) -> u64 {
         | if domain == Domain::Io { IO } else { 0 }
 }
 
+/// Host cache-line size the prefetch hints step by.
+const HOST_LINE: usize = 64;
+
+/// Hints every host cache line `span` covers: one hint per 64 bytes
+/// from its first element, plus its last element, whose line the
+/// stride misses when the span starts mid-line.
+#[inline]
+fn hint_span<T>(span: &[T]) {
+    let stride = (HOST_LINE / std::mem::size_of::<T>()).max(1);
+    for value in span.iter().step_by(stride) {
+        hint_line(value);
+    }
+    if let Some(last) = span.last() {
+        hint_line(last);
+    }
+}
+
+/// Hints the host cache line holding `*value` into L1: the crate's one
+/// `unsafe` site (see the crate README's "Inline replay prefetch").
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline(always)]
+fn hint_line<T>(value: &T) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: `_mm_prefetch` is unsafe only for its `sse` target
+    // feature, which is baseline on every x86_64 target. The pointer
+    // comes from a live reference, so it is in bounds and aligned, and
+    // a prefetch never faults, never writes and has no observable
+    // effect beyond host cache state.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>((value as *const T).cast::<i8>()) }
+}
+
+/// No prefetch hint on other targets: the replay is the same, only the
+/// host cache misses stay.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn hint_line<T>(_value: &T) {}
+
 /// Per-set bookkeeping, packed into one 16-byte record so a quota check
 /// or adaptation step touches a single cache line instead of five
 /// scattered arrays.
@@ -145,6 +183,19 @@ impl LineStore {
     #[inline]
     fn set_lines(&self, set: usize) -> &[u64] {
         &self.lines[set * self.ways..(set + 1) * self.ways]
+    }
+
+    /// Hints set `set`'s row into the host's L1 ahead of an access to
+    /// it: every host line of its packed words, its LRU stamps (the
+    /// other policies keep no per-line array) and its [`SetMeta`].
+    /// Reads nothing and changes nothing the simulation observes.
+    #[inline]
+    pub(crate) fn prefetch(&self, set: usize) {
+        hint_span(self.set_lines(set));
+        if let FlatReplacement::Lru { stamps, .. } = &self.repl {
+            hint_span(&stamps[set * self.ways..(set + 1) * self.ways]);
+        }
+        hint_line(&self.sets[set]);
     }
 
     /// Way of set `set` holding `tag`, if present and valid.

@@ -203,6 +203,33 @@ proptest! {
         }
     }
 
+    /// Short streams on the paper geometry stay below the sharding
+    /// threshold, so the batch engine is the inline `run_ops` walk with
+    /// its prefetch lookahead (8 ops ahead), on the geometry whose rows
+    /// it hints. The lengths straddle the lookahead distance — a stream
+    /// shorter than it never prefetches, one just past it prefetches
+    /// once — and random lengths sweep the rest of the inline range, in
+    /// every mode × policy (`TreePlru` and `Random` keep no stamp
+    /// array, so the hint must skip it).
+    #[test]
+    fn inline_replay_agrees_on_the_paper_geometry(
+        seed in 0u64..u64::MAX,
+        io_pct in 0u32..60,
+        skew_pct in 0u32..100,
+        long in 10usize..4096,
+    ) {
+        for mode in modes() {
+            for policy in policies() {
+                let rounds: Vec<Vec<CacheOp>> = [1usize, 7, 8, 9, long]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &len)| fuzz_stream(seed ^ k as u64, len, io_pct, skew_pct))
+                    .collect();
+                run_all_engines(CacheGeometry::xeon_e5_2660(), mode, policy, &rounds, 5);
+            }
+        }
+    }
+
     /// Packed-vs-unpacked round trip: every op pushed through the
     /// 8-byte [`OpBuffer`] encoding decodes back to itself modulo line
     /// quantization. Leads are drawn to straddle the inline/escape

@@ -165,7 +165,11 @@ impl Workbench {
     /// working-set reads and the response write/DMA-read pairs) and
     /// replayed through [`Hierarchy::run_ops`] — byte-identical to the
     /// per-access walk, since the random lines are drawn before the
-    /// replay and the RNG never observes the hierarchy.
+    /// replay and the RNG never observes the hierarchy. A request's
+    /// ~630 ops stay below the sharding threshold, so they replay
+    /// inline, with each op's LLC row prefetched a few ops ahead: the
+    /// random working-set reads would otherwise stall on host cache
+    /// misses (this loop is Figure 16's dominant cost).
     pub fn nginx_request(&mut self, cfg: &NginxConfig) -> Cycles {
         let t0 = self.h.now();
         let frame = EthernetFrame::clamped(cfg.request_bytes);

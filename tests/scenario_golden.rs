@@ -20,6 +20,7 @@
 
 use pc_bench::experiments::Scale;
 use pc_bench::scenario;
+use std::ffi::OsStr;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -41,8 +42,23 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
+/// Reads a `PC_BLESS` value: unset or `0` compares, `1` blesses.
+/// Anything else is an error rather than a silent compare, so a
+/// `PC_BLESS=true` run cannot pass while blessing nothing.
+fn parse_bless(value: Option<&OsStr>) -> Result<bool, String> {
+    match value {
+        None => Ok(false),
+        Some(v) if v == "0" => Ok(false),
+        Some(v) if v == "1" => Ok(true),
+        Some(v) => Err(format!(
+            "PC_BLESS must be unset, 0 (compare) or 1 (bless), got {v:?}"
+        )),
+    }
+}
+
 fn blessing() -> bool {
-    let bless = std::env::var_os("PC_BLESS").is_some_and(|v| v == "1");
+    let bless =
+        parse_bless(std::env::var_os("PC_BLESS").as_deref()).unwrap_or_else(|e| panic!("{e}"));
     if bless {
         // A snapshot taken with a fault armed would enshrine the
         // mutation as truth; refuse (covers both a programmatic arming
@@ -136,4 +152,21 @@ fn blessing_refuses_while_a_fault_is_armed() {
     pc_cache::fault::disarm();
     let err = guard.expect_err("an armed fault must block blessing");
     assert!(err.contains("stat-off-by-one"), "names the culprit: {err}");
+}
+
+/// `PC_BLESS` takes unset, `0` or `1`; any other value (`true`, `yes`,
+/// empty) is rejected with a message naming the accepted values
+/// instead of quietly comparing.
+#[test]
+fn bless_accepts_only_unset_0_or_1() {
+    assert_eq!(parse_bless(None), Ok(false));
+    assert_eq!(parse_bless(Some(OsStr::new("0"))), Ok(false));
+    assert_eq!(parse_bless(Some(OsStr::new("1"))), Ok(true));
+    for bad in ["true", "yes", "", "01", " 1"] {
+        let err = parse_bless(Some(OsStr::new(bad))).expect_err(bad);
+        assert!(
+            err.contains("unset, 0 (compare) or 1 (bless)"),
+            "names the accepted values: {err}"
+        );
+    }
 }
