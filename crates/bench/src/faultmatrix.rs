@@ -26,11 +26,13 @@
 //!   exercises the windowed-rx sites (`dropped-deferred-read`,
 //!   `burst-flush-elision`, `swapped-segment-subtotal`,
 //!   `stale-deferred-segment-index`).
-//! * `monitor` — the fused multi-target probe sample
+//! * `monitor` — the attacker pool's eviction-set memo against the
+//!   memo-free oracle walk, then the fused multi-target probe sample
 //!   (`pc_probe::Monitor`) against per-target probing on a cloned
 //!   machine, mirroring `crates/pc-probe/tests/fault_kill_probe.rs` —
-//!   the only detector that exercises `cross-epoch-misclassify`, whose
-//!   mutation lives in the fused per-segment classification alone.
+//!   the only detector that exercises `stale-eviction-memo` and
+//!   `cross-epoch-misclassify`, whose mutations live in the memo lookup
+//!   and the fused per-segment classification alone.
 //! * `golden` — the scenario registry at the blessed parameters
 //!   (`Scale::Quick`, seed 2020) byte-compared against the snapshots
 //!   in `tests/golden/` (`fingerprint` is excluded: it costs more than
@@ -47,7 +49,7 @@ use crate::scenario;
 use pc_cache::fault::{self, FaultSite, FaultSpec};
 use pc_cache::{
     AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, CacheStats, DdioMode, Hierarchy, OpBuffer,
-    OpSink, PhysAddr,
+    OpSink, PhysAddr, SliceSet,
 };
 use pc_core::{RxEngine, TestBed, TestBedConfig};
 use pc_net::{EthernetFrame, ScheduledFrame};
@@ -487,18 +489,32 @@ fn testbed_trajectory() -> Option<String> {
     None
 }
 
-// --- suite `monitor`: fused probe sample vs per-target probing ------
+// --- suite `monitor`: memo vs walk, fused sample vs per-target -----
 
-/// The fused multi-target probe sample against per-target probing on a
-/// cloned machine: 32 monitored sets (every keyed modulus in the
-/// catalog fires within the first 32 keys), with NIC writes landing on
-/// a rotating third of the victims between samples. The per-target
-/// path never consults the fused classification hook, so it is the
-/// oracle for `cross-epoch-misclassify` — and the comparison doubles
-/// as a fusion-equivalence regression (clock and statistics included).
+/// First the pool's eviction-set memo against the memo-free walk: every
+/// slice of 16 set indices, asked twice (a fill, then all hits, so
+/// every neighbour a stale hit could serve is memoized). The walk never
+/// consults the memo hook, so it is the oracle for
+/// `stale-eviction-memo`. Then the fused multi-target probe sample
+/// against per-target probing on a cloned machine: 32 monitored sets
+/// (every keyed modulus in the catalog fires within the first 32 keys),
+/// with NIC writes landing on a rotating third of the victims between
+/// samples. The per-target path never consults the fused
+/// classification hook, so it is the oracle for
+/// `cross-epoch-misclassify` — and the comparison doubles as a
+/// fusion-equivalence regression (clock and statistics included).
 fn monitor_differential() -> Option<String> {
     let mut h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
     let pool = AddressPool::allocate(6, 16384);
+    let memo_targets: Vec<SliceSet> = (0..16)
+        .flat_map(|i| (0..8).map(move |slice| SliceSet::new(slice, i * 128 + i)))
+        .collect();
+    let walked = oracle_eviction_sets(h.llc(), &pool, &memo_targets);
+    for call in 0..2 {
+        if pool.memoized_oracle_sets(h.llc(), &memo_targets) != walked {
+            return Some(format!("memoized eviction sets diverged (call {call})"));
+        }
+    }
     let mut victims: Vec<PhysAddr> = Vec::new();
     let mut targets = Vec::new();
     for page in 0..4000u64 {

@@ -13,7 +13,7 @@
 use crate::testbed::TestBed;
 use pc_cache::{Cycles, Hierarchy, PhysAddr, SlicedCache};
 use pc_nic::IgbDriver;
-use pc_probe::{oracle_eviction_sets, AddressPool, PrimeProbe};
+use pc_probe::{AddressPool, PrimeProbe};
 
 /// Blocks probed per half-page: blocks 0..5. Block 4's set distinguishes
 /// "exactly 4 blocks" (≤ copybreak, buffer reused in place) from
@@ -116,22 +116,27 @@ impl ChasingSpy {
     /// Uses oracle eviction sets for setup (the output of the offline
     /// phase: the attacker has already located every buffer's sets via
     /// §III-B/C; see `pc-probe` docs on the instrumentation boundary).
+    /// The sets come from the pool's memo
+    /// ([`AddressPool::memoized_oracle_sets`]): the first spy built on a
+    /// pool pays for the walk, and later spies are lookups.
     pub fn for_ring(llc: &SlicedCache, pool: &AddressPool, driver: &IgbDriver) -> Self {
         let pages = driver.ring().page_addresses();
         ChasingSpy::for_pages(llc, pool, &pages)
     }
 
-    /// Sets up probes for an explicit page list in ring order.
+    /// Sets up probes for an explicit page list in ring order, from the
+    /// pool's eviction-set memo: only targets no earlier spy on `pool`
+    /// asked for are walked.
     ///
     /// # Panics
     ///
     /// Panics if `pages` is empty or the pool is too small (see
-    /// [`oracle_eviction_sets`]).
+    /// [`AddressPool::memoized_oracle_sets`]).
     pub fn for_pages(llc: &SlicedCache, pool: &AddressPool, pages: &[PhysAddr]) -> Self {
         assert!(!pages.is_empty(), "spy needs at least one buffer to chase");
         let threshold = pc_cache::LatencyModel::server_defaults().miss_threshold();
-        // Every buffer's targets in one oracle call, so targets on the
-        // same pages' set indices share one walk over the pool: blocks
+        // Every buffer's targets in one memo call, so the targets it
+        // must still walk share one walk over the pool: blocks
         // 0..TRACKED_BLOCKS of each half-page, buffer by buffer, lower
         // half first.
         const HALVES: [u64; 2] = [0, 32];
@@ -144,7 +149,8 @@ impl ChasingSpy {
             })
             .map(|line| llc.locate(line))
             .collect();
-        let mut probes = oracle_eviction_sets(llc, pool, &targets)
+        let mut probes = pool
+            .memoized_oracle_sets(llc, &targets)
             .into_iter()
             .map(|s| PrimeProbe::new(s, threshold));
         let buffers: Vec<BufferProbes> = pages

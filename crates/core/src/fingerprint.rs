@@ -449,6 +449,35 @@ mod tests {
     }
 
     #[test]
+    fn warm_pool_spy_captures_like_a_cold_pool_spy() {
+        // Spies built on a warm pool take their sets from the memo
+        // (partly for bed 4's ring, wholly for bed 3's second capture);
+        // each must capture exactly what a spy walking a fresh pool does.
+        let world = ClosedWorld::paper_five_sites();
+        let frames = world.sites()[2].page_load(0.02, &mut SmallRng::seed_from_u64(5));
+        let cfg = CaptureConfig {
+            trace_len: 40,
+            ..CaptureConfig::paper_defaults()
+        };
+        let mut bed_cfg = TestBedConfig::paper_baseline();
+        bed_cfg.driver.ring_size = 32;
+        let capture = |pool: &AddressPool, bed_seed: u64| {
+            let mut tb = TestBed::new(bed_cfg.with_seed(bed_seed));
+            let mut spy = ChasingSpy::for_ring(tb.hierarchy().llc(), pool, tb.driver());
+            capture_trace(&mut tb, &mut spy, &frames, &cfg)
+        };
+        let warm = AddressPool::allocate(78, 16384);
+        for bed_seed in [3, 4, 3] {
+            let cold = AddressPool::allocate(78, 16384);
+            assert_eq!(
+                capture(&warm, bed_seed),
+                capture(&cold, bed_seed),
+                "bed seed {bed_seed}"
+            );
+        }
+    }
+
+    #[test]
     fn login_outcomes_are_distinguishable() {
         let cfg = CaptureConfig {
             trace_len: 100,

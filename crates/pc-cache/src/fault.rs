@@ -160,11 +160,18 @@ pub enum FaultSite {
     /// steer-only (`pc-nic`'s `rss.rs`), and inert at queue count 1
     /// (`(q+1) % 1 == q`), so armed single-queue runs stay byte-exact.
     SwappedQueueSteer,
+    /// The attacker pool's eviction-set memo serves a keyed target's
+    /// hit with the neighbouring slice's set (when that set is
+    /// memoized) — memoized sets drift from the memo-free oracle walk.
+    /// Keyed on the target's `(set, slice)`; lexically memo-lookup-only
+    /// (`pc-probe`'s `pool.rs`), and a fill never fires, so only hits
+    /// are mutated.
+    StaleEvictionMemo,
 }
 
 impl FaultSite {
     /// Every catalog entry, in matrix order.
-    pub const ALL: [FaultSite; 15] = [
+    pub const ALL: [FaultSite; 16] = [
         FaultSite::StatOffByOne,
         FaultSite::DroppedFlush,
         FaultSite::StaleLru,
@@ -180,6 +187,7 @@ impl FaultSite {
         FaultSite::StaleDeferredSegmentIndex,
         FaultSite::CrossEpochMisclassify,
         FaultSite::SwappedQueueSteer,
+        FaultSite::StaleEvictionMemo,
     ];
 
     /// The site's kebab-case name (the `PC_FAULT` spelling).
@@ -200,6 +208,7 @@ impl FaultSite {
             FaultSite::StaleDeferredSegmentIndex => "stale-deferred-segment-index",
             FaultSite::CrossEpochMisclassify => "cross-epoch-misclassify",
             FaultSite::SwappedQueueSteer => "swapped-queue-steer",
+            FaultSite::StaleEvictionMemo => "stale-eviction-memo",
         }
     }
 
@@ -234,7 +243,8 @@ impl FaultSite {
             | FaultSite::SwappedSegmentSubtotal
             | FaultSite::StaleDeferredSegmentIndex
             | FaultSite::CrossEpochMisclassify
-            | FaultSite::SwappedQueueSteer => FiringKind::Keyed,
+            | FaultSite::SwappedQueueSteer
+            | FaultSite::StaleEvictionMemo => FiringKind::Keyed,
         }
     }
 
@@ -275,6 +285,7 @@ impl FaultSite {
                 "fused monitor sample inverts one target's classification"
             }
             FaultSite::SwappedQueueSteer => "RSS steer routes a flow to the next queue",
+            FaultSite::StaleEvictionMemo => "eviction-set memo hit serves the next slice's set",
         }
     }
 

@@ -161,6 +161,14 @@ pub fn build_eviction_sets_for_index(
 /// pass every target of a set-up in one call — the chasing spy's 2 560
 /// probe targets share 32 such groups on the paper's machine.
 ///
+/// This walk is memo-free on purpose. It fills
+/// [`AddressPool::memoized_oracle_sets`], which the chasing spy builds
+/// from, and it is what monitors (`build_monitor`) call directly:
+/// routing monitor set-up through the memo too filled the memo inside
+/// set-up, and the extra heap growth raised the `attack` benchmark's
+/// set-up time from a 1.57 ms median to 2.05 ms, with 3–4.5 ms outliers
+/// (2-vCPU x86-64 VM).
+///
 /// # Panics
 ///
 /// Panics if a target's set index is out of range, or if the pool

@@ -8,7 +8,8 @@
 //!
 //! * [`AddressPool`] — the spy's own page-aligned memory (it knows the
 //!   set-index bits of its addresses, as with hugepages on real systems,
-//!   but *not* the slice-hash outcome).
+//!   but *not* the slice-hash outcome). It memoizes the oracle eviction
+//!   sets built from its pages, so the offline phase runs once per pool.
 //! * [`calibrate_threshold`] — measures the hit/miss latency boundary.
 //! * [`build_eviction_sets_for_index`] — timing-based group-testing
 //!   construction of one eviction set per slice for a given set index.

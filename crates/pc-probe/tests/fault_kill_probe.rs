@@ -1,7 +1,15 @@
-//! Kill test for the monitor-level fault site:
+//! Kill tests for the probe-level fault sites:
 //! `cross-epoch-misclassify` inverts one keyed target's classification
 //! in the fused multi-target sample (`Monitor::sample_misses`), and
-//! the fused ↔ per-target differential must notice for every seed.
+//! `stale-eviction-memo` serves a keyed memo hit with the neighbouring
+//! slice's eviction set (`AddressPool::memoized_oracle_sets`). The
+//! detector must notice both for every seed.
+//!
+//! The detector first asks the pool's memo for every slice of 16 set
+//! indices twice — a fill, then all hits, so every neighbour a stale
+//! hit could serve is memoized — and compares both answers with the
+//! memo-free walk (`oracle_eviction_sets`), which never consults the
+//! memo hook.
 //!
 //! The detector monitors 32 distinct sets — every keyed modulus in the
 //! fault catalog (5..=13) fires within the first 32 keys — and
@@ -13,7 +21,7 @@
 //! the negative control (and one more fusion-equivalence regression).
 
 use pc_cache::fault::{self, FaultSite, FaultSpec};
-use pc_cache::{CacheGeometry, DdioMode, PhysAddr};
+use pc_cache::{CacheGeometry, DdioMode, PhysAddr, SliceSet};
 use pc_probe::{oracle_eviction_sets, AddressPool, Monitor, MonitorTarget};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -30,6 +38,15 @@ fn serialized() -> std::sync::MutexGuard<'static, ()> {
 fn detect() -> Option<String> {
     let mut h = pc_cache::Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
     let pool = AddressPool::allocate(6, 16384);
+    let memo_targets: Vec<SliceSet> = (0..16)
+        .flat_map(|i| (0..8).map(move |slice| SliceSet::new(slice, i * 128 + i)))
+        .collect();
+    let walked = oracle_eviction_sets(h.llc(), &pool, &memo_targets);
+    for call in 0..2 {
+        if pool.memoized_oracle_sets(h.llc(), &memo_targets) != walked {
+            return Some(format!("memoized eviction sets diverged (call {call})"));
+        }
+    }
     let mut victims: Vec<PhysAddr> = Vec::new();
     let mut targets = Vec::new();
     for page in 0..4000u64 {
@@ -81,20 +98,21 @@ fn detect() -> Option<String> {
     None
 }
 
-#[test]
-fn cross_epoch_misclassify_is_killed_for_every_seed() {
+/// Arms `site` for fault seeds 0..4 in turn and asserts the detector
+/// kills every mutant.
+fn assert_killed_for_every_seed(site: FaultSite) {
     let _g = serialized();
     let mut survivors = Vec::new();
     for seed in 0..4u64 {
         fault::arm(FaultSpec {
-            site: FaultSite::CrossEpochMisclassify,
+            site,
             seed,
             nth: None,
         });
         let outcome = catch_unwind(AssertUnwindSafe(detect));
         fault::disarm();
         if matches!(outcome, Ok(None)) {
-            survivors.push(format!("cross-epoch-misclassify:{seed} survived"));
+            survivors.push(format!("{}:{seed} survived", site.name()));
         }
     }
     assert!(
@@ -104,8 +122,18 @@ fn cross_epoch_misclassify_is_killed_for_every_seed() {
     );
 }
 
-/// Negative control: no fault armed → the fused sample is
-/// byte-identical to per-target probing.
+#[test]
+fn cross_epoch_misclassify_is_killed_for_every_seed() {
+    assert_killed_for_every_seed(FaultSite::CrossEpochMisclassify);
+}
+
+#[test]
+fn stale_eviction_memo_is_killed_for_every_seed() {
+    assert_killed_for_every_seed(FaultSite::StaleEvictionMemo);
+}
+
+/// Negative control: no fault armed → the memo serves the walk's sets
+/// and the fused sample is byte-identical to per-target probing.
 #[test]
 fn fused_and_per_target_agree_with_no_fault_armed() {
     let _g = serialized();

@@ -91,6 +91,42 @@ proptest! {
         }
     }
 
+    /// The pool's memo serves exactly the walk's sets, whether a batch
+    /// is all misses, all hits (each batch runs twice) or a mix (the
+    /// batches overlap on four pages' set indices, and the final call
+    /// asks for every target at once).
+    #[test]
+    fn memoized_sets_equal_the_walk(
+        pick in 0usize..3,
+        seed in 0u64..1000,
+        raw in proptest::collection::vec(
+            proptest::collection::vec((0usize..8, 0usize..4, 0usize..64), 1..24),
+            1..4,
+        ),
+    ) {
+        let geom = geometry(pick);
+        let h = Hierarchy::new(geom, DdioMode::enabled());
+        let pool = AddressPool::allocate(seed, 12288);
+        let batches: Vec<Vec<SliceSet>> = raw
+            .iter()
+            .map(|batch| {
+                batch
+                    .iter()
+                    .map(|&(slice, page, line)| {
+                        SliceSet::new(slice % geom.slices(), (page * 64 + line) % geom.sets_per_slice())
+                    })
+                    .filter(|&t| scan_eviction_set(&h, &pool, t).is_some())
+                    .collect()
+            })
+            .collect();
+        for targets in batches.iter().chain(&batches).chain([&batches.concat()]) {
+            prop_assert_eq!(
+                pool.memoized_oracle_sets(h.llc(), targets),
+                oracle_eviction_sets(h.llc(), &pool, targets)
+            );
+        }
+    }
+
     /// Oracle eviction sets are always homogeneous (one slice-set),
     /// exactly `ways` long, and drawn from the pool.
     #[test]
@@ -157,4 +193,70 @@ fn timing_construction_matches_oracle_across_seeds() {
             assert!(g.addresses().iter().all(|a| h.llc().locate(*a) == ss));
         }
     }
+}
+
+/// Targets on every slice of a spread of set indices, valid on the
+/// paper's machine and on Figure 14's 8 MiB variant.
+fn spread_targets() -> Vec<SliceSet> {
+    (0..12)
+        .flat_map(|i| (0..8).map(move |slice| SliceSet::new(slice, i * 171 % 2048)))
+        .collect()
+}
+
+/// One pool used under two geometries (equal slice hash, different
+/// associativity) keeps a memo per geometry: each is served its own
+/// walk's sets, in either order.
+#[test]
+fn memo_serves_each_geometry_its_own_sets() {
+    let wide = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
+    let narrow = Hierarchy::new(CacheGeometry::xeon_scaled_mib(8), DdioMode::enabled());
+    let pool = AddressPool::allocate(5, 12288);
+    let targets = spread_targets();
+    for h in [&wide, &narrow, &wide, &narrow] {
+        let got = pool.memoized_oracle_sets(h.llc(), &targets);
+        assert_eq!(got, oracle_eviction_sets(h.llc(), &pool, &targets));
+        assert!(got.iter().all(|s| s.len() == h.llc().geometry().ways()));
+    }
+}
+
+/// Four threads racing to fill a cold memo with overlapping batches get
+/// the same sets as a sequential fill, and leave a memo that still
+/// serves the walk's sets.
+#[test]
+fn concurrent_first_fill_equals_sequential_fill() {
+    let h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
+    let targets = spread_targets();
+    let batches: Vec<Vec<SliceSet>> = (0..4)
+        .map(|k| targets[k * 16..k * 16 + 48].to_vec())
+        .collect();
+    let raced = AddressPool::allocate(8, 12288);
+    let start = std::sync::Barrier::new(batches.len());
+    let got = pc_par::parallel_map_threads(batches.clone(), batches.len(), |b| {
+        start.wait();
+        raced.memoized_oracle_sets(h.llc(), &b)
+    });
+    let sequential = AddressPool::allocate(8, 12288);
+    let want: Vec<_> = batches
+        .iter()
+        .map(|b| sequential.memoized_oracle_sets(h.llc(), b))
+        .collect();
+    assert_eq!(got, want);
+    assert_eq!(
+        raced.memoized_oracle_sets(h.llc(), &targets),
+        oracle_eviction_sets(h.llc(), &raced, &targets)
+    );
+}
+
+/// A clone, taken before or after the memo fills, serves the same sets
+/// as the pool it was cloned from.
+#[test]
+fn cloned_pool_serves_the_same_sets() {
+    let h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
+    let targets = spread_targets();
+    let pool = AddressPool::allocate(12, 12288);
+    let early = pool.clone();
+    let want = pool.memoized_oracle_sets(h.llc(), &targets);
+    assert_eq!(want, oracle_eviction_sets(h.llc(), &pool, &targets));
+    assert_eq!(early.memoized_oracle_sets(h.llc(), &targets), want);
+    assert_eq!(pool.clone().memoized_oracle_sets(h.llc(), &targets), want);
 }
