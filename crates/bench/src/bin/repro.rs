@@ -2,8 +2,8 @@
 //! registered end-to-end scenarios.
 //!
 //! ```text
-//! repro [--full] [--smoke] [--seed N] [--rx-engine E] [--queues N] <experiment|all|bench-cache>
-//! repro [--full] [--seed N] [--rx-engine E] [--queues N] scenario <name>... | list
+//! repro [--full] [--smoke] [--seed N] [--queues N] <experiment|all|bench-cache>
+//! repro [--full] [--seed N] [--queues N] scenario <name>... | list
 //! repro [--full] [--seed N] [--tenants N] fleet
 //! repro [--seeds N] fault-matrix
 //!
@@ -40,8 +40,8 @@
 //! slice-sharded batch engine, the sharded `run_trace` replay — now
 //! parallel in every DDIO mode, adaptive included — and the
 //! pre-refactor reference layout; 9 trace/mode cases) plus the
-//! end-to-end `IgbDriver` receive path on its three op-stream engines
-//! (streaming / burst / per-access oracle, per DDIO mode) and writes
+//! end-to-end `IgbDriver` receive path on both replay paths
+//! (streaming / per-access oracle, per DDIO mode) and writes
 //! `BENCH_cache.json` next to the working directory so the perf
 //! trajectory is tracked machine-readably from PR to PR (see
 //! `crates/bench/README.md` for the schema). `--smoke` shrinks it to a
@@ -101,25 +101,10 @@ fn main() {
                         ))
                     });
             }
-            // Engine selection for every TestBed the run constructs
-            // (scenarios and figure experiments alike): the CI
-            // determinism job byte-diffs whole runs across engines.
-            // Routed through the PC_RX_ENGINE environment variable so
-            // deeply nested TestBedConfig construction sites pick it up.
-            "--rx-engine" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| die("--rx-engine needs batched|per-frame|per-access"));
-                // One name list: the same parser TestBed configs use.
-                if pc_core::RxEngine::parse(&v).is_none() {
-                    die(&format!("unknown rx engine `{v}`"));
-                }
-                std::env::set_var("PC_RX_ENGINE", v);
-            }
             // Queue-count selection for every TestBed the run
-            // constructs, same pattern as --rx-engine: validated here,
-            // routed through PC_RSS_QUEUES so nested TestBedConfig
-            // construction sites (and scenario spec defaults) pick it up.
+            // constructs: validated here, routed through PC_RSS_QUEUES
+            // so nested TestBedConfig construction sites (and scenario
+            // spec defaults) pick it up.
             "--queues" => {
                 let v = args
                     .next()
@@ -135,14 +120,10 @@ fn main() {
                 }
             }
             "-h" | "--help" => {
-                println!("usage: repro [--full] [--smoke] [--seed N] [--rx-engine E] [--queues N] <experiment|all|bench-cache>");
-                println!(
-                    "       repro [--full] [--seed N] [--rx-engine E] [--queues N] scenario <name>... | list"
-                );
+                println!("usage: repro [--full] [--smoke] [--seed N] [--queues N] <experiment|all|bench-cache>");
+                println!("       repro [--full] [--seed N] [--queues N] scenario <name>... | list");
                 println!("       repro [--full] [--seed N] [--tenants N] fleet");
                 println!("       repro [--seeds N] fault-matrix");
-                println!("--rx-engine: TestBed receive engine (batched|per-frame|per-access;");
-                println!("             all byte-identical — the CI determinism job diffs them)");
                 println!(
                     "--queues:    rx queue count for every TestBed (1..={}; overrides",
                     pc_nic::MAX_RSS_QUEUES
@@ -160,6 +141,7 @@ fn main() {
                 println!("             prints the kill matrix, exits 2 on survivors");
                 return;
             }
+            flag if flag.starts_with('-') => die(&format!("unknown option `{flag}` (try --help)")),
             other => cmds.push(other.to_owned()),
         }
     }
@@ -252,9 +234,9 @@ fn die(msg: &str) -> ! {
 /// Checks the `PC_*` variables that configure the whole run, before
 /// anything reads them: `pc_par::max_threads` keeps its first read for
 /// the rest of the process, and the library parsers would otherwise
-/// fall back silently (`PC_BENCH_THREADS`) or panic (`PC_RSS_QUEUES`,
-/// `PC_RX_ENGINE` mid-report). A bad value exits 2 with one line on
-/// stderr. `PC_FAULT` is checked where `main` arms it.
+/// fall back silently (`PC_BENCH_THREADS`) or panic (`PC_RSS_QUEUES`
+/// mid-report). A bad value exits 2 with one line on stderr.
+/// `PC_FAULT` is checked where `main` arms it.
 fn validate_env() {
     // Lossy, so a non-UTF-8 value fails its parse instead of reading as
     // unset; `{v:?}` keeps a value with a newline on one line.
@@ -273,13 +255,6 @@ fn validate_env() {
                 "PC_RSS_QUEUES must be {}..={}, got {v:?}",
                 queues.start(),
                 queues.end()
-            ));
-        }
-    }
-    if let Some(v) = var("PC_RX_ENGINE") {
-        if pc_core::RxEngine::parse(&v).is_none() {
-            die(&format!(
-                "PC_RX_ENGINE must be batched|per-frame|per-access, got {v:?}"
             ));
         }
     }
@@ -310,25 +285,12 @@ fn run_scenarios(names: &[String], scale: Scale, seed: u64) {
         let t = Instant::now();
         println!("==================================================================");
         println!("Scenario {} — {}", s.name(), s.summary());
-        // Per-scenario window-fusion telemetry: reset the process-wide
-        // counters so each stderr line reports this scenario's delta.
-        pc_core::reset_window_stats();
         print!("{}", s.run(scale, seed));
-        // Timing and window telemetry to stderr, like the figure
-        // experiments: stdout must be byte-stable (the CI determinism
-        // job diffs scenario runs too), while the fused window sizes —
-        // the thing the reconstruction engine exists to grow — stay
-        // observable without a bench run. Windows form only when the
-        // batched engine has worker threads to feed; other runs report
-        // 0 windows.
-        let w = pc_core::window_stats_snapshot();
+        // Timing to stderr, like the figure experiments: stdout must be
+        // byte-stable (the CI determinism job diffs scenario runs too).
         eprintln!(
-            "[scenario {name} done in {:.1}s; {} windows, frames/window mean {:.1} p50 {} max {}]",
-            t.elapsed().as_secs_f64(),
-            w.windows,
-            w.mean_frames(),
-            w.p50_frames(),
-            w.max_frames
+            "[scenario {name} done in {:.1}s]",
+            t.elapsed().as_secs_f64()
         );
     }
 }
@@ -597,12 +559,6 @@ fn print_fig16_row(name: &str, vals: &[f64]) {
     println!("{name},{}", cols.join(","));
 }
 
-/// Lowest burst speedup `--smoke` accepts on hosts with worker threads
-/// (single-sample passes are noisy; well under parity still means the
-/// fan-out is broken, not merely jittery). 1-core hosts are never
-/// gated — see the `host_threads` row annotation.
-const BURST_SMOKE_FLOOR: f64 = 0.85;
-
 fn bench_cache(scale: Scale, smoke: bool) {
     println!("LLC hot path — scalar SoA / sharded batch / sharded trace replay / reference");
     let (samples, trace_len) = if smoke {
@@ -617,11 +573,6 @@ fn bench_cache(scale: Scale, smoke: bool) {
         pc_bench::cache_bench::DRIVER_PACKETS / 4
     } else {
         pc_bench::cache_bench::DRIVER_PACKETS
-    };
-    let testbed_frames = if smoke {
-        pc_bench::cache_bench::TESTBED_FRAMES / 4
-    } else {
-        pc_bench::cache_bench::TESTBED_FRAMES
     };
     let results = pc_bench::cache_bench::measure_all(samples, trace_len);
     println!(
@@ -651,50 +602,18 @@ fn bench_cache(scale: Scale, smoke: bool) {
     // The end-to-end driver engine: one frame at a time through the
     // batched receive path vs the per-access oracle.
     let drivers = pc_bench::cache_bench::measure_driver(samples, driver_packets);
-    println!(
-        "driver_mode,driver_ns_per_packet,driver_burst_ns_per_packet,\
-         driver_scalar_ns_per_packet,driver_speedup,driver_burst_speedup"
-    );
+    println!("driver_mode,driver_ns_per_packet,driver_scalar_ns_per_packet,driver_speedup");
     for d in &drivers {
         println!(
-            "{},{:.1},{:.1},{:.1},{:.2}x,{:.2}x",
+            "{},{:.1},{:.1},{:.2}x",
             d.mode,
             d.driver_ns_per_packet,
-            d.driver_burst_ns_per_packet,
             d.driver_scalar_ns_per_packet,
-            d.driver_speedup(),
-            d.driver_burst_speedup()
-        );
-    }
-    // The full arrival pipeline through the TestBed: windowed burst
-    // delivery vs per-frame vs the per-access oracle — the per-mode
-    // backlog rows plus the cross-gap fusion row (bursty schedule with
-    // gaps and probe epochs, the shape that used to cut windows at
-    // every sync).
-    let mut testbeds = pc_bench::cache_bench::measure_testbed(samples, testbed_frames);
-    testbeds.push(pc_bench::cache_bench::measure_crossgap(
-        samples,
-        testbed_frames,
-    ));
-    println!(
-        "testbed_mode,testbed_burst_ns_per_frame,testbed_frame_ns_per_frame,\
-         testbed_scalar_ns_per_frame,testbed_burst_speedup,testbed_scalar_speedup,\
-         testbed_window_frames_mean"
-    );
-    for t in &testbeds {
-        println!(
-            "{},{:.1},{:.1},{:.1},{:.2}x,{:.2}x,{:.1}",
-            t.mode,
-            t.testbed_burst_ns_per_frame,
-            t.testbed_frame_ns_per_frame,
-            t.testbed_scalar_ns_per_frame,
-            t.testbed_burst_speedup(),
-            t.testbed_scalar_speedup(),
-            t.testbed_window_frames_mean
+            d.driver_speedup()
         );
     }
     // End-to-end multi-queue scenarios: wall clock per registry run, so
-    // RSS steering and window-fusion overhead are tracked PR to PR.
+    // RSS steering overhead is tracked PR to PR.
     let scenarios = pc_bench::cache_bench::measure_scenarios(samples, if smoke { 4 } else { 1 });
     println!("scenario,wall_ms");
     for s in &scenarios {
@@ -718,9 +637,7 @@ fn bench_cache(scale: Scale, smoke: bool) {
     if let Some(tax) = pc_bench::cache_bench::adaptive_driver_tax(&drivers) {
         println!("# adaptive_driver_tax: {tax:.2}x enabled-mode ns/packet (target <= 4x)");
     }
-    let json = pc_bench::cache_bench::to_json(
-        &results, &drivers, &testbeds, &scenarios, &fleet, trace_len,
-    );
+    let json = pc_bench::cache_bench::to_json(&results, &drivers, &scenarios, &fleet, trace_len);
     // Smoke runs are quarter-length single-sample measurements: keep
     // them away from the tracked BENCH_cache.json so the PR-to-PR perf
     // trajectory only ever records full-protocol numbers.
@@ -752,56 +669,6 @@ fn bench_cache(scale: Scale, smoke: bool) {
                     d.mode
                 ));
             }
-            // Burst speedups < 1.0 are only a regression when there are
-            // workers to fan out to: a 1-core host's sharded dispatch
-            // degenerates to the sequential path plus the op-scratch
-            // round-trip, so its rows are annotated (host_threads) and
-            // not gated. Multi-thread hosts are gated with a noise
-            // floor below parity — smoke passes are single-sample.
-            if d.host_threads > 1 && d.driver_burst_speedup() < BURST_SMOKE_FLOOR {
-                die(&format!(
-                    "bench-cache smoke: driver burst speedup {:.2}x under the \
-                     {BURST_SMOKE_FLOOR}x floor on a {}-thread host for {}",
-                    d.driver_burst_speedup(),
-                    d.host_threads,
-                    d.mode
-                ));
-            }
-        }
-        for t in &testbeds {
-            if !t.is_sane() {
-                die(&format!(
-                    "bench-cache smoke: unusable testbed timing for {}: {t:?}",
-                    t.mode
-                ));
-            }
-            if t.host_threads > 1 && t.testbed_burst_speedup() < BURST_SMOKE_FLOOR {
-                die(&format!(
-                    "bench-cache smoke: testbed burst speedup {:.2}x under the \
-                     {BURST_SMOKE_FLOOR}x floor on a {}-thread host for {}",
-                    t.testbed_burst_speedup(),
-                    t.host_threads,
-                    t.mode
-                ));
-            }
-            // The cross-gap row's fusion gate: the pre-reconstruction
-            // engine cut a window at every gap sync and probe epoch, so
-            // its mean window could never exceed the burst size. Only
-            // meaningful with worker threads — a 1-core host delivers
-            // per frame by design and reports 0.0.
-            if t.mode == "crossgap"
-                && t.host_threads > 1
-                && t.testbed_window_frames_mean <= pc_bench::cache_bench::CROSSGAP_BURST as f64
-            {
-                die(&format!(
-                    "bench-cache smoke: cross-gap mean window {:.1} frames does not \
-                     exceed the {}-frame burst on a {}-thread host — windows are \
-                     not fusing across gaps/epochs",
-                    t.testbed_window_frames_mean,
-                    pc_bench::cache_bench::CROSSGAP_BURST,
-                    t.host_threads
-                ));
-            }
         }
         for s in &scenarios {
             if !s.is_sane() {
@@ -817,10 +684,9 @@ fn bench_cache(scale: Scale, smoke: bool) {
             ));
         }
         println!(
-            "# smoke: {} cases + {} driver rows + {} testbed rows + {} scenario rows + fleet sane",
+            "# smoke: {} cases + {} driver rows + {} scenario rows + fleet sane",
             results.len(),
             drivers.len(),
-            testbeds.len(),
             scenarios.len()
         );
     }

@@ -20,7 +20,6 @@
 
 use pc_cache::reference::ReferenceCache;
 use pc_cache::{AccessKind, CacheGeometry, CacheOp, DdioMode, Hierarchy, PhysAddr, SlicedCache};
-use pc_core::RxEngine;
 use pc_net::EthernetFrame;
 use pc_nic::{DriverConfig, IgbDriver, PageAllocator};
 use rand::rngs::SmallRng;
@@ -349,11 +348,9 @@ pub fn measure_all(samples: usize, len: usize) -> Vec<CaseResult> {
 pub const DRIVER_PACKETS: usize = 20_000;
 
 /// One measured end-to-end driver case: `IgbDriver` receive over a
-/// fixed frame mix, on all three op-stream engines — the default
-/// streaming receive (`receive`, per-frame op emission through the
-/// applier sink), the pipelined burst engine (`receive_burst`, frames
-/// fused into op batches that shard when worker threads exist), and
-/// the per-access oracle (`receive_scalar`). All three are
+/// fixed frame mix, on both replay paths — the default streaming
+/// receive (`receive`, per-frame op emission through the applier sink)
+/// and the per-access oracle (`receive_scalar`). Both are
 /// byte-identical in results; this row tracks what the op-stream
 /// pipeline buys on the workloads every `repro scenario` drives.
 #[derive(Clone, Debug)]
@@ -362,15 +359,9 @@ pub struct DriverResult {
     pub mode: String,
     /// Median ns/packet for the default streaming receive path.
     pub driver_ns_per_packet: f64,
-    /// Median ns/packet for the pipelined burst engine.
-    pub driver_burst_ns_per_packet: f64,
     /// Median ns/packet for the per-access oracle path.
     pub driver_scalar_ns_per_packet: f64,
     /// Worker threads on the measuring host ([`pc_par::max_threads`]).
-    /// Burst speedups < 1.0 are expected at `host_threads == 1` (the
-    /// sharded dispatch has nothing to fan out to and the batch pays
-    /// the op-scratch round-trip), so readers — and the `--smoke`
-    /// gate — must only treat them as regressions when this is > 1.
     pub host_threads: usize,
 }
 
@@ -382,22 +373,11 @@ impl DriverResult {
         self.driver_scalar_ns_per_packet / self.driver_ns_per_packet
     }
 
-    /// scalar_ns / burst_ns — the burst engine's multi-core upside
-    /// (sequential hosts pay the op-scratch round-trip and hover just
-    /// under 1.0; the sharded dispatch lands the speedup on CI).
-    pub fn driver_burst_speedup(&self) -> f64 {
-        self.driver_scalar_ns_per_packet / self.driver_burst_ns_per_packet
-    }
-
     /// `true` when all timings are usable measurements.
     pub fn is_sane(&self) -> bool {
-        [
-            self.driver_ns_per_packet,
-            self.driver_burst_ns_per_packet,
-            self.driver_scalar_ns_per_packet,
-        ]
-        .iter()
-        .all(|ns| ns.is_finite() && *ns > 0.0)
+        [self.driver_ns_per_packet, self.driver_scalar_ns_per_packet]
+            .iter()
+            .all(|ns| ns.is_finite() && *ns > 0.0)
     }
 }
 
@@ -418,25 +398,10 @@ fn driver_frames(packets: usize) -> Vec<EthernetFrame> {
         .collect()
 }
 
-/// Frames per burst for the pipelined engine. Batch boundaries never
-/// change results (the replay is batch- and thread-invariant), so the
-/// burst is a pure scheduling choice: big enough for a DDIO burst
-/// (~6 ops/frame) to clear the sharded-dispatch threshold when worker
-/// threads exist, small enough to keep the op scratch cache-hot when
-/// the replay is sequential anyway.
-pub fn driver_burst() -> usize {
-    if pc_par::max_threads() > 1 {
-        1_024
-    } else {
-        128
-    }
-}
-
 /// Which driver engine a timing pass exercises.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 enum DriverEngine {
     Streaming,
-    Burst,
     Scalar,
 }
 
@@ -458,11 +423,6 @@ fn time_driver(mode: DdioMode, samples: usize, packets: usize, engine: DriverEng
                     drv.receive(&mut h, f, &mut rng);
                 }
             }
-            DriverEngine::Burst => {
-                for burst in frames.chunks(driver_burst()) {
-                    drv.receive_burst(&mut h, burst, &mut rng);
-                }
-            }
             DriverEngine::Scalar => {
                 for &f in &frames {
                     drv.receive_scalar(&mut h, f, &mut rng);
@@ -477,7 +437,7 @@ fn time_driver(mode: DdioMode, samples: usize, packets: usize, engine: DriverEng
     median(runs)
 }
 
-/// Measures the end-to-end driver receive path (streaming, burst and
+/// Measures the end-to-end driver receive path (streaming and
 /// per-access) per DDIO mode: `samples` timed passes of `packets`
 /// frames each, median ns/packet.
 pub fn measure_driver(samples: usize, packets: usize) -> Vec<DriverResult> {
@@ -486,244 +446,10 @@ pub fn measure_driver(samples: usize, packets: usize) -> Vec<DriverResult> {
         .map(|&(name, mode)| DriverResult {
             mode: name.to_owned(),
             driver_ns_per_packet: time_driver(mode, samples, packets, DriverEngine::Streaming),
-            driver_burst_ns_per_packet: time_driver(mode, samples, packets, DriverEngine::Burst),
             driver_scalar_ns_per_packet: time_driver(mode, samples, packets, DriverEngine::Scalar),
             host_threads: pc_par::max_threads(),
         })
         .collect()
-}
-
-/// Frames per test-bed measurement pass (full runs; `--smoke` shortens
-/// it like it shortens the traces).
-pub const TESTBED_FRAMES: usize = 20_000;
-
-/// One measured end-to-end **test-bed** case: the full arrival pipeline
-/// (`enqueue` → `drain`, deferred reads included) per DDIO mode, on all
-/// three [`pc_core::RxEngine`]s — windowed burst delivery (`Batched`),
-/// per-frame streaming delivery (`PerFrame`) and the per-access oracle
-/// (`PerAccess`). All three produce byte-identical machines; this row
-/// tracks what window fusion buys on the paths every TestBed scenario
-/// (covert, fingerprint, chasing, web-mix…) actually drives.
-#[derive(Clone, Debug)]
-pub struct TestBedResult {
-    /// DDIO mode name (`disabled` / `enabled` / `adaptive`).
-    pub mode: String,
-    /// Median ns/frame for windowed burst delivery.
-    pub testbed_burst_ns_per_frame: f64,
-    /// Median ns/frame for per-frame streaming delivery.
-    pub testbed_frame_ns_per_frame: f64,
-    /// Median ns/frame for the per-access oracle.
-    pub testbed_scalar_ns_per_frame: f64,
-    /// Mean frames per fused delivery window on the `Batched` bed over
-    /// the measurement passes ([`pc_core::WindowStats::mean_frames`]) —
-    /// the figure the fusion engine exists to grow. 0.0 on a 1-thread
-    /// host, where `advance_to`/`drain` legitimately pick per-frame
-    /// delivery (windowing feeds the sharded engine), so readers — and
-    /// the `--smoke` gate on the `crossgap` row — only treat it as
-    /// meaningful when `host_threads > 1`.
-    pub testbed_window_frames_mean: f64,
-    /// Worker threads on the measuring host ([`pc_par::max_threads`]);
-    /// see [`DriverResult::host_threads`] for how to read burst
-    /// speedups when this is 1.
-    pub host_threads: usize,
-}
-
-impl TestBedResult {
-    /// frame_ns / burst_ns — ≥ 1.0 means windowed burst delivery is at
-    /// parity or better than per-frame delivery (the acceptance bar on
-    /// a 1-core host; window fusion shards on multi-core).
-    pub fn testbed_burst_speedup(&self) -> f64 {
-        self.testbed_frame_ns_per_frame / self.testbed_burst_ns_per_frame
-    }
-
-    /// scalar_ns / burst_ns — the burst engine against the per-access
-    /// baseline.
-    pub fn testbed_scalar_speedup(&self) -> f64 {
-        self.testbed_scalar_ns_per_frame / self.testbed_burst_ns_per_frame
-    }
-
-    /// `true` when all timings are usable measurements.
-    pub fn is_sane(&self) -> bool {
-        [
-            self.testbed_burst_ns_per_frame,
-            self.testbed_frame_ns_per_frame,
-            self.testbed_scalar_ns_per_frame,
-        ]
-        .iter()
-        .all(|ns| ns.is_finite() && *ns > 0.0)
-    }
-}
-
-/// Times one test-bed engine: `samples` timed passes (after a warm-up),
-/// each enqueueing the standard size mix as an already-due backlog —
-/// the NAPI-poll shape, where the NIC has coalesced a queue of frames
-/// before the driver wakes — and draining it. Burst windows actually
-/// fuse on this shape; paced traffic degenerates to per-frame delivery
-/// on every engine and measures the same thing three times. State
-/// (ring, cache, clock) carries across passes like every other engine
-/// measurement.
-fn time_testbed_mode(mode: DdioMode, samples: usize, frames: usize) -> TestBedResult {
-    use pc_core::{TestBed, TestBedConfig};
-    let engines = [RxEngine::Batched, RxEngine::PerFrame, RxEngine::PerAccess];
-    let mut beds: Vec<TestBed> = engines
-        .iter()
-        .map(|&engine| {
-            TestBed::new(
-                TestBedConfig {
-                    ddio: mode,
-                    record_rx: false,
-                    ..TestBedConfig::paper_baseline().with_seed(0x7e57)
-                }
-                .with_rx_engine(engine),
-            )
-        })
-        .collect();
-    let mix = driver_frames(frames);
-    // Round-robin the engines within each pass (rather than finishing
-    // one engine before starting the next) so slow drift of the host —
-    // thermal state, co-tenants — biases all three rows equally
-    // instead of whichever engine ran last.
-    let mut runs: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); engines.len()];
-    for i in 0..=samples {
-        for (e, tb) in beds.iter_mut().enumerate() {
-            let at = tb.now() + 1;
-            let schedule: Vec<pc_net::ScheduledFrame> = mix
-                .iter()
-                .map(|&frame| pc_net::ScheduledFrame::new(at, frame))
-                .collect();
-            let t = Instant::now();
-            tb.enqueue(schedule);
-            tb.drain();
-            let ns = t.elapsed().as_nanos() as f64 / frames as f64;
-            if i > 0 {
-                runs[e].push(ns); // first pass is warm-up
-            }
-        }
-    }
-    let window_frames_mean = beds[0].window_stats().mean_frames();
-    let mut medians = runs.into_iter().map(median);
-    TestBedResult {
-        mode: String::new(), // filled by the caller
-        testbed_burst_ns_per_frame: medians.next().expect("batched row"),
-        testbed_frame_ns_per_frame: medians.next().expect("per-frame row"),
-        testbed_scalar_ns_per_frame: medians.next().expect("per-access row"),
-        testbed_window_frames_mean: window_frames_mean,
-        host_threads: pc_par::max_threads(),
-    }
-}
-
-/// Measures the end-to-end test bed (windowed burst / per-frame /
-/// per-access delivery) per DDIO mode: `samples` timed passes of
-/// `frames` arrivals each, median ns/frame.
-pub fn measure_testbed(samples: usize, frames: usize) -> Vec<TestBedResult> {
-    modes()
-        .iter()
-        .map(|&(name, mode)| TestBedResult {
-            mode: name.to_owned(),
-            ..time_testbed_mode(mode, samples, frames)
-        })
-        .collect()
-}
-
-/// Frames per burst in the cross-gap fusion schedule. This is also the
-/// upper bound on the mean fused window the *pre-reconstruction*
-/// engine could reach on that schedule (it cut a window at every gap
-/// sync and probe epoch), so the `--smoke` gate requires the measured
-/// [`TestBedResult::testbed_window_frames_mean`] to strictly exceed it
-/// on multi-thread hosts.
-pub const CROSSGAP_BURST: usize = 32;
-
-/// Gap between bursts in the cross-gap schedule: far larger than any
-/// burst's replay, so every burst boundary is a genuine gap sync the
-/// window must span by retroactive clock reconstruction.
-const CROSSGAP_GAP: u64 = 120_000;
-
-/// Probe epochs per cross-gap pass: the backlog drains in this many
-/// `advance_to` + monitor-sample rounds, so epoch syncs (the other
-/// historical flush point) are part of the measured workload.
-const CROSSGAP_EPOCHS: u64 = 8;
-
-/// Measures the cross-gap fusion row (`mode: "crossgap"`): the same
-/// three rx engines on a *bursty* arrival schedule —
-/// [`CROSSGAP_BURST`]-frame zero-gap bursts separated by
-/// `CROSSGAP_GAP`-cycle gaps — drained through `CROSSGAP_EPOCHS`
-/// probe epochs (each an `advance_to` plus a fused
-/// [`pc_probe::Monitor`] sample). Exactly the shape that capped the
-/// pre-reconstruction engine at one window per gap/epoch; the row's
-/// `testbed_window_frames_mean` is the direct measure of what
-/// per-segment clock reconstruction buys.
-pub fn measure_crossgap(samples: usize, frames: usize) -> TestBedResult {
-    use pc_core::footprint::{build_monitor, page_aligned_targets};
-    use pc_core::{TestBed, TestBedConfig};
-    use pc_probe::AddressPool;
-    let engines = [RxEngine::Batched, RxEngine::PerFrame, RxEngine::PerAccess];
-    let mut beds: Vec<TestBed> = engines
-        .iter()
-        .map(|&engine| {
-            TestBed::new(
-                TestBedConfig {
-                    record_rx: false,
-                    ..TestBedConfig::paper_baseline().with_seed(0xc406)
-                }
-                .with_rx_engine(engine),
-            )
-        })
-        .collect();
-    // Probe epochs are part of the workload: a small monitor per bed,
-    // primed once, sampled at every epoch boundary while the bursty
-    // backlog drains. The sample cost is identical on every engine, so
-    // the engine comparison stays fair.
-    let monitors: Vec<_> = beds
-        .iter_mut()
-        .map(|tb| {
-            let geom = tb.hierarchy().llc().geometry();
-            let targets: Vec<_> = page_aligned_targets(&geom).into_iter().take(16).collect();
-            let pool = AddressPool::allocate(0xc406, 16384);
-            let m = build_monitor(tb.hierarchy().llc(), &pool, &targets);
-            m.prime_all(tb.hierarchy_mut());
-            m
-        })
-        .collect();
-    let mix = driver_frames(frames);
-    let mut runs: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); engines.len()];
-    for i in 0..=samples {
-        for (e, tb) in beds.iter_mut().enumerate() {
-            let start = tb.now() + 1;
-            let mut at = start;
-            let schedule: Vec<pc_net::ScheduledFrame> = mix
-                .iter()
-                .enumerate()
-                .map(|(j, &frame)| {
-                    if j > 0 && j % CROSSGAP_BURST == 0 {
-                        at += CROSSGAP_GAP;
-                    }
-                    pc_net::ScheduledFrame::new(at, frame)
-                })
-                .collect();
-            let end = at;
-            let t = Instant::now();
-            tb.enqueue(schedule);
-            for k in 1..=CROSSGAP_EPOCHS {
-                tb.advance_to(start + (end - start) * k / CROSSGAP_EPOCHS);
-                let _ = monitors[e].sample(tb.hierarchy_mut());
-            }
-            tb.drain();
-            let ns = t.elapsed().as_nanos() as f64 / frames as f64;
-            if i > 0 {
-                runs[e].push(ns); // first pass is warm-up
-            }
-        }
-    }
-    let window_frames_mean = beds[0].window_stats().mean_frames();
-    let mut medians = runs.into_iter().map(median);
-    TestBedResult {
-        mode: "crossgap".to_owned(),
-        testbed_burst_ns_per_frame: medians.next().expect("batched row"),
-        testbed_frame_ns_per_frame: medians.next().expect("per-frame row"),
-        testbed_scalar_ns_per_frame: medians.next().expect("per-access row"),
-        testbed_window_frames_mean: window_frames_mean,
-        host_threads: pc_par::max_threads(),
-    }
 }
 
 /// Tenants per fleet measurement pass (full runs; `--smoke` shortens
@@ -863,18 +589,14 @@ pub fn adaptive_driver_tax(drivers: &[DriverResult]) -> Option<f64> {
 }
 
 /// Renders results as the `BENCH_cache.json` document (schema
-/// `pc-bench-cache-v8`; the `trace_*` fields, the per-mode `modes`
-/// summary, the end-to-end `driver` and `testbed` rows — each
-/// annotated with the measuring host's `host_threads` and, for
-/// testbed rows, the `testbed_window_frames_mean` fusion telemetry
-/// (the `crossgap` row measures the bursty gap + probe-epoch
-/// schedule) — the per-scenario `scenarios` wall-clock rows, the
-/// `fleet` entry and the `adaptive_driver_tax` ratio are documented
-/// in `crates/bench/README.md`).
+/// `pc-bench-cache-v9`; the `trace_*` fields, the per-mode `modes`
+/// summary, the end-to-end `driver` rows — annotated with the
+/// measuring host's `host_threads` — the per-scenario `scenarios`
+/// wall-clock rows, the `fleet` entry and the `adaptive_driver_tax`
+/// ratio are documented in `crates/bench/README.md`).
 pub fn to_json(
     results: &[CaseResult],
     drivers: &[DriverResult],
-    testbeds: &[TestBedResult],
     scenarios: &[ScenarioResult],
     fleet: &FleetResult,
     trace_len: usize,
@@ -882,7 +604,7 @@ pub fn to_json(
     use std::fmt::Write as _;
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"pc-bench-cache-v8\",");
+    let _ = writeln!(s, "  \"schema\": \"pc-bench-cache-v9\",");
     let _ = writeln!(s, "  \"trace_len\": {trace_len},");
     let _ = writeln!(s, "  \"threads\": {},", pc_par::max_threads());
     s.push_str("  \"modes\": [\n");
@@ -900,33 +622,14 @@ pub fn to_json(
     for (i, d) in drivers.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"mode\": \"{}\", \"driver_ns_per_packet\": {:.1}, \"driver_burst_ns_per_packet\": {:.1}, \"driver_scalar_ns_per_packet\": {:.1}, \"driver_speedup\": {:.2}, \"driver_burst_speedup\": {:.2}, \"host_threads\": {}}}",
+            "    {{\"mode\": \"{}\", \"driver_ns_per_packet\": {:.1}, \"driver_scalar_ns_per_packet\": {:.1}, \"driver_speedup\": {:.2}, \"host_threads\": {}}}",
             d.mode,
             d.driver_ns_per_packet,
-            d.driver_burst_ns_per_packet,
             d.driver_scalar_ns_per_packet,
             d.driver_speedup(),
-            d.driver_burst_speedup(),
             d.host_threads
         );
         s.push_str(if i + 1 < drivers.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"testbed\": [\n");
-    for (i, t) in testbeds.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"mode\": \"{}\", \"testbed_burst_ns_per_frame\": {:.1}, \"testbed_frame_ns_per_frame\": {:.1}, \"testbed_scalar_ns_per_frame\": {:.1}, \"testbed_burst_speedup\": {:.2}, \"testbed_scalar_speedup\": {:.2}, \"testbed_window_frames_mean\": {:.1}, \"host_threads\": {}}}",
-            t.mode,
-            t.testbed_burst_ns_per_frame,
-            t.testbed_frame_ns_per_frame,
-            t.testbed_scalar_ns_per_frame,
-            t.testbed_burst_speedup(),
-            t.testbed_scalar_speedup(),
-            t.testbed_window_frames_mean,
-            t.host_threads
-        );
-        s.push_str(if i + 1 < testbeds.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
     s.push_str("  \"scenarios\": [\n");
@@ -993,19 +696,7 @@ mod tests {
         DriverResult {
             mode: mode.into(),
             driver_ns_per_packet: 200.0,
-            driver_burst_ns_per_packet: 120.0,
             driver_scalar_ns_per_packet: 240.0,
-            host_threads: 4,
-        }
-    }
-
-    fn testbed_result(mode: &str) -> TestBedResult {
-        TestBedResult {
-            mode: mode.into(),
-            testbed_burst_ns_per_frame: 500.0,
-            testbed_frame_ns_per_frame: 600.0,
-            testbed_scalar_ns_per_frame: 750.0,
-            testbed_window_frames_mean: 96.5,
             host_threads: 4,
         }
     }
@@ -1030,9 +721,8 @@ mod tests {
     fn json_is_well_formed_enough() {
         let r = vec![result("stream/enabled")];
         let d = vec![driver_result("enabled")];
-        let t = vec![testbed_result("enabled")];
         let sc = vec![scenario_result("kv-store")];
-        let s = to_json(&r, &d, &t, &sc, &fleet_result(), TRACE_LEN);
+        let s = to_json(&r, &d, &sc, &fleet_result(), TRACE_LEN);
         assert!(s.contains("\"speedup\": 3.00"));
         assert!(s.contains("\"parallel_speedup\": 2.00"));
         assert!(s.contains("\"trace_parallel_speedup\": 5.00"));
@@ -1043,13 +733,8 @@ mod tests {
         );
         assert!(s.contains("\"driver_ns_per_packet\": 200.0"));
         assert!(s.contains("\"driver_speedup\": 1.20"));
-        assert!(s.contains("\"driver_burst_speedup\": 2.00"));
         assert!(s.contains("\"host_threads\": 4"));
-        assert!(s.contains("\"testbed_burst_ns_per_frame\": 500.0"));
-        assert!(s.contains("\"testbed_burst_speedup\": 1.20"));
-        assert!(s.contains("\"testbed_scalar_speedup\": 1.50"));
-        assert!(s.contains("\"testbed_window_frames_mean\": 96.5"));
-        assert!(s.contains("pc-bench-cache-v8"));
+        assert!(s.contains("pc-bench-cache-v9"));
         assert!(s.contains("\"scenario\": \"kv-store\", \"wall_ms\": 12.5"));
         assert!(s.contains(
             "\"fleet\": {\"tenants\": 64, \"tenants_per_sec\": 40.0, \"packets_per_sec\": 2000000}"
@@ -1070,7 +755,6 @@ mod tests {
         let s = to_json(
             &[result("stream/enabled")],
             &drivers,
-            &[testbed_result("enabled")],
             &[scenario_result("dns-flood")],
             &fleet_result(),
             TRACE_LEN,
@@ -1104,18 +788,6 @@ mod tests {
         assert!(!sc.is_sane());
         sc.wall_ms = f64::NAN;
         assert!(!sc.is_sane());
-    }
-
-    #[test]
-    fn testbed_sanity_gate_rejects_bogus_timings() {
-        let mut t = testbed_result("enabled");
-        assert!(t.is_sane());
-        assert!((t.testbed_burst_speedup() - 1.2).abs() < 1e-9);
-        assert!((t.testbed_scalar_speedup() - 1.5).abs() < 1e-9);
-        t.testbed_frame_ns_per_frame = 0.0;
-        assert!(!t.is_sane());
-        t.testbed_frame_ns_per_frame = f64::NAN;
-        assert!(!t.is_sane());
     }
 
     #[test]

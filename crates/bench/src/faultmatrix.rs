@@ -18,14 +18,12 @@
 //!   sharded replay) replay seeded fuzz streams over carried state and
 //!   are compared on clock, memory traffic, merged and per-slice
 //!   statistics, and residency.
-//! * `driver` — a compact `pc-nic` batch-equivalence pass: batched and
-//!   burst receive against the per-access scalar path over a mixed
+//! * `driver` — a compact `pc-nic` batch-equivalence pass: batched
+//!   receive against the per-access scalar path over a mixed
 //!   frame-size cycle, per DDIO mode × randomization defense.
-//! * `testbed` — the windowed ↔ per-frame trajectory comparison from
-//!   `crates/core/tests/fault_kill_rx.rs`, the only detector that
-//!   exercises the windowed-rx sites (`dropped-deferred-read`,
-//!   `burst-flush-elision`, `swapped-segment-subtotal`,
-//!   `stale-deferred-segment-index`).
+//! * `testbed` — the bed ↔ hand-driven per-access reference trajectory
+//!   comparison from `crates/core/tests/fault_kill_rx.rs`, the rx-path
+//!   detector for `dropped-deferred-read`.
 //! * `monitor` — the attacker pool's eviction-set memo against the
 //!   memo-free oracle walk, then the fused multi-target probe sample
 //!   (`pc_probe::Monitor`) against per-target probing on a cloned
@@ -48,15 +46,16 @@ use crate::experiments::Scale;
 use crate::scenario;
 use pc_cache::fault::{self, FaultSite, FaultSpec};
 use pc_cache::{
-    AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, CacheStats, DdioMode, Hierarchy, OpBuffer,
-    OpSink, PhysAddr, SliceSet,
+    AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, CacheStats, Cycles, DdioMode, Hierarchy,
+    OpBuffer, OpSink, PhysAddr, SliceSet, SlicedCache,
 };
-use pc_core::{RxEngine, TestBed, TestBedConfig};
+use pc_core::{RxRecord, TestBed, TestBedConfig};
 use pc_net::{EthernetFrame, ScheduledFrame};
-use pc_nic::{DriverConfig, IgbDriver, PageAllocator, RandomizeMode, RxEvent};
+use pc_nic::{DeferredReads, DriverConfig, IgbDriver, PageAllocator, RandomizeMode, RxEvent};
 use pc_probe::{oracle_eviction_sets, AddressPool, Monitor, MonitorTarget};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A detector suite: runs a fixed workload and reports the first
@@ -317,9 +316,9 @@ fn driver_state_differs(
     None
 }
 
-/// Batched and burst receive against the per-access scalar path: every
-/// per-frame event, the clock after every frame, and the end state per
-/// DDIO mode × randomization defense.
+/// Batched receive against the per-access scalar path: every per-frame
+/// event, the clock after every frame, and the end state per DDIO mode
+/// × randomization defense.
 fn driver_batch_equivalence() -> Option<String> {
     let frames = frame_mix(300);
     let modes = [
@@ -329,7 +328,6 @@ fn driver_batch_equivalence() -> Option<String> {
     ];
     for mode in modes {
         for randomize in [RandomizeMode::Off, RandomizeMode::EveryNPackets(7)] {
-            // Frame-at-a-time batched replay vs scalar.
             let (mut h_b, mut drv_b, mut rng_b) = machine(mode, randomize);
             let (mut h_s, mut drv_s, mut rng_s) = machine(mode, randomize);
             let mut touched = Vec::new();
@@ -354,30 +352,14 @@ fn driver_batch_equivalence() -> Option<String> {
                     return Some(format!("residency at {addr}: {mode:?} {randomize:?}"));
                 }
             }
-            // The pipelined burst path vs scalar.
-            let (mut h_b, mut drv_b, mut rng_b) = machine(mode, randomize);
-            let (mut h_s, mut drv_s, mut rng_s) = machine(mode, randomize);
-            for (i, burst) in frames.chunks(59).enumerate() {
-                let evs_b = drv_b.receive_burst(&mut h_b, burst, &mut rng_b);
-                let evs_s: Vec<RxEvent> = burst
-                    .iter()
-                    .map(|&f| drv_s.receive_scalar(&mut h_s, f, &mut rng_s))
-                    .collect();
-                if evs_b != evs_s {
-                    return Some(format!("burst {i} diverged: {mode:?} {randomize:?}"));
-                }
-            }
-            if let Some(d) = driver_state_differs(&h_b, &h_s, &drv_b, &drv_s) {
-                return Some(format!("burst: {d}: {mode:?} {randomize:?}"));
-            }
         }
     }
     None
 }
 
-// --- suite `testbed`: windowed ↔ per-frame trajectory ---------------
+// --- suite `testbed`: the bed ↔ a per-access reference -------------
 
-fn testbed_config(rx_engine: RxEngine) -> TestBedConfig {
+fn testbed_config() -> TestBedConfig {
     TestBedConfig {
         // Tiny and 2-way: maximal conflict pressure, so reordered or
         // dropped deferred reads perturb LRU state.
@@ -391,7 +373,6 @@ fn testbed_config(rx_engine: RxEngine) -> TestBedConfig {
         ..TestBedConfig::no_ddio()
     }
     .with_seed(0x517e)
-    .with_rx_engine(rx_engine)
 }
 
 /// Burst period of [`testbed_schedule`]; each burst is observed in two
@@ -400,12 +381,11 @@ const BURST_PERIOD: u64 = 60_000;
 
 /// The kill schedule from `crates/core/tests/fault_kill_rx.rs`: each
 /// burst puts `burst % 24` zero-gap copybreak frames before its MTU
-/// frame (sweeping the deferral's fused-window segment index across
-/// every keyed site's modulus range), then an 8-frame small train that
-/// brackets the deferred payload due time at one-replay (~900 cycle)
-/// spacing — a fired mutation shifts the due ~5.5 k cycles (one MTU
-/// replay) and reorders the reads across several frames' DMA near the
-/// burst end, where the minuscule cache still remembers the order.
+/// frame (so the deferred payload due lands at a different offset in
+/// every burst), then an 8-frame small train that brackets the due time
+/// at one-replay (~900 cycle) spacing — a dropped or shifted read
+/// changes what the train's DMA finds near the burst end, where the
+/// minuscule cache still remembers it.
 fn testbed_schedule() -> Vec<ScheduledFrame> {
     let mtu = EthernetFrame::new(1514).expect("legal size");
     let small = EthernetFrame::new(64).expect("legal size");
@@ -426,21 +406,76 @@ fn testbed_schedule() -> Vec<ScheduledFrame> {
     frames
 }
 
-/// Drives a windowed and a per-frame bed through the schedule in
+/// The hand-driven per-access reference: queue 0's parts, seeded as the
+/// bed seeds them. Per frame it advances to the arrival, receives
+/// through [`IgbDriver::receive_scalar`] and runs due deferred reads.
+struct RxReference {
+    h: Hierarchy,
+    driver: IgbDriver,
+    rng: SmallRng,
+    deferred: DeferredReads,
+    pending: VecDeque<ScheduledFrame>,
+    records: Vec<RxRecord>,
+}
+
+impl RxReference {
+    fn new(cfg: &TestBedConfig, frames: Vec<ScheduledFrame>) -> Self {
+        let h = Hierarchy::with_llc(SlicedCache::new(cfg.geometry, cfg.ddio))
+            .with_latencies(cfg.latencies);
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let alloc = PageAllocator::new(cfg.seed ^ 0x5eed_1a7e);
+        let driver = IgbDriver::new(cfg.driver, alloc, &mut rng);
+        RxReference {
+            h,
+            driver,
+            rng,
+            deferred: DeferredReads::new(),
+            pending: frames.into(),
+            records: Vec::new(),
+        }
+    }
+
+    fn advance_to(&mut self, target: Cycles) {
+        while self.pending.front().is_some_and(|f| f.at <= target) {
+            let sf = self.pending.pop_front().expect("peeked");
+            self.h.advance(sf.at.saturating_sub(self.h.now()));
+            let ev = self
+                .driver
+                .receive_scalar(&mut self.h, sf.frame, &mut self.rng);
+            self.deferred.extend(ev.deferred_reads);
+            self.records.push(RxRecord {
+                at: sf.at,
+                buffer_index: ev.buffer_index,
+                buffer_addr: ev.buffer_addr,
+                blocks: ev.blocks,
+            });
+            self.deferred.run_due(&mut self.h);
+        }
+        self.h.advance(target.saturating_sub(self.h.now()));
+        self.deferred.run_due(&mut self.h);
+    }
+
+    fn drain(&mut self) {
+        if let Some(last_at) = self.pending.back().map(|f| f.at) {
+            self.advance_to(last_at);
+        }
+        self.deferred.drain_all(&mut self.h);
+    }
+}
+
+/// Drives the bed and the per-access reference through the schedule in
 /// lockstep, comparing the *trajectory* — clock, traffic, statistics,
 /// records and mid-flight residency after every step. Two steps per
-/// burst: the head step delivers `[smalls…, MTU]` alone and resolves
-/// the deferral against reconstructed segment ends; the tail step
-/// delivers the train, so every deferred-pending cut it takes comes
-/// from an exact heap due — the cut `burst-flush-elision` must not
-/// elide.
+/// burst: the head step delivers `[smalls…, MTU]`; the tail step
+/// delivers the train, with the payload reads running between its
+/// frames.
 fn testbed_trajectory() -> Option<String> {
-    let mut windowed = TestBed::new(testbed_config(RxEngine::Batched));
-    let mut perframe = TestBed::new(testbed_config(RxEngine::PerFrame));
+    let cfg = testbed_config();
     let frames = testbed_schedule();
     let end = frames.last().expect("nonempty").at + BURST_PERIOD;
-    windowed.enqueue(frames.clone());
-    perframe.enqueue(frames);
+    let mut bed = TestBed::new(cfg);
+    bed.enqueue(frames.clone());
+    let mut reference = RxReference::new(&cfg, frames);
     let mut steps = Vec::new();
     let mut burst_at = 1_000;
     while burst_at < end {
@@ -449,41 +484,40 @@ fn testbed_trajectory() -> Option<String> {
         burst_at += BURST_PERIOD;
     }
     for t in steps {
-        windowed.run_window(t);
-        windowed.advance_to(t);
-        perframe.advance_to(t);
-        if windowed.now() != perframe.now() {
+        bed.advance_to(t);
+        reference.advance_to(t);
+        if bed.now() != reference.h.now() {
             return Some(format!("clock at step {t}"));
         }
-        let (wh, ph) = (windowed.hierarchy(), perframe.hierarchy());
-        if wh.memory_stats() != ph.memory_stats() {
+        let (bh, rh) = (bed.hierarchy(), &reference.h);
+        if bh.memory_stats() != rh.memory_stats() {
             return Some(format!("memory traffic at step {t}"));
         }
-        if wh.llc().stats() != ph.llc().stats() {
+        if bh.llc().stats() != rh.llc().stats() {
             return Some(format!("LLC stats at step {t}"));
         }
-        if windowed.records() != perframe.records() {
+        if bed.records() != reference.records {
             return Some(format!("receive records at step {t}"));
         }
         // Mid-flight residency: a reordered deferred read perturbs LRU
         // order in sets where every later access is a forced miss, so
         // the divergence never reaches the statistics and the ring
         // eventually rewrites the evidence.
-        for rec in windowed.records() {
+        for rec in bed.records() {
             for b in 0..u64::from(rec.blocks) {
                 let addr = rec.buffer_addr.add_blocks(b);
-                if wh.llc().contains(addr) != ph.llc().contains(addr) {
+                if bh.llc().contains(addr) != rh.llc().contains(addr) {
                     return Some(format!("residency of {addr} at step {t}"));
                 }
             }
         }
     }
-    windowed.drain();
-    perframe.drain();
-    if windowed.records() != perframe.records() {
+    bed.drain();
+    reference.drain();
+    if bed.records() != reference.records {
         return Some("receive records after drain".into());
     }
-    if windowed.driver().ring().page_addresses() != perframe.driver().ring().page_addresses() {
+    if bed.driver().ring().page_addresses() != reference.driver.ring().page_addresses() {
         return Some("ring placement after drain".into());
     }
     None

@@ -206,10 +206,6 @@ pub struct TenantOutcome {
 /// Runs every tenant and returns outcomes **in tenant-index order**
 /// (the fan-out collects by input index, not completion time).
 pub fn run_fleet_outcomes(cfg: &FleetConfig) -> Vec<TenantOutcome> {
-    // Window telemetry is process-global; scope it to this fleet run so
-    // `repro fleet` (and back-to-back runs in one process) never report
-    // a predecessor's fusion counters.
-    pc_core::reset_window_stats();
     let cycle = cfg.assignment_cycle();
     let jobs: Vec<(usize, usize)> = (0..cfg.tenants)
         .map(|i| (i, cycle[i % cycle.len()]))

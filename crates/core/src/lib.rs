@@ -53,7 +53,4 @@ pub mod levenshtein;
 pub mod sequencer;
 mod testbed;
 
-pub use testbed::{
-    reset_window_stats, rss_queues_from_env, rx_engine_from_env, window_stats_snapshot, RxEngine,
-    RxRecord, TestBed, TestBedConfig, WindowStats,
-};
+pub use testbed::{rss_queues_from_env, RxRecord, TestBed, TestBedConfig, WindowStats};

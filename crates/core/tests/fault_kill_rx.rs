@@ -1,30 +1,34 @@
-//! Kill tests for the rx-engine fault sites: the windowed (burst)
-//! delivery engine is mutated and the windowed ↔ per-frame trajectory
-//! comparison must notice.
+//! Kill test for the rx fault site: the bed's receive path is mutated
+//! and a comparison against a hand-driven per-access reference must
+//! notice.
 //!
-//! The four catalog sites above the op-stream engines —
-//! `dropped-deferred-read`, `burst-flush-elision`,
-//! `swapped-segment-subtotal` and `stale-deferred-segment-index`
-//! (`pc_cache::fault`) — mutate windowed delivery only, so the
-//! detector drives the same arrival schedule through a `Batched` bed
-//! (via the public [`TestBed::run_window`], so windows form on any
-//! host core count) and a `PerFrame` bed, comparing the *trajectory* —
-//! clock, memory traffic, LLC statistics after every step — not just
-//! the end state: a dropped or reordered deferred read shows up
-//! mid-flight. The cache is deliberately minuscule (4 sets × 2 ways
-//! per slice) so reordering a single read across a frame replay is
-//! almost surely visible in LRU state.
+//! `dropped-deferred-read` (`pc_cache::fault`) loses one due payload
+//! read in the deferred-read queue. The detector drives the same
+//! arrival schedule through a `TestBed` and through a reference built
+//! from the same parts (hierarchy, driver and RNG, seeded as the bed
+//! seeds its queue 0). Per frame, the reference advances to the
+//! arrival, calls `IgbDriver::receive_scalar` and runs
+//! `DeferredReads::run_due`. The detector compares the *trajectory* —
+//! clock, memory traffic, LLC statistics, records and residency after
+//! every step — not just the end state: a dropped or reordered
+//! deferred read shows up mid-flight. The cache is deliberately
+//! minuscule (4 sets × 2 ways per slice) so reordering a single read
+//! across a frame replay is almost surely visible in LRU state.
 //!
-//! The no-fault run of the same detector is the negative control: the
-//! windowed and per-frame engines must stay byte-identical, pinning
-//! that the injection hooks perturb nothing — and doubling as an extra
-//! engine-equivalence regression over deferred-read-heavy traffic.
+//! The counter site fires once per arming, so exactly one of the two
+//! machines loses a read. The no-fault run of the same detector is the
+//! negative control: bed and reference must stay byte-identical,
+//! pinning that the injection hook perturbs nothing — and doubling as
+//! an equivalence regression over deferred-read-heavy traffic.
 
 use pc_cache::fault::{self, FaultSite, FaultSpec};
-use pc_cache::{CacheGeometry, DdioMode};
-use pc_core::{RxEngine, TestBed, TestBedConfig};
+use pc_cache::{CacheGeometry, Cycles, DdioMode, Hierarchy, SlicedCache};
+use pc_core::{RxRecord, TestBed, TestBedConfig};
 use pc_net::{EthernetFrame, ScheduledFrame};
-use pc_nic::DriverConfig;
+use pc_nic::{DeferredReads, DriverConfig, IgbDriver, PageAllocator};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -35,7 +39,7 @@ fn serialized() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn config(rx_engine: RxEngine) -> TestBedConfig {
+fn config() -> TestBedConfig {
     TestBedConfig {
         // Tiny and 2-way: maximal conflict pressure, so any reordering
         // of the deferred payload reads perturbs LRU state.
@@ -51,33 +55,22 @@ fn config(rx_engine: RxEngine) -> TestBedConfig {
         ..TestBedConfig::no_ddio()
     }
     .with_seed(0x517e)
-    .with_rx_engine(rx_engine)
 }
 
 /// Burst period; each burst is observed in two detect steps (head and
 /// tail, see [`schedule`]).
 const BURST_PERIOD: u64 = 60_000;
 
-/// Bursts shaped to exercise all four rx fault sites. Each burst puts
-/// `burst % 24` zero-gap copybreak frames *before* its MTU frame, so
-/// the MTU — the frame that defers its payload reads — lands at every
-/// fused-window segment index 0..23: the keyed sites
-/// (`stale-deferred-segment-index` keys on the deferral's segment,
-/// `swapped-segment-subtotal` on the swapped boundary) are consulted
-/// across their whole modulus range, and a fired mutation shifts the
-/// payload due ~5.5 k cycles earlier (the MTU replay's cost). A small
-/// train then brackets the true due time (due = emit end + 18 k, the
-/// driver default delay) at ~900-cycle (one replay) spacing, so the
-/// 22 payload reads land between specific train frames and any due
-/// shift reorders them across several frames' DMA — near the *end* of
-/// the burst, where the minuscule cache still remembers the order at
-/// the next trajectory check. The detector observes each burst in two
-/// steps: the head step delivers `[smalls…, MTU]` alone and resolves
-/// the deferral against reconstructed segment ends; the tail step
-/// then delivers the train, so every deferred-pending cut it takes
-/// comes from an *exact* heap due — a cut the reads run right behind,
-/// which is precisely the cut `burst-flush-elision` must not get away
-/// with eliding (and each read consults `dropped-deferred-read`).
+/// Bursts of deferred-read-heavy traffic. Each burst puts `burst % 24`
+/// zero-gap copybreak frames *before* its MTU frame — the frame that
+/// defers its payload reads — so the payload due time lands at a
+/// different offset in every burst. A small train then brackets the
+/// due time (the MTU's emit end + 18 k, the driver default delay) at
+/// ~900-cycle (one replay) spacing, so the 22 payload reads land
+/// between specific train frames and any dropped or shifted read
+/// changes what the train's DMA finds — near the *end* of the burst,
+/// where the minuscule cache still remembers it at the next trajectory
+/// check.
 fn schedule() -> Vec<ScheduledFrame> {
     let mtu = EthernetFrame::new(1514).expect("legal size");
     let small = EthernetFrame::new(64).expect("legal size");
@@ -89,9 +82,8 @@ fn schedule() -> Vec<ScheduledFrame> {
             frames.push(ScheduledFrame::new(t, small));
         }
         frames.push(ScheduledFrame::new(t, mtu));
-        // The train starts just past the earliest mutated due
-        // (emit end − MTU cost + delay ≈ +18 k from the emit end) and
-        // runs past the true due (+18 k), one frame per replay cost.
+        // The train starts ~5 k cycles before the payload due and runs
+        // past it, one frame per replay cost.
         let emit_end = 900 * leading + 5_500;
         for j in 0..8u64 {
             frames.push(ScheduledFrame::new(t + emit_end + 12_800 + j * 900, small));
@@ -101,19 +93,90 @@ fn schedule() -> Vec<ScheduledFrame> {
     frames
 }
 
-/// Drives the windowed and per-frame beds through the schedule in
-/// lockstep and returns the first trajectory divergence, if any.
+/// The hand-driven per-access reference: queue 0's parts, seeded as
+/// the bed seeds them, driven frame by frame.
+struct Reference {
+    h: Hierarchy,
+    driver: IgbDriver,
+    rng: SmallRng,
+    deferred: DeferredReads,
+    pending: VecDeque<ScheduledFrame>,
+    records: Vec<RxRecord>,
+}
+
+impl Reference {
+    fn new(cfg: &TestBedConfig, frames: Vec<ScheduledFrame>) -> Self {
+        let h = Hierarchy::with_llc(SlicedCache::new(cfg.geometry, cfg.ddio))
+            .with_latencies(cfg.latencies);
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let alloc = PageAllocator::new(cfg.seed ^ 0x5eed_1a7e);
+        let driver = IgbDriver::new(cfg.driver, alloc, &mut rng);
+        Reference {
+            h,
+            driver,
+            rng,
+            deferred: DeferredReads::new(),
+            pending: frames.into(),
+            records: Vec::new(),
+        }
+    }
+
+    /// Per frame: advance to the arrival, receive per access, run due
+    /// reads; then advance to `target` and run due reads once more.
+    fn advance_to(&mut self, target: Cycles) {
+        while self.pending.front().is_some_and(|f| f.at <= target) {
+            let sf = self.pending.pop_front().expect("peeked");
+            self.h.advance(sf.at.saturating_sub(self.h.now()));
+            let ev = self
+                .driver
+                .receive_scalar(&mut self.h, sf.frame, &mut self.rng);
+            self.deferred.extend(ev.deferred_reads);
+            self.records.push(RxRecord {
+                at: sf.at,
+                buffer_index: ev.buffer_index,
+                buffer_addr: ev.buffer_addr,
+                blocks: ev.blocks,
+            });
+            self.deferred.run_due(&mut self.h);
+        }
+        self.h.advance(target.saturating_sub(self.h.now()));
+        self.deferred.run_due(&mut self.h);
+    }
+
+    fn drain(&mut self) {
+        if let Some(last_at) = self.pending.back().map(|f| f.at) {
+            self.advance_to(last_at);
+        }
+        self.deferred.drain_all(&mut self.h);
+    }
+}
+
+/// Residency of every block the records name, compared across both
+/// machines.
+fn residency_differs(records: &[RxRecord], a: &Hierarchy, b: &Hierarchy) -> Option<String> {
+    for rec in records {
+        for blk in 0..u64::from(rec.blocks) {
+            let addr = rec.buffer_addr.add_blocks(blk);
+            if a.llc().contains(addr) != b.llc().contains(addr) {
+                return Some(format!("residency of {addr}"));
+            }
+        }
+    }
+    None
+}
+
+/// Drives the bed and the reference through the schedule in lockstep
+/// and returns the first trajectory divergence, if any.
 fn detect() -> Option<String> {
-    let mut windowed = TestBed::new(config(RxEngine::Batched));
-    let mut perframe = TestBed::new(config(RxEngine::PerFrame));
+    let cfg = config();
     let frames = schedule();
     let end = frames.last().expect("nonempty").at + BURST_PERIOD;
-    windowed.enqueue(frames.clone());
-    perframe.enqueue(frames);
+    let mut bed = TestBed::new(cfg);
+    bed.enqueue(frames.clone());
+    let mut reference = Reference::new(&cfg, frames);
     // Two steps per burst: the head step (`+12 k`, before any due can
-    // fall) delivers `[smalls…, MTU]` and resolves the deferral; the
-    // tail step delivers the train, where every deferred-pending cut
-    // comes from the exact resolved due (see `schedule`).
+    // fall) delivers `[smalls…, MTU]`; the tail step delivers the
+    // train, with the payload reads running between its frames.
     let mut steps = Vec::new();
     let mut burst_at = 1_000;
     while burst_at < end {
@@ -122,27 +185,23 @@ fn detect() -> Option<String> {
         burst_at += BURST_PERIOD;
     }
     for t in steps {
-        // The public windowed entry point (window collection plus the
-        // trailing advance) — explicit, so windows form even on hosts
-        // where `advance_to` legitimately picks per-frame delivery.
-        windowed.run_window(t);
-        windowed.advance_to(t);
-        perframe.advance_to(t);
-        if windowed.now() != perframe.now() {
+        bed.advance_to(t);
+        reference.advance_to(t);
+        if bed.now() != reference.h.now() {
             return Some(format!(
-                "clock at step {t}: windowed {} != per-frame {}",
-                windowed.now(),
-                perframe.now()
+                "clock at step {t}: bed {} != reference {}",
+                bed.now(),
+                reference.h.now()
             ));
         }
-        let (wh, ph) = (windowed.hierarchy(), perframe.hierarchy());
-        if wh.memory_stats() != ph.memory_stats() {
+        let (bh, rh) = (bed.hierarchy(), &reference.h);
+        if bh.memory_stats() != rh.memory_stats() {
             return Some(format!("memory traffic at step {t}"));
         }
-        if wh.llc().stats() != ph.llc().stats() {
+        if bh.llc().stats() != rh.llc().stats() {
             return Some(format!("LLC stats at step {t}"));
         }
-        if windowed.records() != perframe.records() {
+        if bed.records() != reference.records {
             return Some(format!("receive records at step {t}"));
         }
         // Residency must be compared *mid-flight*: a reordered
@@ -150,63 +209,41 @@ fn detect() -> Option<String> {
         // access is a forced miss (DMA invalidates first), so the
         // divergence never reaches the statistics and the recycling
         // ring eventually rewrites the evidence.
-        for rec in windowed.records() {
-            for b in 0..u64::from(rec.blocks) {
-                let addr = rec.buffer_addr.add_blocks(b);
-                if wh.llc().contains(addr) != ph.llc().contains(addr) {
-                    return Some(format!("residency of {addr} at step {t}"));
-                }
-            }
+        if let Some(d) = residency_differs(bed.records(), bh, rh) {
+            return Some(format!("{d} at step {t}"));
         }
     }
-    windowed.drain();
-    perframe.drain();
-    if windowed.records() != perframe.records() {
+    bed.drain();
+    reference.drain();
+    if bed.records() != reference.records {
         return Some("receive records after drain".into());
     }
-    if windowed.driver().ring().page_addresses() != perframe.driver().ring().page_addresses() {
+    if bed.driver().ring().page_addresses() != reference.driver.ring().page_addresses() {
         return Some("ring placement after drain".into());
     }
-    for rec in windowed.records() {
-        for b in 0..u64::from(rec.blocks) {
-            let addr = rec.buffer_addr.add_blocks(b);
-            if windowed.hierarchy().llc().contains(addr)
-                != perframe.hierarchy().llc().contains(addr)
-            {
-                return Some(format!("residency of {addr} after drain"));
-            }
-        }
-    }
-    None
+    residency_differs(bed.records(), bed.hierarchy(), &reference.h)
+        .map(|d| format!("{d} after drain"))
 }
 
-const RX_SITES: [FaultSite; 4] = [
-    FaultSite::DroppedDeferredRead,
-    FaultSite::BurstFlushElision,
-    FaultSite::SwappedSegmentSubtotal,
-    FaultSite::StaleDeferredSegmentIndex,
-];
-
+/// `dropped-deferred-read` is the one fault site above the op-stream
+/// engines.
 #[test]
 fn every_rx_fault_site_is_killed_for_every_seed() {
     let _g = serialized();
     let mut survivors = Vec::new();
-    for site in RX_SITES {
-        for seed in 0..3u64 {
-            fault::arm(FaultSpec {
-                site,
-                seed,
-                nth: None,
-            });
-            let outcome = catch_unwind(AssertUnwindSafe(detect));
-            let consultations = fault::consultations();
-            fault::disarm();
-            if matches!(outcome, Ok(None)) {
-                survivors.push(format!(
-                    "{}:{seed} survived ({consultations} consultations)",
-                    site.name()
-                ));
-            }
+    for seed in 0..3u64 {
+        fault::arm(FaultSpec {
+            site: FaultSite::DroppedDeferredRead,
+            seed,
+            nth: None,
+        });
+        let outcome = catch_unwind(AssertUnwindSafe(detect));
+        let consultations = fault::consultations();
+        fault::disarm();
+        if matches!(outcome, Ok(None)) {
+            survivors.push(format!(
+                "dropped-deferred-read:{seed} survived ({consultations} consultations)"
+            ));
         }
     }
     assert!(
@@ -216,10 +253,10 @@ fn every_rx_fault_site_is_killed_for_every_seed() {
     );
 }
 
-/// Negative control: no fault armed → the windowed and per-frame
-/// engines are byte-identical over the deferred-read-heavy schedule.
+/// Negative control: no fault armed → the bed and the per-access
+/// reference are byte-identical over the deferred-read-heavy schedule.
 #[test]
-fn windowed_and_per_frame_agree_with_no_fault_armed() {
+fn bed_and_per_access_reference_agree_with_no_fault_armed() {
     let _g = serialized();
     fault::disarm();
     assert_eq!(detect(), None);

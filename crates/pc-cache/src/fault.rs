@@ -2,8 +2,8 @@
 //! executable.
 //!
 //! The reproduction's determinism story rests on differential suites —
-//! op-fuzz rounds, driver batch equivalence, test-bed engine
-//! equivalence, scenario goldens — that compare independent engines
+//! op-fuzz rounds, driver batch equivalence, the test bed against its
+//! per-access reference, scenario goldens — that compare independent engines
 //! byte for byte. A suite that has never caught a divergence proves
 //! nothing; this module gives it something to catch. Each
 //! [`FaultSite`] names one single-point mutation of one engine (an
@@ -23,9 +23,11 @@
 //! * Every site mutates exactly **one** engine, so the differential
 //!   suites always have a clean engine to differ against. Sites whose
 //!   hook sits in substrate shared by several engines (the shard hit
-//!   path, the deferred-read queue) additionally require an
-//!   [`Engine`] context tag, set by the engine driver via
-//!   [`engine_scope`]; without the matching tag the site never fires.
+//!   path) additionally require an [`Engine`] context tag, set by the
+//!   engine driver via [`engine_scope`]; without the matching tag the
+//!   site never fires. The one exception is `dropped-deferred-read`:
+//!   its counter fires once per arming, so of two paths driven in
+//!   lockstep through the shared queue exactly one is mutated.
 //! * Firing is deterministic. *Counter* sites fire exactly once, on
 //!   the `nth` consultation after arming (`nth` derived from the
 //!   fault seed when not given). *Keyed* sites fire as a pure
@@ -57,8 +59,6 @@ pub enum Engine {
     Batch,
     /// The streaming [`crate::OpApplier`].
     Streaming,
-    /// The test bed's windowed (burst) receive engine.
-    WindowedRx,
 }
 
 /// How a site decides to fire (see the module-level arming rules).
@@ -101,21 +101,16 @@ pub enum FaultSite {
     /// Keyed on the raw address; buffered producers only.
     CorruptedLead,
     /// The deferred-read queue drops one due payload read instead of
-    /// executing it — the windowed engine loses a memory access the
-    /// per-frame engine performs. Counter-fired; requires the
-    /// [`Engine::WindowedRx`] context tag.
+    /// executing it — the receive path loses a memory access the
+    /// per-access reference performs. Counter-fired, so it fires once
+    /// per arming: of a bed and a reference driven in lockstep, exactly
+    /// one loses the read.
     DroppedDeferredRead,
     /// A shard skips one adaptive-defense period evaluation — the
     /// streaming engine's defense clock crosses a boundary without
     /// re-evaluating. Keyed on the shard's defense clock; requires
     /// the [`Engine::Streaming`] context tag.
     SkippedDefenseEval,
-    /// The burst window collector elides the cut it must make while
-    /// deferred reads are pending, fusing later frames into the
-    /// current window — pending payload reads then replay after
-    /// traffic they should precede. Counter-fired, windowed engine
-    /// only.
-    BurstFlushElision,
     /// The adaptive defense's incremental bookkeeping stamps a keyed
     /// set's dirty epoch without pushing it onto the dirty worklist —
     /// the set silently skips its period evaluation while later writes
@@ -135,18 +130,6 @@ pub enum FaultSite {
     /// word; lexically buffered-decode-only (streaming and oracle
     /// engines never decode).
     TruncatedLead,
-    /// The segmented replay swaps keyed neighbouring segments' cycle
-    /// subtotals — totals (and the final clock) stay right, but a
-    /// consumer reconstructing per-segment clocks (the fused window's
-    /// gap max, deferred-read dues) reads the wrong boundary. Keyed on
-    /// the segment index; lexically segmented-replay-only.
-    SwappedSegmentSubtotal,
-    /// The fused receive path files a keyed deferred payload read under
-    /// the *previous* segment's index — its due time reconstructs from
-    /// the wrong segment base, so the read replays earlier than the
-    /// per-frame engine performs it. Keyed on the deferral's segment
-    /// index; lexically fused-receive-only.
-    StaleDeferredSegmentIndex,
     /// The monitor's fused cross-epoch sample inverts a keyed target's
     /// classification (misses become `accesses - misses`) — the fused
     /// batch aggregate disagrees with the per-target probe walk it
@@ -171,7 +154,7 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every catalog entry, in matrix order.
-    pub const ALL: [FaultSite; 16] = [
+    pub const ALL: [FaultSite; 13] = [
         FaultSite::StatOffByOne,
         FaultSite::DroppedFlush,
         FaultSite::StaleLru,
@@ -179,12 +162,9 @@ impl FaultSite {
         FaultSite::CorruptedLead,
         FaultSite::DroppedDeferredRead,
         FaultSite::SkippedDefenseEval,
-        FaultSite::BurstFlushElision,
         FaultSite::StaleDirtySet,
         FaultSite::SkippedEpochBump,
         FaultSite::TruncatedLead,
-        FaultSite::SwappedSegmentSubtotal,
-        FaultSite::StaleDeferredSegmentIndex,
         FaultSite::CrossEpochMisclassify,
         FaultSite::SwappedQueueSteer,
         FaultSite::StaleEvictionMemo,
@@ -200,12 +180,9 @@ impl FaultSite {
             FaultSite::CorruptedLead => "corrupted-lead",
             FaultSite::DroppedDeferredRead => "dropped-deferred-read",
             FaultSite::SkippedDefenseEval => "skipped-defense-eval",
-            FaultSite::BurstFlushElision => "burst-flush-elision",
             FaultSite::StaleDirtySet => "stale-dirty-set",
             FaultSite::SkippedEpochBump => "skipped-epoch-bump",
             FaultSite::TruncatedLead => "truncated-lead",
-            FaultSite::SwappedSegmentSubtotal => "swapped-segment-subtotal",
-            FaultSite::StaleDeferredSegmentIndex => "stale-deferred-segment-index",
             FaultSite::CrossEpochMisclassify => "cross-epoch-misclassify",
             FaultSite::SwappedQueueSteer => "swapped-queue-steer",
             FaultSite::StaleEvictionMemo => "stale-eviction-memo",
@@ -229,10 +206,9 @@ impl FaultSite {
     /// How the site fires (see [`FiringKind`]).
     pub fn kind(self) -> FiringKind {
         match self {
-            FaultSite::StatOffByOne
-            | FaultSite::DroppedFlush
-            | FaultSite::DroppedDeferredRead
-            | FaultSite::BurstFlushElision => FiringKind::Counter,
+            FaultSite::StatOffByOne | FaultSite::DroppedFlush | FaultSite::DroppedDeferredRead => {
+                FiringKind::Counter
+            }
             FaultSite::StaleLru
             | FaultSite::SwappedSliceBin
             | FaultSite::CorruptedLead
@@ -240,8 +216,6 @@ impl FaultSite {
             | FaultSite::StaleDirtySet
             | FaultSite::SkippedEpochBump
             | FaultSite::TruncatedLead
-            | FaultSite::SwappedSegmentSubtotal
-            | FaultSite::StaleDeferredSegmentIndex
             | FaultSite::CrossEpochMisclassify
             | FaultSite::SwappedQueueSteer
             | FaultSite::StaleEvictionMemo => FiringKind::Keyed,
@@ -255,7 +229,6 @@ impl FaultSite {
         match self {
             FaultSite::StaleLru | FaultSite::StaleDirtySet => Some(Engine::Batch),
             FaultSite::SkippedDefenseEval | FaultSite::SkippedEpochBump => Some(Engine::Streaming),
-            FaultSite::DroppedDeferredRead => Some(Engine::WindowedRx),
             _ => None,
         }
     }
@@ -269,18 +242,11 @@ impl FaultSite {
             FaultSite::StaleLru => "batch shard hit skips the LRU touch",
             FaultSite::SwappedSliceBin => "sharded dispatch bins into the wrong slice",
             FaultSite::CorruptedLead => "buffered op lead skewed by +13 cycles",
-            FaultSite::DroppedDeferredRead => "windowed rx drops one due payload read",
+            FaultSite::DroppedDeferredRead => "deferred-read queue drops one due payload read",
             FaultSite::SkippedDefenseEval => "streaming shard skips a defense evaluation",
-            FaultSite::BurstFlushElision => "window collector elides the deferred-pending cut",
             FaultSite::StaleDirtySet => "batch shard stamps a set dirty without queueing it",
             FaultSite::SkippedEpochBump => "streaming shard keeps last period's dirty stamps live",
             FaultSite::TruncatedLead => "packed op decode truncates an escaped lead",
-            FaultSite::SwappedSegmentSubtotal => {
-                "segmented replay swaps neighbouring segment subtotals"
-            }
-            FaultSite::StaleDeferredSegmentIndex => {
-                "fused receive files a deferred read under the previous segment"
-            }
             FaultSite::CrossEpochMisclassify => {
                 "fused monitor sample inverts one target's classification"
             }
@@ -289,8 +255,32 @@ impl FaultSite {
         }
     }
 
+    /// Position in [`FaultSite::ALL`]: the armed-site encoding.
     fn index(self) -> u64 {
         FaultSite::ALL.iter().position(|&s| s == self).unwrap() as u64
+    }
+
+    /// Per-site salt of the seed-derived firing parameter. Frozen, not
+    /// positional: retiring a catalog entry shifts [`FaultSite::index`],
+    /// and a positional salt would silently turn every later site's
+    /// `site:seed` into a different mutant. A new site takes a salt no
+    /// other site has used (retired: 7, 11 and 12).
+    fn param_salt(self) -> u64 {
+        match self {
+            FaultSite::StatOffByOne => 0,
+            FaultSite::DroppedFlush => 1,
+            FaultSite::StaleLru => 2,
+            FaultSite::SwappedSliceBin => 3,
+            FaultSite::CorruptedLead => 4,
+            FaultSite::DroppedDeferredRead => 5,
+            FaultSite::SkippedDefenseEval => 6,
+            FaultSite::StaleDirtySet => 8,
+            FaultSite::SkippedEpochBump => 9,
+            FaultSite::TruncatedLead => 10,
+            FaultSite::CrossEpochMisclassify => 13,
+            FaultSite::SwappedQueueSteer => 14,
+            FaultSite::StaleEvictionMemo => 15,
+        }
     }
 }
 
@@ -348,10 +338,10 @@ impl FaultSpec {
             Some(n) => n.max(1),
             None => match self.site.kind() {
                 FiringKind::Counter => {
-                    1 + pc_par::mix_seed(self.seed, 0xFA_0100 + self.site.index()) % 4
+                    1 + pc_par::mix_seed(self.seed, 0xFA_0100 + self.site.param_salt()) % 4
                 }
                 FiringKind::Keyed => {
-                    5 + pc_par::mix_seed(self.seed, 0xFA_0200 + self.site.index()) % 9
+                    5 + pc_par::mix_seed(self.seed, 0xFA_0200 + self.site.param_salt()) % 9
                 }
             },
         }
@@ -679,6 +669,44 @@ mod tests {
                 params.insert(p);
             }
             assert!(params.len() > 1, "{site:?}: params vary with the seed");
+        }
+    }
+
+    /// `site:seed` names the same mutant across catalog edits: the
+    /// seed-derived parameter of every site at seeds 0–2 is pinned to
+    /// the values it had while the catalog still held 16 sites.
+    #[test]
+    fn seed_derived_params_survive_catalog_edits() {
+        let pinned: [(FaultSite, [u64; 3]); 13] = [
+            (FaultSite::StatOffByOne, [2, 2, 3]),
+            (FaultSite::DroppedFlush, [2, 4, 4]),
+            (FaultSite::StaleLru, [10, 8, 5]),
+            (FaultSite::SwappedSliceBin, [8, 10, 7]),
+            (FaultSite::CorruptedLead, [6, 11, 7]),
+            (FaultSite::DroppedDeferredRead, [2, 4, 1]),
+            (FaultSite::SkippedDefenseEval, [11, 9, 12]),
+            (FaultSite::StaleDirtySet, [10, 13, 5]),
+            (FaultSite::SkippedEpochBump, [13, 13, 10]),
+            (FaultSite::TruncatedLead, [11, 10, 12]),
+            (FaultSite::CrossEpochMisclassify, [11, 11, 6]),
+            (FaultSite::SwappedQueueSteer, [9, 6, 12]),
+            (FaultSite::StaleEvictionMemo, [13, 7, 6]),
+        ];
+        assert_eq!(
+            pinned.map(|(site, _)| site),
+            FaultSite::ALL,
+            "every site pinned"
+        );
+        for (site, want) in pinned {
+            let got = [0, 1, 2].map(|seed| {
+                FaultSpec {
+                    site,
+                    seed,
+                    nth: None,
+                }
+                .resolved_param()
+            });
+            assert_eq!(got, want, "{site:?}");
         }
     }
 

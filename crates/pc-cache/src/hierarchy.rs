@@ -328,109 +328,18 @@ impl Hierarchy {
             self.scratch = scratch;
             sum
         };
-        // Trailing advance plus any segment-mark carries: a marked
-        // buffer replays identically whether or not the caller asks for
-        // subtotals.
-        let advances = buf.trailing() + buf.carry_total();
-        self.clock += advances;
-        sum.cycles += advances;
+        self.clock += buf.trailing();
+        sum.cycles += buf.trailing();
         sum
     }
 
-    /// [`Hierarchy::run_ops`] for callers that discard the summary (the
-    /// NIC driver replays a handful of ops per frame at millions of
-    /// calls per experiment): identical replay, clock and statistics,
-    /// no per-op aggregate bookkeeping.
-    pub fn apply_ops(&mut self, buf: &OpBuffer) {
-        if buf.len() >= crate::llc::PAR_BATCH_MIN {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            scratch.clear();
-            scratch.extend(buf.iter());
-            self.run_trace_threads(&scratch, pc_par::max_threads());
-            scratch.clear();
-            self.scratch = scratch;
-        } else {
-            let _engine = crate::fault::engine_scope(crate::fault::Engine::Batch);
-            let allocates = self.llc.mode().allocates_in_llc();
-            let mut clock = self.clock;
-            let mut reads = 0u64;
-            let mut writes = 0u64;
-            for op in buf.iter() {
-                let out = self.llc.access(op.addr, op.kind);
-                reads += u64::from(out.dram_reads);
-                writes += u64::from(out.dram_writes);
-                clock += op.lead + self.lat.access_latency(out.hit, op.kind, allocates);
-            }
-            self.clock = clock;
-            self.mem.reads += reads;
-            self.mem.writes += writes;
-        }
-        self.clock += buf.trailing() + buf.carry_total();
-    }
-
-    /// Replays a segment-marked op batch (see
-    /// [`OpBuffer::mark_segment`]), additionally reporting one
-    /// [`TraceSummary`] per segment, in mark order, into `seg_out`.
-    ///
-    /// Segment subtotals partition the whole replay: each op's lead and
-    /// latency land in its segment, each mark's carry and the buffer's
-    /// trailing advance land in the segment they close, so the
-    /// subtotals' cycles sum to exactly the unsegmented replay's clock
-    /// motion. Cache behaviour, statistics and the final clock are
-    /// byte-identical to [`Hierarchy::run_ops`] on the same buffer —
-    /// segmentation is pure reporting. This is what lets the windowed
-    /// receive engine replay an arbitrarily long fused window first and
-    /// reconstruct every frame's clock after the fact: the determinism
-    /// contract makes outcomes clock-independent, and the subtotals
-    /// recover where the clock *would* have stood at every segment
-    /// boundary.
-    ///
-    /// A buffer with no marks reports one segment spanning everything.
-    pub fn run_ops_segmented(
-        &mut self,
-        buf: &OpBuffer,
-        seg_out: &mut Vec<TraceSummary>,
-    ) -> TraceSummary {
-        seg_out.clear();
-        let mut spans = buf.segment_spans();
-        if spans.is_empty() {
-            spans.push((0, buf.len(), buf.trailing()));
-        }
-        let threads = pc_par::max_threads();
-        let total = if self.llc.batch_worth_sharding(buf.len(), threads) {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            scratch.clear();
-            scratch.extend(buf.iter());
-            let total = self.run_trace_threads_segmented(&scratch, &spans, threads, seg_out);
-            scratch.clear();
-            self.scratch = scratch;
-            total
-        } else {
-            self.run_trace_sequential_segmented(buf.iter(), &spans, seg_out)
-        };
-        // Fault site `swapped-segment-subtotal`: the segmented replay
-        // reports keyed neighbouring segments' cycle subtotals in the
-        // wrong order. The total (and so the final clock) is unchanged —
-        // only a consumer that *reconstructs* per-segment clocks (the
-        // windowed receive engine's gap max, deferred-read dues) can
-        // notice, which is exactly the invariant the site guards.
-        for k in 0..seg_out.len().saturating_sub(1) {
-            if crate::fault::fires_keyed(crate::fault::FaultSite::SwappedSegmentSubtotal, k as u64)
-            {
-                let (a, b) = (seg_out[k].cycles, seg_out[k + 1].cycles);
-                seg_out[k].cycles = b;
-                seg_out[k + 1].cycles = a;
-            }
-        }
-        total
-    }
-
-    /// Segment-reporting variant of [`Hierarchy::run_trace_threads`] for
-    /// borrowed traces: `starts` are ascending segment start indices
-    /// (`starts[0] == 0`), and one [`TraceSummary`] per segment lands in
-    /// `seg_out`. Replay, statistics and final clock are byte-identical
-    /// to the unsegmented call; the monitor uses this to classify many
-    /// probe targets from one fused batch.
+    /// Replays a borrowed trace like [`Hierarchy::run_trace_threads`],
+    /// additionally reporting one [`TraceSummary`] per segment into
+    /// `seg_out`: `starts` are ascending segment start indices
+    /// (`starts[0] == 0`; a repeated start is an empty segment). Replay,
+    /// statistics and final clock are byte-identical to the unsegmented
+    /// call, and the subtotals sum to its summary; the monitor uses this
+    /// to classify many probe targets from one fused batch.
     pub fn run_trace_segmented(
         &mut self,
         ops: &[CacheOp],
@@ -438,83 +347,55 @@ impl Hierarchy {
         seg_out: &mut Vec<TraceSummary>,
     ) -> TraceSummary {
         seg_out.clear();
-        let spans: Vec<(usize, usize, Cycles)> = starts
-            .iter()
-            .enumerate()
-            .map(|(k, &start)| {
-                let end = starts.get(k + 1).copied().unwrap_or(ops.len());
-                (start, end, 0)
-            })
-            .collect();
         let threads = pc_par::max_threads();
         if self.llc.batch_worth_sharding(ops.len(), threads) {
-            self.run_trace_threads_segmented(ops, &spans, threads, seg_out)
+            self.run_trace_threads_segmented(ops, starts, threads, seg_out)
         } else {
-            self.run_trace_sequential_segmented(ops.iter().copied(), &spans, seg_out)
+            self.run_trace_sequential_segmented(ops, starts, seg_out)
         }
     }
 
-    /// The sequential arm of the segmented replays: one walk with a
-    /// span cursor, closing each segment (and spending its tail advance)
-    /// as the ops pass its end.
-    fn run_trace_sequential_segmented<I>(
+    /// The sequential arm of [`Hierarchy::run_trace_segmented`]: one
+    /// walk with a segment cursor.
+    fn run_trace_sequential_segmented(
         &mut self,
-        ops: I,
-        spans: &[(usize, usize, Cycles)],
+        ops: &[CacheOp],
+        starts: &[usize],
         seg_out: &mut Vec<TraceSummary>,
-    ) -> TraceSummary
-    where
-        I: Iterator<Item = CacheOp>,
-    {
+    ) -> TraceSummary {
         let _engine = crate::fault::engine_scope(crate::fault::Engine::Batch);
         let allocates = self.llc.mode().allocates_in_llc();
-        let mut cur = TraceSummary::default();
+        seg_out.resize(starts.len(), TraceSummary::default());
         let mut seg = 0usize;
-        for (idx, op) in ops.enumerate() {
-            while seg < spans.len() && idx >= spans[seg].1 {
-                cur.cycles += spans[seg].2;
-                seg_out.push(cur);
-                cur = TraceSummary::default();
+        for (idx, op) in ops.iter().enumerate() {
+            while seg + 1 < starts.len() && idx >= starts[seg + 1] {
                 seg += 1;
             }
             let out = self.llc.access(op.addr, op.kind);
             let latency = self.lat.access_latency(out.hit, op.kind, allocates);
+            let cur = &mut seg_out[seg];
             cur.accesses += 1;
             cur.hits += u64::from(out.hit);
             cur.cycles += op.lead + latency;
             cur.dram_reads += u64::from(out.dram_reads);
             cur.dram_writes += u64::from(out.dram_writes);
         }
-        while seg < spans.len() {
-            cur.cycles += spans[seg].2;
-            seg_out.push(cur);
-            cur = TraceSummary::default();
-            seg += 1;
-        }
-        let mut total = TraceSummary::default();
-        for sum in seg_out.iter() {
-            total.merge(sum);
-        }
-        self.clock += total.cycles;
-        self.mem.reads += total.dram_reads;
-        self.mem.writes += total.dram_writes;
-        total
+        self.finish_segments(seg_out)
     }
 
-    /// The sharded arm of the segmented replays: per-segment latency
-    /// summaries from the sliced engine, then leads and tail advances
+    /// The sharded arm of [`Hierarchy::run_trace_segmented`]:
+    /// per-segment latency summaries from the sliced engine, then leads
     /// folded in per segment (outcome-independent input data, exactly as
     /// in [`Hierarchy::run_trace_threads`]).
     fn run_trace_threads_segmented(
         &mut self,
         ops: &[CacheOp],
-        spans: &[(usize, usize, Cycles)],
+        starts: &[usize],
         threads: usize,
         seg_out: &mut Vec<TraceSummary>,
     ) -> TraceSummary {
-        let starts: Vec<usize> = spans.iter().map(|&(start, _, _)| start).collect();
         self.llc
-            .trace_batch_threads_segmented(ops, &starts, threads, self.lat, seg_out);
+            .trace_batch_threads_segmented(ops, starts, threads, self.lat, seg_out);
         let mut seg = 0usize;
         for (idx, op) in ops.iter().enumerate() {
             while seg + 1 < starts.len() && idx >= starts[seg + 1] {
@@ -522,11 +403,14 @@ impl Hierarchy {
             }
             seg_out[seg].cycles += op.lead;
         }
-        for (sum, &(_, _, tail)) in seg_out.iter_mut().zip(spans) {
-            sum.cycles += tail;
-        }
+        self.finish_segments(seg_out)
+    }
+
+    /// Folds the per-segment subtotals into the replay's summary and
+    /// spends it on the clock and memory counters.
+    fn finish_segments(&mut self, seg_out: &[TraceSummary]) -> TraceSummary {
         let mut total = TraceSummary::default();
-        for sum in seg_out.iter() {
+        for sum in seg_out {
             total.merge(sum);
         }
         self.clock += total.cycles;
@@ -839,73 +723,54 @@ mod tests {
     }
 
     /// The segmented replay is pure reporting: same outcomes, clock,
-    /// stats as `run_ops`, subtotals that partition the total exactly,
+    /// stats as `run_trace`, subtotals that partition the total exactly,
     /// and thread-count invariance of the per-segment summaries.
     #[test]
     fn segmented_replay_matches_unsegmented_and_is_thread_invariant() {
-        use crate::ops::OpSink;
-        let marks = [0usize, 1, 13, 900, 4096, 4097, 5000, 5999];
-        let mut buf = OpBuffer::new();
-        let mut next_mark = 0;
-        for i in 0..6000u64 {
-            if next_mark < marks.len() && marks[next_mark] == i as usize {
-                buf.mark_segment();
-                next_mark += 1;
-            }
-            let kind = match i % 5 {
-                0 => AccessKind::IoWrite,
-                1 => AccessKind::CpuWrite,
-                2 => AccessKind::IoRead,
-                _ => AccessKind::CpuRead,
-            };
-            buf.op(CacheOp::new(PhysAddr::new((i % 97) * 0x3040), kind)
-                .after((i % 7 == 0) as u64 * 11));
-            if i % 1000 == 999 {
-                // Becomes a carry when a mark follows (i == 4999), a
-                // folded lead otherwise — both attributions must agree
-                // with the unsegmented walk.
-                buf.advance(123);
-            }
-        }
-        buf.advance(77);
-        buf.mark_segment(); // empty trailing segment, carry 77
-        assert_eq!(buf.segments(), marks.len() + 1);
+        let ops: Vec<CacheOp> = (0..6000u64)
+            .map(|i| {
+                let kind = match i % 5 {
+                    0 => AccessKind::IoWrite,
+                    1 => AccessKind::CpuWrite,
+                    2 => AccessKind::IoRead,
+                    _ => AccessKind::CpuRead,
+                };
+                CacheOp::new(PhysAddr::new((i % 97) * 0x3040), kind).after((i % 7 == 0) as u64 * 11)
+            })
+            .collect();
+        // An empty segment (4096 twice) and a one-op tail segment.
+        let starts = [0usize, 1, 13, 900, 4096, 4096, 5000, 5999];
         for mode in [
             DdioMode::Disabled,
             DdioMode::enabled(),
             DdioMode::adaptive(),
         ] {
             let mut plain = h(mode);
-            let want = plain.run_ops(&buf);
+            let want = plain.run_trace(ops.iter().copied());
             let mut seq = h(mode);
             let mut segs = Vec::new();
-            let spans = buf.segment_spans();
-            let got = seq.run_trace_sequential_segmented(buf.iter(), &spans, &mut segs);
+            let got = seq.run_trace_sequential_segmented(&ops, &starts, &mut segs);
             assert_eq!(got, want, "{mode:?}");
             assert_eq!(seq.now(), plain.now(), "{mode:?}");
             assert_eq!(seq.memory_stats(), plain.memory_stats(), "{mode:?}");
             assert_eq!(seq.llc().stats(), plain.llc().stats(), "{mode:?}");
+            assert_eq!(segs.len(), starts.len(), "{mode:?}");
+            assert_eq!(segs[4], TraceSummary::default(), "{mode:?}: empty segment");
             let mut fold = TraceSummary::default();
             for sum in &segs {
                 fold.merge(sum);
             }
             assert_eq!(fold, got, "{mode:?}: subtotals partition the replay");
-            let ops: Vec<CacheOp> = buf.iter().collect();
             for threads in [2usize, 4, 16] {
                 let mut par = h(mode);
                 let mut psegs = Vec::new();
-                let ptotal = par.run_trace_threads_segmented(&ops, &spans, threads, &mut psegs);
+                let ptotal = par.run_trace_threads_segmented(&ops, &starts, threads, &mut psegs);
                 assert_eq!(ptotal, got, "{mode:?} threads={threads}");
                 assert_eq!(psegs, segs, "{mode:?} threads={threads}");
                 assert_eq!(par.now(), seq.now(), "{mode:?} threads={threads}");
                 assert_eq!(par.memory_stats(), seq.memory_stats(), "{mode:?}");
                 assert_eq!(par.llc().stats(), seq.llc().stats(), "{mode:?}");
             }
-            // The public entry point (whichever arm it picks) agrees too.
-            let mut auto = h(mode);
-            let mut asegs = Vec::new();
-            assert_eq!(auto.run_ops_segmented(&buf, &mut asegs), got, "{mode:?}");
-            assert_eq!(asegs, segs, "{mode:?}");
         }
     }
 

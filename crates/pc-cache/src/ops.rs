@@ -31,7 +31,7 @@
 //!
 //! [`CacheOp`] is the *decoded* record — 24 bytes of `{addr, kind,
 //! lead}`. [`OpBuffer`] does not store it: each recorded op packs into
-//! one `u64` word, so a 64 Ki-op burst window costs 512 KiB of scratch
+//! one `u64` word, so a 64 Ki-op replay chunk costs 512 KiB of scratch
 //! bandwidth instead of 1.5 MiB:
 //!
 //! ```text
@@ -61,9 +61,9 @@ use crate::Cycles;
 /// before it must flush: 64 Ki ops.
 ///
 /// Consumers that accumulate op batches of unbounded logical length —
-/// the test bed's burst windows, the defense workloads' replay chunks —
-/// size against this one constant so their scratch memory stays bounded
-/// (a few MiB) and their flush boundaries agree. Flush boundaries are
+/// the defense workloads' replay chunks — size against this one
+/// constant so their scratch memory stays bounded (a few MiB) and their
+/// flush boundaries agree. Flush boundaries are
 /// *not* observable (the determinism contract makes a split batch
 /// byte-identical to an unsplit one); the cap only bounds memory.
 pub const OP_SCRATCH_CAP: u64 = 1 << 16;
@@ -224,14 +224,6 @@ pub struct OpBuffer {
     /// Escaped leads: `(op index, lead)`, ascending in op index.
     long_leads: Vec<(u32, Cycles)>,
     pending: Cycles,
-    /// Segment marks: `(first op index, carry)`, ascending in op index.
-    /// The carry is the pending advance captured when the mark was
-    /// placed — cycles that belong to the *closing* (previous) segment
-    /// (see [`OpBuffer::mark_segment`]).
-    seg_marks: Vec<(u32, Cycles)>,
-    /// Sum of all mark carries, so the unsegmented replays can spend
-    /// them without walking the marks.
-    carry_sum: Cycles,
 }
 
 impl OpBuffer {
@@ -240,69 +232,11 @@ impl OpBuffer {
         OpBuffer::default()
     }
 
-    /// Clears ops, segment marks and the trailing advance, keeping
-    /// capacity.
+    /// Clears ops and the trailing advance, keeping capacity.
     pub fn clear(&mut self) {
         self.words.clear();
         self.long_leads.clear();
-        self.seg_marks.clear();
-        self.carry_sum = 0;
         self.pending = 0;
-    }
-
-    /// Opens a new segment at the current op position.
-    ///
-    /// Any pending advance is captured as the mark's *carry* and
-    /// attributed to the segment being closed — it was emitted after
-    /// that segment's last op (a trailing defense cost, say), so its
-    /// cycles belong to the previous segment's subtotal, not the new
-    /// one's. Producers call this immediately before the first op of
-    /// each segment; a segmented replay
-    /// ([`crate::Hierarchy::run_ops_segmented`]) then reports one cycle
-    /// subtotal per mark, in mark order, summing to exactly the
-    /// unsegmented replay's clock motion.
-    pub fn mark_segment(&mut self) {
-        if self.seg_marks.is_empty() {
-            debug_assert_eq!(
-                self.pending, 0,
-                "first segment mark must not swallow a pre-batch advance"
-            );
-        }
-        let carry = std::mem::take(&mut self.pending);
-        self.carry_sum += carry;
-        self.seg_marks.push((self.words.len() as u32, carry));
-    }
-
-    /// Total advance cycles captured as mark carries (zero for an
-    /// unmarked buffer). The unsegmented replays spend these alongside
-    /// the trailing advance, so marking segments never changes what a
-    /// replay does — marks are pure reporting.
-    pub(crate) fn carry_total(&self) -> Cycles {
-        self.carry_sum
-    }
-
-    /// Number of segment marks (zero for an unsegmented buffer).
-    pub fn segments(&self) -> usize {
-        self.seg_marks.len()
-    }
-
-    /// Per-segment spans, in mark order: `(start op, end op, tail)`.
-    ///
-    /// `tail` is the advance attributed to the segment *after* its ops:
-    /// the next mark's carry, or [`OpBuffer::trailing`] for the last
-    /// segment. Empty when the buffer has no marks.
-    pub(crate) fn segment_spans(&self) -> Vec<(usize, usize, Cycles)> {
-        let n = self.seg_marks.len();
-        let mut spans = Vec::with_capacity(n);
-        for k in 0..n {
-            let start = self.seg_marks[k].0 as usize;
-            let (end, tail) = match self.seg_marks.get(k + 1) {
-                Some(&(next_start, carry)) => (next_start as usize, carry),
-                None => (self.words.len(), self.pending),
-            };
-            spans.push((start, end, tail));
-        }
-        spans
     }
 
     /// Decodes the recorded ops, in emission order. Addresses come back
@@ -529,47 +463,6 @@ mod tests {
         buf.op(CacheOp::io_read(PhysAddr::new(0x400)).after(10));
         assert_eq!(buf.long_leads.len(), 1);
         assert_eq!(buf.iter().next().unwrap().lead, 20);
-    }
-
-    /// Segment marks capture the pending advance as the *closing*
-    /// segment's tail: a defense-cost advance emitted after frame k's
-    /// ops lands in segment k's subtotal, exactly where the per-frame
-    /// engine would have spent it.
-    #[test]
-    fn segment_marks_attribute_carries_to_the_closing_segment() {
-        let mut buf = OpBuffer::new();
-        buf.mark_segment();
-        buf.op(CacheOp::io_write(PhysAddr::new(0x40)));
-        buf.op(CacheOp::read(PhysAddr::new(0x40)));
-        buf.advance(1_500); // frame 0's trailing defense cost
-        buf.mark_segment();
-        buf.op(CacheOp::io_write(PhysAddr::new(0x80)).after(300));
-        buf.advance(7);
-        assert_eq!(buf.segments(), 2);
-        assert_eq!(
-            buf.segment_spans(),
-            vec![(0, 2, 1_500), (2, 3, 7)],
-            "carry of mark k+1 is segment k's tail; trailing is the last tail"
-        );
-        // The carry was consumed by the mark, not folded into the next
-        // op's lead.
-        let ops: Vec<CacheOp> = buf.iter().collect();
-        assert_eq!(ops[2].lead, 300);
-        assert_eq!(buf.trailing(), 7);
-        buf.clear();
-        assert_eq!(buf.segments(), 0);
-        assert!(buf.segment_spans().is_empty());
-    }
-
-    /// An empty segment (mark, no ops, mark) still gets a span, so a
-    /// zero-op frame keeps its position in the reconstruction.
-    #[test]
-    fn empty_segments_keep_their_spans() {
-        let mut buf = OpBuffer::new();
-        buf.mark_segment();
-        buf.mark_segment();
-        buf.op(CacheOp::read(PhysAddr::new(0x40)));
-        assert_eq!(buf.segment_spans(), vec![(0, 0, 0), (0, 1, 0)]);
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! fault armed must stay silent — the negative control pinning that
 //! the injection hooks themselves perturb nothing.
 //!
-//! The four rx-engine sites (`dropped-deferred-read`,
-//! `burst-flush-elision`, `swapped-segment-subtotal`,
-//! `stale-deferred-segment-index`) live above this crate; their kill
-//! tests are `crates/core/tests/fault_kill_rx.rs`. The monitor site
+//! The rx site (`dropped-deferred-read`) lives above this crate; its
+//! kill test is `crates/core/tests/fault_kill_rx.rs`. The monitor site
 //! (`cross-epoch-misclassify`) is killed by
 //! `crates/pc-probe/tests/fault_kill_probe.rs`.
 

@@ -281,46 +281,22 @@ pub fn file_copy(bench: &mut Workbench, megabytes: u64) -> WorkloadMetrics {
     bench.snapshot(t0, lines)
 }
 
-/// Frames per [`tcp_recv`] burst: enough for a burst's op stream
-/// (~4 ops per min-sized frame, app read included) to clear the
-/// sharded-dispatch threshold when worker threads exist. Burst
-/// boundaries never change results — the receive path is batch- and
-/// thread-invariant.
-const TCP_RECV_BURST: u64 = 2_048;
-
 /// A program that constantly receives TCP packets with 8-byte payloads
-/// (64-byte frames) and touches each payload once.
-///
-/// The receiver rides the driver's burst engine with a **frame-extension
-/// hook**: each frame's application payload read is emitted into the
-/// same op batch as the frame's own traffic
-/// ([`IgbDriver::receive_burst_with`]), so the whole burst — DMA
-/// writes, driver reads *and* app reads — replays as one shardable
-/// stream instead of dropping to a per-access read between frames.
-/// Byte-identical to the per-frame walk (`tests` pin it).
+/// (64-byte frames) and touches each payload once: one streaming
+/// receive and one application read of the payload per packet.
 pub fn tcp_recv(bench: &mut Workbench, packets: u64) -> WorkloadMetrics {
     bench.reset_stats();
     let t0 = bench.h.now();
     let frame = EthernetFrame::min_sized();
-    let frames = vec![frame; packets.min(TCP_RECV_BURST) as usize];
-    let mut left = packets;
-    while left > 0 {
-        let burst = left.min(TCP_RECV_BURST) as usize;
-        let events = bench.driver.receive_burst_with(
-            &mut bench.h,
-            &frames[..burst],
-            &mut bench.rng,
-            // The application reads the payload out of the skb.
-            |meta, ops| ops.op(CacheOp::read(meta.buffer_addr)),
-        );
+    for _ in 0..packets {
+        let ev = bench.driver.receive(&mut bench.h, frame, &mut bench.rng);
+        // The application reads the payload out of the skb.
+        bench.h.cpu_read(ev.buffer_addr);
         // Plus the deferred stack reads, if any (no-DDIO path; min-sized
         // frames never defer, but the contract is kept for any frame).
-        for ev in events {
-            for (_, addr) in ev.deferred_reads {
-                bench.h.cpu_read(addr);
-            }
+        for (_, addr) in ev.deferred_reads {
+            bench.h.cpu_read(addr);
         }
-        left -= burst as u64;
     }
     bench.snapshot(t0, packets)
 }
@@ -341,49 +317,6 @@ mod tests {
         assert!(m.elapsed_cycles > 0);
         assert!(m.krps() > 0.0);
         assert!(m.llc.cpu_accesses() > 0);
-    }
-
-    /// The pre-burst tcp_recv: one streaming receive and one per-access
-    /// app read per packet — the equivalence reference for the fused
-    /// burst path.
-    fn tcp_recv_per_frame(bench: &mut Workbench, packets: u64) -> WorkloadMetrics {
-        bench.reset_stats();
-        let t0 = bench.h.now();
-        let frame = EthernetFrame::min_sized();
-        for _ in 0..packets {
-            let ev = bench.driver.receive(&mut bench.h, frame, &mut bench.rng);
-            bench.h.cpu_read(ev.buffer_addr);
-            for (_, addr) in ev.deferred_reads {
-                bench.h.cpu_read(addr);
-            }
-        }
-        bench.snapshot(t0, packets)
-    }
-
-    #[test]
-    fn tcp_recv_burst_matches_per_frame_walk() {
-        // The fused burst (frame ops + app reads in one batch) must be
-        // byte-identical to the per-frame walk in every DDIO mode:
-        // metrics, final clock, LLC statistics and memory traffic.
-        for mode in [
-            DdioMode::Disabled,
-            DdioMode::enabled(),
-            DdioMode::adaptive(),
-        ] {
-            let mut fused = bench(mode);
-            let mut reference = bench(mode);
-            let m_fused = tcp_recv(&mut fused, 3_000);
-            let m_ref = tcp_recv_per_frame(&mut reference, 3_000);
-            assert_eq!(m_fused.elapsed_cycles, m_ref.elapsed_cycles, "{mode:?}");
-            assert_eq!(m_fused.llc, m_ref.llc, "{mode:?}");
-            assert_eq!(m_fused.mem, m_ref.mem, "{mode:?}");
-            assert_eq!(fused.h.now(), reference.h.now(), "{mode:?}");
-            assert_eq!(
-                fused.driver.ring().page_addresses(),
-                reference.driver.ring().page_addresses(),
-                "{mode:?}"
-            );
-        }
     }
 
     #[test]

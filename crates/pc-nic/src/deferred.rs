@@ -27,10 +27,6 @@ use std::collections::BinaryHeap;
 #[derive(Clone, Debug, Default)]
 pub struct DeferredReads {
     heap: BinaryHeap<Reverse<(Cycles, u64)>>,
-    /// Reads filed against fused-batch segments whose end clocks are
-    /// not reconstructed yet: `(segment index, addr)`. They become
-    /// timed heap entries in [`DeferredReads::resolve_segments`].
-    unresolved: Vec<(usize, PhysAddr)>,
 }
 
 impl DeferredReads {
@@ -61,54 +57,22 @@ impl DeferredReads {
         self.heap.is_empty()
     }
 
-    /// Cycle of the earliest pending read, if any. Reads still filed
-    /// against unresolved segments have no time yet and are not
-    /// considered — mid-fusion callers bound them separately (the
-    /// window planner's deferral lower bounds).
+    /// Cycle of the earliest pending read, if any.
     pub fn next_due(&self) -> Option<Cycles> {
         self.heap.peek().map(|Reverse((at, _))| *at)
-    }
-
-    /// Files a payload read whose due time is not known yet: it hangs
-    /// off fused-batch segment `seg` and becomes a timed entry when
-    /// [`DeferredReads::resolve_segments`] learns the reconstructed
-    /// segment end clocks.
-    pub fn push_unresolved(&mut self, seg: usize, addr: PhysAddr) {
-        self.unresolved.push((seg, addr));
-    }
-
-    /// Number of reads filed against unresolved segments.
-    pub fn unresolved(&self) -> usize {
-        self.unresolved.len()
-    }
-
-    /// Resolves every segment-filed read against the reconstructed
-    /// per-segment end clocks: a read filed under `seg` becomes due at
-    /// `seg_ends[seg] + delay` (the header-to-payload delay), exactly
-    /// the due the per-frame engine computes from its observed
-    /// mid-stream clock.
-    pub fn resolve_segments(&mut self, seg_ends: &[Cycles], delay: Cycles) {
-        for (seg, addr) in self.unresolved.drain(..) {
-            self.heap.push(Reverse((seg_ends[seg] + delay, addr.raw())));
-        }
     }
 
     /// Executes every read whose time has come (`at <= h.now()`),
     /// returning how many ran.
     pub fn run_due(&mut self, h: &mut Hierarchy) -> usize {
-        debug_assert!(
-            self.unresolved.is_empty(),
-            "resolve_segments before running dues: unresolved reads may be due already"
-        );
         let mut ran = 0;
         while let Some(Reverse((at, raw))) = self.heap.peek().copied() {
             if at > h.now() {
                 break;
             }
             self.heap.pop();
-            // Fault site `dropped-deferred-read`: the windowed rx
-            // engine loses one due payload read (the engine-scope gate
-            // keeps the per-frame and per-access engines honest).
+            // Fault site `dropped-deferred-read`: the rx path loses one
+            // due payload read.
             if pc_cache::fault::fires(pc_cache::fault::FaultSite::DroppedDeferredRead) {
                 continue;
             }
@@ -121,10 +85,6 @@ impl DeferredReads {
     /// Executes *all* pending reads regardless of time (end-of-experiment
     /// drain), returning how many ran.
     pub fn drain_all(&mut self, h: &mut Hierarchy) -> usize {
-        debug_assert!(
-            self.unresolved.is_empty(),
-            "resolve_segments before draining: unresolved reads have no order yet"
-        );
         let mut ran = 0;
         while let Some(Reverse((_, raw))) = self.heap.pop() {
             h.cpu_read(PhysAddr::new(raw));
@@ -152,24 +112,6 @@ mod tests {
         assert_eq!(q.next_due(), Some(100));
         h.advance(200);
         assert_eq!(q.run_due(&mut h), 1, "only the cycle-100 read is due");
-        assert!(h.llc().contains(PhysAddr::new(0x2000)));
-        assert!(!h.llc().contains(PhysAddr::new(0x1000)));
-    }
-
-    #[test]
-    fn unresolved_reads_resolve_against_segment_ends() {
-        let mut h = h();
-        let mut q = DeferredReads::new();
-        q.push_unresolved(1, PhysAddr::new(0x1000));
-        q.push_unresolved(0, PhysAddr::new(0x2000));
-        assert_eq!(q.unresolved(), 2);
-        assert_eq!(q.next_due(), None, "no time until resolution");
-        q.resolve_segments(&[400, 900], 100);
-        assert_eq!(q.unresolved(), 0);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.next_due(), Some(500), "segment 0's end + delay");
-        h.advance(600);
-        assert_eq!(q.run_due(&mut h), 1);
         assert!(h.llc().contains(PhysAddr::new(0x2000)));
         assert!(!h.llc().contains(PhysAddr::new(0x1000)));
     }

@@ -2,7 +2,7 @@
 
 use crate::alloc::PageAllocator;
 use crate::ring::{RxRing, HALF_PAGE_BYTES, RX_BUFFER_BLOCKS};
-use pc_cache::{CacheOp, Cycles, Hierarchy, OpBuffer, OpSink, PhysAddr};
+use pc_cache::{CacheOp, Cycles, Hierarchy, OpSink, PhysAddr};
 use pc_net::EthernetFrame;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -76,10 +76,8 @@ impl DriverConfig {
     /// 3. for frames at or below the copybreak (`small`), the memcpy's
     ///    source reads.
     ///
-    /// One emitter, three engines — the paths cannot diverge:
-    /// streamed through [`Hierarchy::applier`] this is
-    /// [`IgbDriver::receive`]; recorded into an [`OpBuffer`] it is the
-    /// shardable batch [`IgbDriver::receive_burst`] flushes; emitted
+    /// One emitter, two paths — they cannot diverge: streamed through
+    /// [`Hierarchy::applier`] this is [`IgbDriver::receive`]; emitted
     /// into a [`Hierarchy`] directly it *is* the per-access oracle
     /// ([`IgbDriver::receive_scalar`]).
     pub fn emit_frame_ops(
@@ -112,80 +110,14 @@ impl DriverConfig {
     /// How a frame lands in a ring buffer under this configuration:
     /// `(blocks, small)` — cache blocks occupied (truncated to the
     /// buffer) and whether the frame is at or below the copybreak.
-    /// One definition shared by every receive path and by window
-    /// planners (the `TestBed`), so the classification cannot diverge
-    /// from what [`DriverConfig::emit_frame_ops`] replays.
+    /// One definition shared by every receive path, so the
+    /// classification cannot diverge from what
+    /// [`DriverConfig::emit_frame_ops`] replays.
     pub fn frame_shape(&self, frame: EthernetFrame) -> (u32, bool) {
         (
             frame.cache_blocks().min(RX_BUFFER_BLOCKS),
             frame.bytes() <= self.copybreak,
         )
-    }
-
-    /// Number of ops [`DriverConfig::emit_frame_ops`] emits for a frame
-    /// of the given shape. Kept adjacent to the emitter so the count
-    /// cannot drift from the emission.
-    pub fn frame_op_count(&self, blocks: u32, small: bool) -> u64 {
-        let mut n = u64::from(blocks) + 1; // DMA writes + header read
-        if self.prefetch_second_block {
-            n += 1;
-        }
-        if small {
-            n += u64::from(blocks.saturating_sub(2)); // memcpy source reads
-        }
-        n
-    }
-
-    /// A lower bound on the cycles the clock moves over one frame's
-    /// receive: the per-packet overhead lead plus every emitted op at
-    /// `min_op_latency` (the cheapest latency the model can charge).
-    /// Burst window planners use this to prove a queued arrival is
-    /// already in the past without observing the mid-stream clock.
-    pub fn min_frame_cycles(&self, frame: EthernetFrame, min_op_latency: Cycles) -> Cycles {
-        let (blocks, small) = self.frame_shape(frame);
-        self.min_shape_cycles(blocks, small, min_op_latency)
-    }
-
-    /// [`DriverConfig::min_frame_cycles`] for an already-classified
-    /// frame shape — the form the `TestBed` window planner calls, since
-    /// it needs `(blocks, small)` anyway for its op-count estimate.
-    /// This is the single definition of the bound.
-    pub fn min_shape_cycles(&self, blocks: u32, small: bool, min_op_latency: Cycles) -> Cycles {
-        self.per_packet_overhead + self.frame_op_count(blocks, small) * min_op_latency
-    }
-
-    /// Upper-bound counterpart of [`DriverConfig::min_shape_cycles`]:
-    /// the per-packet overhead plus every emitted op priced at
-    /// `max_op_latency` (the costliest latency the model can charge).
-    /// Window planners use min and max together — the min proves a
-    /// queued arrival is already in the past, the max proves a pending
-    /// deferred read is still in the future — to fuse across boundaries
-    /// without observing the mid-stream clock.
-    pub fn max_shape_cycles(&self, blocks: u32, small: bool, max_op_latency: Cycles) -> Cycles {
-        self.per_packet_overhead + self.frame_op_count(blocks, small) * max_op_latency
-    }
-
-    /// The exact randomization-defense cost the driver charges when its
-    /// packet counter reaches `count` (1-based: the `count`-th packet
-    /// ever received): zero except on defense ticks. A pure function of
-    /// the configuration and the counter — the `EveryNPackets` ring
-    /// re-randomization fires on exact multiples — so window planners
-    /// fold the *exact* future defense costs into both clock bounds
-    /// instead of flushing at every tick. (The adaptive cache defense
-    /// has no term here: its period evaluations re-partition sets but
-    /// charge no cycles — their cost surfaces in stats, not the clock.)
-    pub fn defense_cost_for_packet(&self, count: u64) -> Cycles {
-        match self.randomize {
-            RandomizeMode::Off => 0,
-            RandomizeMode::EveryPacket => self.realloc_cost,
-            RandomizeMode::EveryNPackets(n) => {
-                if count.is_multiple_of(n) {
-                    self.realloc_cost * self.ring_size as Cycles
-                } else {
-                    0
-                }
-            }
-        }
     }
 
     /// Validates the configuration.
@@ -225,26 +157,6 @@ impl Default for DriverConfig {
     }
 }
 
-/// What the driver knows about a frame mid-burst, handed to the
-/// frame-extension hook of [`IgbDriver::receive_burst_with`] right
-/// after the frame's own ops were emitted (or flushed, for a deferring
-/// frame): enough for a caller to fuse its per-frame follow-up traffic
-/// — an application's payload read, a consumer touch — into the same
-/// shardable batch instead of replaying it per access afterwards.
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub struct FrameMeta {
-    /// Position of the frame within the burst (0-based).
-    pub index: usize,
-    /// Ring descriptor index the frame landed in.
-    pub buffer_index: usize,
-    /// DMA address of the buffer's first block.
-    pub buffer_addr: PhysAddr,
-    /// Cache blocks the frame occupied.
-    pub blocks: u32,
-    /// The frame was at or below the copybreak (memcpy'd and reused).
-    pub small: bool,
-}
-
 /// What happened when one frame was received.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RxEvent {
@@ -265,31 +177,6 @@ pub struct RxEvent {
     pub deferred_reads: Vec<(Cycles, PhysAddr)>,
 }
 
-/// What [`IgbDriver::receive_fused`] recorded for one frame: the ring
-/// placement and disposition (as in [`RxEvent`]) plus, for a deferring
-/// frame, *which segment* of the fused batch its payload reads hang
-/// off — the due times themselves don't exist yet; the caller
-/// reconstructs them from the segmented replay's subtotals.
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub struct FusedRxEvent {
-    /// Ring descriptor index that was filled.
-    pub buffer_index: usize,
-    /// DMA target address of the buffer's first block.
-    pub buffer_addr: PhysAddr,
-    /// Cache blocks the frame occupied.
-    pub blocks: u32,
-    /// The buffer's page was reallocated.
-    pub reallocated: bool,
-    /// The buffer flipped to the other half-page.
-    pub flipped: bool,
-    /// `Some(seg)` when the frame defers payload reads (large frame,
-    /// no DDIO): reads of blocks `2..blocks` become due
-    /// [`DriverConfig::header_to_payload_delay`] after segment `seg`'s
-    /// reconstructed end clock — the cycle the per-frame engine's
-    /// `h.now()` would have shown when it computed the dues.
-    pub deferral_segment: Option<usize>,
-}
-
 /// The driver model.
 ///
 /// One `receive` call per frame replays, against the [`Hierarchy`]:
@@ -304,12 +191,10 @@ pub struct FusedRxEvent {
 ///
 /// The memory traffic of steps 1–3 is *emitted* as a per-frame op
 /// stream (the op-stream IR; see [`pc_cache::CacheOp`]) and replayed by
-/// one of three byte-identical engines: [`IgbDriver::receive`] streams
-/// it through [`Hierarchy::applier`] (the default),
-/// [`IgbDriver::receive_burst`] fuses many frames into one shardable
-/// op batch, and [`IgbDriver::receive_scalar`] applies it one access
-/// at a time — the equivalence oracle the other two are pinned
-/// against.
+/// one of two byte-identical paths: [`IgbDriver::receive`] streams it
+/// through [`Hierarchy::applier`] (the default), and
+/// [`IgbDriver::receive_scalar`] applies it one access at a time — the
+/// equivalence oracle the fast path is pinned against.
 #[derive(Clone, Debug)]
 pub struct IgbDriver {
     cfg: DriverConfig,
@@ -318,9 +203,6 @@ pub struct IgbDriver {
     packets: u64,
     reallocations: u64,
     defense_overhead: Cycles,
-    /// Burst op batch, reused across `receive_burst` calls (capacity
-    /// carried; content never outlives one flush).
-    ops: OpBuffer,
 }
 
 impl IgbDriver {
@@ -341,7 +223,6 @@ impl IgbDriver {
             packets: 0,
             reallocations: 0,
             defense_overhead: 0,
-            ops: OpBuffer::new(),
         }
     }
 
@@ -386,9 +267,8 @@ impl IgbDriver {
         let (blocks, small) = self.cfg.frame_shape(frame);
 
         // Stream the frame's ops through the applier engine: one pass,
-        // totals flushed when the sink drops. (Per-frame batches are
-        // too small to shard; multi-frame batching is
-        // [`IgbDriver::receive_burst`].)
+        // totals flushed when the sink drops (per-frame batches are too
+        // small to shard).
         let mut sink = h.applier();
         self.cfg
             .emit_frame_ops(buffer_addr, blocks, small, &mut sink);
@@ -457,8 +337,8 @@ impl IgbDriver {
     /// delay after `now` — the cycle the driver's header reads
     /// finished. (With DDIO the blocks are already in the LLC, so those
     /// reads are silent hits and nothing defers.) One definition shared
-    /// by the per-frame and burst paths, so the due-time model cannot
-    /// diverge between them.
+    /// by both receive paths, so the due-time model cannot diverge
+    /// between them.
     fn deferred_payload_reads(
         &self,
         now: Cycles,
@@ -473,11 +353,9 @@ impl IgbDriver {
 
     /// The buffer-management tail shared by every receive path: the
     /// reuse/flip/reallocate decision and the randomization defense.
-    /// Touches only driver state and the RNG — never the hierarchy —
-    /// so the burst path can run it between emits with the replay still
-    /// pending. Returns `(reallocated, flipped, defense_cost)`; the
-    /// caller advances the clock by the cost (directly, or as a lead on
-    /// the next op).
+    /// Touches only driver state and the RNG — never the hierarchy.
+    /// Returns `(reallocated, flipped, defense_cost)`; the caller
+    /// advances the clock by the cost.
     fn frame_disposition(
         &mut self,
         rng: &mut SmallRng,
@@ -523,167 +401,6 @@ impl IgbDriver {
         }
         self.packets += 1;
         (reallocated, flipped, defense_cost)
-    }
-
-    /// Receives a burst of back-to-back frames as **one pipelined op
-    /// stream**: every frame's ops are emitted into a single batch,
-    /// defense costs become leads between frames, and the hierarchy
-    /// replays the whole stream in as few flushes as the frames allow.
-    ///
-    /// A flush is forced only when a frame must observe the mid-stream
-    /// clock — a large frame without DDIO, whose deferred payload reads
-    /// are due relative to the cycle its header reads finished. With
-    /// DDIO (the paper's main configurations) nothing in the stream
-    /// reads the clock, so the whole burst replays in one batch —
-    /// sharded by slice when it crosses the dispatch threshold.
-    ///
-    /// Byte-identical to calling [`IgbDriver::receive`] once per frame
-    /// with no observation in between: same RxEvents (deferred due
-    /// times included), same final clock, statistics, ring state and
-    /// RNG stream (`tests/batch_equivalence.rs` pins it). Callers that
-    /// interleave probes or record per-frame timestamps must keep
-    /// feeding frames one at a time.
-    pub fn receive_burst(
-        &mut self,
-        h: &mut Hierarchy,
-        frames: &[EthernetFrame],
-        rng: &mut SmallRng,
-    ) -> Vec<RxEvent> {
-        self.receive_burst_with(h, frames, rng, |_, _| {})
-    }
-
-    /// [`IgbDriver::receive_burst`] with a **frame-extension hook**: after
-    /// each frame's own ops are emitted (and, for a deferring frame,
-    /// flushed), `ext` is called with the frame's [`FrameMeta`] and the
-    /// burst's pending [`OpBuffer`], so per-frame follow-up traffic — an
-    /// application reading the payload out of the skb, a consumer
-    /// touching the delivered bytes — joins the same shardable batch.
-    ///
-    /// The hook's contract is the op-stream determinism contract: it may
-    /// emit ops and advances derived from the `FrameMeta` (and its own
-    /// state), but it must not observe the hierarchy — the pending
-    /// buffer has not replayed yet. Ops it emits land after the frame's
-    /// driver reads and before the next frame's DMA, exactly where a
-    /// per-frame caller would have issued them; defense costs still
-    /// become leads *after* the hook's ops, which only moves pure clock
-    /// advances past each other (order-independent by the contract).
-    pub fn receive_burst_with(
-        &mut self,
-        h: &mut Hierarchy,
-        frames: &[EthernetFrame],
-        rng: &mut SmallRng,
-        mut ext: impl FnMut(&FrameMeta, &mut OpBuffer),
-    ) -> Vec<RxEvent> {
-        let ddio = h.llc().mode().allocates_in_llc();
-        let mut events = Vec::with_capacity(frames.len());
-        let mut ops = std::mem::take(&mut self.ops);
-        ops.clear();
-        for (index, &frame) in frames.iter().enumerate() {
-            let idx = self.ring.advance();
-            let buffer_addr = self.ring.buffer(idx).dma_addr();
-            let (blocks, small) = self.cfg.frame_shape(frame);
-            self.cfg
-                .emit_frame_ops(buffer_addr, blocks, small, &mut ops);
-            let deferred_reads = if !small && !ddio {
-                // This frame's due time needs the clock at exactly this
-                // point of the stream: flush the pipeline up to here.
-                h.apply_ops(&ops);
-                ops.clear();
-                self.deferred_payload_reads(h.now(), buffer_addr, blocks)
-            } else {
-                Vec::new()
-            };
-            ext(
-                &FrameMeta {
-                    index,
-                    buffer_index: idx,
-                    buffer_addr,
-                    blocks,
-                    small,
-                },
-                &mut ops,
-            );
-            let (reallocated, flipped, defense_cost) = self.frame_disposition(rng, idx, small);
-            if defense_cost > 0 {
-                ops.advance(defense_cost);
-            }
-            events.push(RxEvent {
-                buffer_index: idx,
-                buffer_addr,
-                blocks,
-                reallocated,
-                flipped,
-                deferred_reads,
-            });
-        }
-        h.apply_ops(&ops);
-        ops.clear();
-        self.ops = ops;
-        events
-    }
-
-    /// Receives one frame into a caller-held fused-burst buffer without
-    /// ever observing the hierarchy — the emit half of the cross-gap
-    /// fusion pipeline.
-    ///
-    /// Opens a segment (see [`pc_cache::OpBuffer::mark_segment`]) and
-    /// emits the frame's ops into it; a deferring frame (large, no
-    /// DDIO) closes its emit with a *second* mark, so the segment's
-    /// reconstructed end clock is exactly the `h.now()` the per-frame
-    /// engine reads payload-read dues from. Defense costs are emitted
-    /// as pending advances, which the next mark (or the buffer's
-    /// trailing advance) attributes to this frame — the same
-    /// reads-then-defense order every other receive path replays.
-    ///
-    /// Ring state, RNG draws and counters advance exactly as in
-    /// [`IgbDriver::receive`]; only the replay (and therefore the
-    /// clock) is left to the caller, who runs the whole batch through
-    /// [`Hierarchy::run_ops_segmented`] and applies arrivals
-    /// retroactively per segment. `ddio` must be the replaying
-    /// hierarchy's [`pc_cache::DdioMode::allocates_in_llc`].
-    pub fn receive_fused(
-        &mut self,
-        ops: &mut OpBuffer,
-        ddio: bool,
-        frame: EthernetFrame,
-        rng: &mut SmallRng,
-    ) -> FusedRxEvent {
-        let idx = self.ring.advance();
-        let buffer_addr = self.ring.buffer(idx).dma_addr();
-        let (blocks, small) = self.cfg.frame_shape(frame);
-        ops.mark_segment();
-        self.cfg.emit_frame_ops(buffer_addr, blocks, small, ops);
-        let deferral_segment = if !small && !ddio {
-            let mut seg = ops.segments() - 1;
-            // Fault site `stale-deferred-segment-index`: the fused
-            // receive files a keyed deferral under the previous
-            // segment, so its due reconstructs from the wrong segment
-            // base and the payload reads replay too early.
-            if pc_cache::fault::fires_keyed(
-                pc_cache::fault::FaultSite::StaleDeferredSegmentIndex,
-                seg as u64,
-            ) {
-                seg = seg.saturating_sub(1);
-            }
-            // Close the emit here: the dues hang off this boundary's
-            // reconstructed clock, the defense cost lands after it.
-            ops.mark_segment();
-            Some(seg)
-        } else {
-            None
-        };
-        let (reallocated, flipped, defense_cost) = self.frame_disposition(rng, idx, small);
-        if defense_cost > 0 {
-            ops.advance(defense_cost);
-        }
-        FusedRxEvent {
-            buffer_index: idx,
-            buffer_addr,
-            blocks,
-            reallocated,
-            flipped,
-            deferral_segment,
-        }
     }
 
     /// Replaces the page behind descriptor `idx` with a fresh one.

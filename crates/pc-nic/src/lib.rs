@@ -51,8 +51,6 @@ mod rss;
 
 pub use alloc::{PageAllocator, PageRef};
 pub use deferred::DeferredReads;
-pub use driver::{
-    DriverConfig, FrameMeta, FusedRxEvent, IgbDriver, RandomizeMode, RxEvent, MAX_RING_DESCRIPTORS,
-};
+pub use driver::{DriverConfig, IgbDriver, RandomizeMode, RxEvent, MAX_RING_DESCRIPTORS};
 pub use ring::{RxBuffer, RxRing, HALF_PAGE_BYTES, RX_BUFFER_BLOCKS};
 pub use rss::{RssConfig, MAX_RSS_QUEUES};

@@ -120,57 +120,6 @@ fn batched_receive_is_byte_identical_to_per_access_receive() {
     }
 }
 
-/// The pipelined burst path against the per-access oracle: bursts of
-/// mixed frames (forcing mid-burst flushes in `Disabled` mode, pure
-/// single-batch replay with DDIO) must leave everything byte-identical
-/// — per-frame events with their deferred due times, clock, stats,
-/// ring, RNG stream — for every mode × defense.
-#[test]
-fn burst_receive_is_byte_identical_to_per_access_receive() {
-    let frames: Vec<pc_net::EthernetFrame> = frame_sizes()
-        .iter()
-        .map(|&b| pc_net::EthernetFrame::new(b).expect("legal size"))
-        .collect();
-    for mode in all_modes() {
-        for randomize in all_randomize() {
-            let (mut h_b, mut drv_b, mut rng_b) = machine(mode, randomize, 0.05);
-            let (mut h_s, mut drv_s, mut rng_s) = machine(mode, randomize, 0.05);
-            for (i, burst) in frames.chunks(97).enumerate() {
-                let evs_b = drv_b.receive_burst(&mut h_b, burst, &mut rng_b);
-                let evs_s: Vec<RxEvent> = burst
-                    .iter()
-                    .map(|&f| drv_s.receive_scalar(&mut h_s, f, &mut rng_s))
-                    .collect();
-                assert_eq!(evs_b, evs_s, "burst {i} diverged: {mode:?} {randomize:?}");
-                assert_eq!(
-                    h_b.now(),
-                    h_s.now(),
-                    "clock diverged after burst {i}: {mode:?} {randomize:?}"
-                );
-            }
-            assert_eq!(
-                h_b.llc().stats(),
-                h_s.llc().stats(),
-                "{mode:?} {randomize:?}"
-            );
-            assert_eq!(
-                h_b.memory_stats(),
-                h_s.memory_stats(),
-                "{mode:?} {randomize:?}"
-            );
-            assert_eq!(
-                drv_b.ring().page_addresses(),
-                drv_s.ring().page_addresses(),
-                "ring placement diverged: {mode:?} {randomize:?}"
-            );
-            assert_eq!(
-                drv_b.defense_overhead_cycles(),
-                drv_s.defense_overhead_cycles()
-            );
-        }
-    }
-}
-
 /// The buffer contents the frames left behind must agree too — residency
 /// is what the spy observes, so it gets its own check over every block
 /// the largest frame touches.

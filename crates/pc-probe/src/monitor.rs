@@ -181,13 +181,9 @@ impl SampleMatrix {
 /// deliveries between samples; see the test-bed in `pc-core`.
 ///
 /// A probe epoch observes a synchronized machine: `TestBed::advance_to`
-/// returns with every pending frame op applied and every frame's clock
-/// reconstructed, so the probe never sees a half-replayed window —
-/// whatever engine delivers the frames. Since the bed's windowed
-/// engine fuses across gaps and reconstructs clocks retroactively,
-/// epochs cost only that synchronization, not a per-gap flush cascade.
-/// The monitor plays the same per-segment trick *inside* an epoch:
-/// when every target's threshold separates hit from miss in the
+/// returns with every delivered frame's ops applied, so the probe never
+/// sees a half-replayed frame. Inside an epoch the monitor fuses its
+/// probes: when every target's threshold separates hit from miss in the
 /// latency model (every calibrated threshold does), one
 /// [`Monitor::sample`] concatenates all targets' probe walks into a
 /// single segmented batch — one `pc_cache::TraceSummary` per target,
