@@ -18,7 +18,7 @@
 //! does this for `BENCH_cache.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pc_bench::cache_bench::{cases, SHARD_CHUNK};
+use pc_bench::cache_bench::cases;
 use pc_cache::reference::ReferenceCache;
 use pc_cache::{CacheGeometry, SlicedCache};
 
@@ -59,58 +59,9 @@ fn access_reference(c: &mut Criterion) {
     group.finish();
 }
 
-/// The batch entry point on the same traces (amortized call overhead).
-///
-/// Chunking mirrors how drivers feed the batch API; adaptation cadence
-/// is chunk-independent (each slice's defense clock ticks per access
-/// it receives), so this group stays comparable to the scalar one at
-/// any chunk size.
-fn access_batch(c: &mut Criterion) {
-    const CHUNK: usize = 512;
-    let mut group = c.benchmark_group("cache_access_batch");
-    group.sample_size(10);
-    for (name, ops, mode) in cases() {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &mode, |b, &mode| {
-            let mut llc = SlicedCache::new(CacheGeometry::xeon_e5_2660(), mode);
-            b.iter(|| {
-                let mut hits = 0u64;
-                for chunk in ops.chunks(CHUNK) {
-                    hits += llc.access_batch(chunk).hits;
-                }
-                hits
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The slice-sharded parallel engine on the same traces: bins by slice
-/// hash and replays shards on `pc_par::max_threads()` workers
-/// (`PC_BENCH_THREADS=1` pins it to the sequential walk). Results are
-/// byte-identical to `cache_access`; only wall clock differs — this
-/// group is the multi-core scaling measurement.
-fn access_sharded(c: &mut Criterion) {
-    let threads = pc_par::max_threads();
-    let mut group = c.benchmark_group("cache_access_sharded");
-    group.sample_size(10);
-    for (name, ops, mode) in cases() {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &mode, |b, &mode| {
-            let mut llc = SlicedCache::new(CacheGeometry::xeon_e5_2660(), mode);
-            b.iter(|| {
-                let mut hits = 0u64;
-                for chunk in ops.chunks(SHARD_CHUNK) {
-                    hits += llc.access_batch_threads(chunk, threads).hits;
-                }
-                hits
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = access_soa, access_batch, access_sharded, access_reference
+    targets = access_soa, access_reference
 }
 criterion_main!(benches);

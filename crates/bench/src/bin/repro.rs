@@ -30,18 +30,17 @@
 //! Output is plain text with CSV-style rows, matching the series the
 //! paper reports. `--full` uses paper-like parameters (minutes);
 //! the default quick scale finishes in seconds per experiment.
-//! Experiments with independent repetitions fan them out over threads,
-//! and the LLC itself simulates slice-parallel (set `PC_BENCH_THREADS=1`
-//! to force sequential execution); *stdout is byte-identical either
-//! way* — the CI determinism job diffs two full runs to enforce it.
+//! Experiments with independent repetitions fan them out over threads
+//! (set `PC_BENCH_THREADS=1` to force sequential execution); *stdout
+//! is byte-identical either way* — the CI determinism job diffs two
+//! full runs to enforce it.
 //! Timing chatter goes to stderr so it never perturbs the comparison.
 //!
 //! `bench-cache` times the LLC hot path (scalar SoA loop, the
-//! slice-sharded batch engine, the sharded `run_trace` replay — now
-//! parallel in every DDIO mode, adaptive included — and the
-//! pre-refactor reference layout; 9 trace/mode cases) plus the
-//! end-to-end `IgbDriver` receive path on both replay paths
-//! (streaming / per-access oracle, per DDIO mode) and writes
+//! `run_trace` replay and the pre-refactor reference layout; 9
+//! trace/mode cases) plus the end-to-end `IgbDriver` receive path on
+//! both replay paths (streaming / per-access oracle, per DDIO mode)
+//! and writes
 //! `BENCH_cache.json` next to the working directory so the perf
 //! trajectory is tracked machine-readably from PR to PR (see
 //! `crates/bench/README.md` for the schema). `--smoke` shrinks it to a
@@ -192,6 +191,14 @@ fn main() {
         "fig15",
         "fig16",
     ];
+    // Every name is checked before the first experiment runs, so a typo
+    // late in the list cannot follow a full report with exit 2.
+    if let Some(bad) = cmds
+        .iter()
+        .find(|c| !matches!(c.as_str(), "all" | "bench-cache") && !all.contains(&c.as_str()))
+    {
+        die(&format!("unknown experiment `{bad}` (try --help)"));
+    }
     let selected: Vec<&str> = if cmds.iter().any(|c| c == "all") {
         all.to_vec()
     } else {
@@ -218,7 +225,7 @@ fn main() {
             "fig15" => fig15(scale, seed),
             "fig16" => fig16(scale, seed),
             "bench-cache" => bench_cache(scale, smoke),
-            other => die(&format!("unknown experiment `{other}` (try --help)")),
+            other => unreachable!("experiment `{other}` was validated above"),
         }
         // Wall-clock chatter goes to stderr: stdout must be byte-stable
         // across runs and thread counts (the CI determinism job diffs it).
@@ -560,7 +567,7 @@ fn print_fig16_row(name: &str, vals: &[f64]) {
 }
 
 fn bench_cache(scale: Scale, smoke: bool) {
-    println!("LLC hot path — scalar SoA / sharded batch / sharded trace replay / reference");
+    println!("LLC hot path — scalar SoA / trace replay / reference");
     let (samples, trace_len) = if smoke {
         (1, pc_bench::cache_bench::TRACE_LEN / 4)
     } else {
@@ -575,28 +582,15 @@ fn bench_cache(scale: Scale, smoke: bool) {
         pc_bench::cache_bench::DRIVER_PACKETS
     };
     let results = pc_bench::cache_bench::measure_all(samples, trace_len);
-    println!(
-        "case,soa_ns_per_access,sharded_ns_per_access,parallel_speedup,\
-         trace_ns_per_access,trace_parallel_speedup,\
-         reference_ns_per_access,speedup"
-    );
+    println!("case,soa_ns_per_access,trace_ns_per_access,reference_ns_per_access,speedup");
     for r in &results {
         println!(
-            "{},{:.1},{:.1},{:.2}x,{:.1},{:.2}x,{:.1},{:.2}x",
+            "{},{:.1},{:.1},{:.1},{:.2}x",
             r.case,
             r.soa_ns_per_access,
-            r.sharded_ns_per_access,
-            r.parallel_speedup(),
             r.trace_ns_per_access,
-            r.trace_parallel_speedup(),
             r.reference_ns_per_access,
             r.speedup()
-        );
-    }
-    for m in pc_bench::cache_bench::mode_speedups(&results) {
-        println!(
-            "# mode {}: batch parallel_speedup {:.2}x, trace parallel_speedup {:.2}x (geomean over shapes)",
-            m.mode, m.parallel_speedup, m.trace_parallel_speedup
         );
     }
     // The end-to-end driver engine: one frame at a time through the

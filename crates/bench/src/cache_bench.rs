@@ -5,17 +5,12 @@
 //! `repro bench-cache` subcommand (emits `BENCH_cache.json` so the perf
 //! trajectory is tracked across PRs on one fixed workload).
 //!
-//! Four engines are timed on every (shape, mode) case:
+//! Three engines are timed on every (shape, mode) case:
 //!
-//! * `soa` — the scalar access loop over the SoA store (one thread);
-//! * `sharded` — the same store replayed through the slice-sharded
-//!   batch dispatcher on [`pc_par::max_threads`] workers (byte-identical
-//!   results);
+//! * `soa` — the scalar access loop over the SoA store;
 //! * `trace` — the clock-advancing [`pc_cache::Hierarchy::run_trace`]
-//!   replay, also sharded; this is the engine trace-replay workloads
-//!   actually use, and since the adaptive defense moved to per-slice
-//!   access-count period clocks it parallelizes in **every** DDIO mode
-//!   (the adaptive cases used to be pinned to one core);
+//!   replay over the same store, the engine trace-replay workloads
+//!   actually use (latency accounting and memory statistics live);
 //! * `reference` — the pre-refactor per-set-object layout.
 
 use pc_cache::reference::ReferenceCache;
@@ -28,15 +23,6 @@ use std::time::Instant;
 
 /// Accesses per generated trace (full runs; `--smoke` shortens it).
 pub const TRACE_LEN: usize = 200_000;
-
-/// Ops per sharded batch: large enough to amortize the per-batch
-/// dispatch (worker hand-off plus each worker's binning scan), small
-/// enough to model a driver that batches at realistic granularity.
-/// Adaptation cadence does not depend on the chunking — each slice's
-/// defense clock ticks per access it receives, wherever the batch
-/// boundaries fall. Public so the `cache_throughput` Criterion bench
-/// replays the exact same batch shape.
-pub const SHARD_CHUNK: usize = 32_768;
 
 /// Trace shapes covering the reproduction's real access patterns.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
@@ -157,29 +143,17 @@ pub struct CaseResult {
     pub case: String,
     /// Median ns/access for the scalar SoA access loop.
     pub soa_ns_per_access: f64,
-    /// Median ns/access for the slice-sharded batch engine.
-    pub sharded_ns_per_access: f64,
-    /// Median ns/access for the sharded `Hierarchy::run_trace` replay —
-    /// the path trace workloads actually take, parallel in every mode.
+    /// Median ns/access for the `Hierarchy::run_trace` replay — the
+    /// path trace workloads actually take.
     pub trace_ns_per_access: f64,
     /// Median ns/access for the pre-refactor reference layout.
     pub reference_ns_per_access: f64,
 }
 
 impl CaseResult {
-    /// The case's DDIO-mode half (`disabled` / `enabled` / `adaptive`).
-    pub fn mode_name(&self) -> &str {
-        self.case.split('/').nth(1).unwrap_or(&self.case)
-    }
-
     /// SoA accesses/second.
     pub fn soa_accesses_per_sec(&self) -> f64 {
         1e9 / self.soa_ns_per_access
-    }
-
-    /// Sharded-engine accesses/second.
-    pub fn sharded_accesses_per_sec(&self) -> f64 {
-        1e9 / self.sharded_ns_per_access
     }
 
     /// reference_ns / soa_ns — the PR 1 layout speedup.
@@ -187,76 +161,17 @@ impl CaseResult {
         self.reference_ns_per_access / self.soa_ns_per_access
     }
 
-    /// soa_ns / sharded_ns — multi-core scaling of the batch dispatcher
-    /// (≈1.0 on a single-core host or with `PC_BENCH_THREADS=1`).
-    pub fn parallel_speedup(&self) -> f64 {
-        self.soa_ns_per_access / self.sharded_ns_per_access
-    }
-
-    /// soa_ns / trace_ns — multi-core scaling of the clock-advancing
-    /// trace replay (the adaptive rows of this column are the
-    /// slice-parallel adaptive path's win; ≈1.0 single-core).
-    pub fn trace_parallel_speedup(&self) -> f64 {
-        self.soa_ns_per_access / self.trace_ns_per_access
-    }
-
     /// `true` when every timing is a usable measurement (finite,
     /// positive). The `--smoke` CI gate fails the run otherwise.
     pub fn is_sane(&self) -> bool {
         [
             self.soa_ns_per_access,
-            self.sharded_ns_per_access,
             self.trace_ns_per_access,
             self.reference_ns_per_access,
         ]
         .iter()
         .all(|ns| ns.is_finite() && *ns > 0.0)
     }
-}
-
-/// Per-mode scaling summary: the geometric mean, over a mode's trace
-/// shapes, of the batch-dispatcher and trace-replay parallel speedups.
-#[derive(Clone, Debug)]
-pub struct ModeSpeedup {
-    /// DDIO mode name (`disabled` / `enabled` / `adaptive`).
-    pub mode: String,
-    /// Geomean of [`CaseResult::parallel_speedup`] over the shapes.
-    pub parallel_speedup: f64,
-    /// Geomean of [`CaseResult::trace_parallel_speedup`].
-    pub trace_parallel_speedup: f64,
-}
-
-/// Folds per-case results into one [`ModeSpeedup`] row per DDIO mode,
-/// in [`modes`] order. Modes with no measured case are omitted rather
-/// than reported as a fabricated 1.00× geomean.
-pub fn mode_speedups(results: &[CaseResult]) -> Vec<ModeSpeedup> {
-    let geomean =
-        |vals: &[f64]| (vals.iter().map(|v| v.ln()).sum::<f64>() / vals.len() as f64).exp();
-    modes()
-        .iter()
-        .filter_map(|(name, _)| {
-            let of_mode: Vec<&CaseResult> =
-                results.iter().filter(|r| r.mode_name() == *name).collect();
-            if of_mode.is_empty() {
-                return None;
-            }
-            Some(ModeSpeedup {
-                mode: (*name).to_owned(),
-                parallel_speedup: geomean(
-                    &of_mode
-                        .iter()
-                        .map(|r| r.parallel_speedup())
-                        .collect::<Vec<_>>(),
-                ),
-                trace_parallel_speedup: geomean(
-                    &of_mode
-                        .iter()
-                        .map(|r| r.trace_parallel_speedup())
-                        .collect::<Vec<_>>(),
-                ),
-            })
-        })
-        .collect()
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -300,43 +215,25 @@ fn time_reference(ops: &[CacheOp], mode: DdioMode, samples: usize) -> f64 {
     })
 }
 
-/// Times the slice-sharded batch engine: the trace replays in
-/// [`SHARD_CHUNK`]-op batches on up to `threads` workers. Results are
-/// byte-identical to the scalar loop; only wall clock differs.
-fn time_sharded(ops: &[CacheOp], mode: DdioMode, samples: usize, threads: usize) -> f64 {
-    let mut llc = SlicedCache::new(CacheGeometry::xeon_e5_2660(), mode);
-    time_passes(ops, samples, |ops| {
-        for chunk in ops.chunks(SHARD_CHUNK) {
-            llc.access_batch_threads(chunk, threads);
-        }
-    })
-}
-
-/// Times the clock-advancing trace replay (`Hierarchy::run_trace`) in
-/// the same [`SHARD_CHUNK`] batches on up to `threads` workers —
-/// latency accounting, memory-controller stats and (in adaptive mode)
-/// per-slice defense clocks all live, exactly as the fig14–16 defense
-/// workloads drive it.
-fn time_trace(ops: &[CacheOp], mode: DdioMode, samples: usize, threads: usize) -> f64 {
+/// Times the clock-advancing trace replay (`Hierarchy::run_trace`),
+/// one call per pass — latency accounting, memory-controller stats and
+/// (in adaptive mode) per-slice defense clocks all live, exactly as the
+/// fig14–16 defense workloads drive it.
+fn time_trace(ops: &[CacheOp], mode: DdioMode, samples: usize) -> f64 {
     let mut h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), mode);
     time_passes(ops, samples, |ops| {
-        for chunk in ops.chunks(SHARD_CHUNK) {
-            h.run_trace_threads(chunk, threads);
-        }
+        h.run_trace(ops.iter().copied());
     })
 }
 
-/// Measures every case on all four engines (`samples` timed passes
-/// each, median reported) with `len`-op traces. The parallel engines
-/// use [`pc_par::max_threads`] workers.
+/// Measures every case on all three engines (`samples` timed passes
+/// each, median reported) with `len`-op traces.
 pub fn measure_all(samples: usize, len: usize) -> Vec<CaseResult> {
-    let threads = pc_par::max_threads();
     cases_with_len(len)
         .into_iter()
         .map(|(case, ops, mode)| CaseResult {
             soa_ns_per_access: time_soa(&ops, mode, samples),
-            sharded_ns_per_access: time_sharded(&ops, mode, samples, threads),
-            trace_ns_per_access: time_trace(&ops, mode, samples, threads),
+            trace_ns_per_access: time_trace(&ops, mode, samples),
             reference_ns_per_access: time_reference(&ops, mode, samples),
             case,
         })
@@ -589,8 +486,8 @@ pub fn adaptive_driver_tax(drivers: &[DriverResult]) -> Option<f64> {
 }
 
 /// Renders results as the `BENCH_cache.json` document (schema
-/// `pc-bench-cache-v9`; the `trace_*` fields, the per-mode `modes`
-/// summary, the end-to-end `driver` rows — annotated with the
+/// `pc-bench-cache-v10`; the `trace_*` fields, the end-to-end `driver`
+/// rows — annotated with the
 /// measuring host's `host_threads` — the per-scenario `scenarios`
 /// wall-clock rows, the `fleet` entry and the `adaptive_driver_tax`
 /// ratio are documented in `crates/bench/README.md`).
@@ -604,20 +501,9 @@ pub fn to_json(
     use std::fmt::Write as _;
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"pc-bench-cache-v9\",");
+    let _ = writeln!(s, "  \"schema\": \"pc-bench-cache-v10\",");
     let _ = writeln!(s, "  \"trace_len\": {trace_len},");
     let _ = writeln!(s, "  \"threads\": {},", pc_par::max_threads());
-    s.push_str("  \"modes\": [\n");
-    let per_mode = mode_speedups(results);
-    for (i, m) in per_mode.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"mode\": \"{}\", \"parallel_speedup\": {:.2}, \"trace_parallel_speedup\": {:.2}}}",
-            m.mode, m.parallel_speedup, m.trace_parallel_speedup
-        );
-        s.push_str(if i + 1 < per_mode.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
     s.push_str("  \"driver\": [\n");
     for (i, d) in drivers.iter().enumerate() {
         let _ = write!(
@@ -654,15 +540,11 @@ pub fn to_json(
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"case\": \"{}\", \"soa_ns_per_access\": {:.2}, \"soa_accesses_per_sec\": {:.0}, \"sharded_ns_per_access\": {:.2}, \"sharded_accesses_per_sec\": {:.0}, \"parallel_speedup\": {:.2}, \"trace_ns_per_access\": {:.2}, \"trace_parallel_speedup\": {:.2}, \"reference_ns_per_access\": {:.2}, \"speedup\": {:.2}}}",
+            "    {{\"case\": \"{}\", \"soa_ns_per_access\": {:.2}, \"soa_accesses_per_sec\": {:.0}, \"trace_ns_per_access\": {:.2}, \"reference_ns_per_access\": {:.2}, \"speedup\": {:.2}}}",
             r.case,
             r.soa_ns_per_access,
             r.soa_accesses_per_sec(),
-            r.sharded_ns_per_access,
-            r.sharded_accesses_per_sec(),
-            r.parallel_speedup(),
             r.trace_ns_per_access,
-            r.trace_parallel_speedup(),
             r.reference_ns_per_access,
             r.speedup()
         );
@@ -686,7 +568,6 @@ mod tests {
         CaseResult {
             case: case.into(),
             soa_ns_per_access: 50.0,
-            sharded_ns_per_access: 25.0,
             trace_ns_per_access: 10.0,
             reference_ns_per_access: 150.0,
         }
@@ -724,8 +605,7 @@ mod tests {
         let sc = vec![scenario_result("kv-store")];
         let s = to_json(&r, &d, &sc, &fleet_result(), TRACE_LEN);
         assert!(s.contains("\"speedup\": 3.00"));
-        assert!(s.contains("\"parallel_speedup\": 2.00"));
-        assert!(s.contains("\"trace_parallel_speedup\": 5.00"));
+        assert!(s.contains("\"trace_ns_per_access\": 10.00"));
         assert!(s.contains("\"mode\": \"enabled\""));
         assert!(
             !s.contains("\"mode\": \"adaptive\""),
@@ -734,7 +614,7 @@ mod tests {
         assert!(s.contains("\"driver_ns_per_packet\": 200.0"));
         assert!(s.contains("\"driver_speedup\": 1.20"));
         assert!(s.contains("\"host_threads\": 4"));
-        assert!(s.contains("pc-bench-cache-v9"));
+        assert!(s.contains("pc-bench-cache-v10"));
         assert!(s.contains("\"scenario\": \"kv-store\", \"wall_ms\": 12.5"));
         assert!(s.contains(
             "\"fleet\": {\"tenants\": 64, \"tenants_per_sec\": 40.0, \"packets_per_sec\": 2000000}"
@@ -805,27 +685,13 @@ mod tests {
     fn sanity_gate_rejects_bogus_timings() {
         let mut r = result("stream/enabled");
         assert!(r.is_sane());
-        r.sharded_ns_per_access = 0.0;
+        r.trace_ns_per_access = 0.0;
         assert!(!r.is_sane());
-        r.sharded_ns_per_access = f64::NAN;
+        r.trace_ns_per_access = f64::NAN;
         assert!(!r.is_sane());
-        r.sharded_ns_per_access = 25.0;
-        r.trace_ns_per_access = -1.0;
+        r.trace_ns_per_access = 10.0;
+        r.soa_ns_per_access = -1.0;
         assert!(!r.is_sane());
-    }
-
-    #[test]
-    fn mode_speedups_fold_per_mode() {
-        let mut stream = result("stream/adaptive");
-        let mut resident = result("resident/adaptive");
-        stream.trace_ns_per_access = 25.0; // 2× trace speedup
-        resident.trace_ns_per_access = 6.25; // 8× trace speedup
-        let rows = mode_speedups(&[stream, resident, result("conflict/enabled")]);
-        assert_eq!(rows.len(), 2, "disabled has no cases and is omitted");
-        let adaptive = rows.iter().find(|m| m.mode == "adaptive").unwrap();
-        // Geomean of 2× and 8× is 4×.
-        assert!((adaptive.trace_parallel_speedup - 4.0).abs() < 1e-9);
-        assert!((adaptive.parallel_speedup - 2.0).abs() < 1e-9);
     }
 
     #[test]

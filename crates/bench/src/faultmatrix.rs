@@ -14,8 +14,8 @@
 //!
 //! * `ops` — the op-stream differential from
 //!   `crates/pc-cache/tests/fault_kill.rs`: four engines (per-access
-//!   oracle, streaming applier, buffered batch, pinned two-worker
-//!   sharded replay) replay seeded fuzz streams over carried state and
+//!   oracle, streaming applier, buffered batch, unbuffered `run_trace`
+//!   replay) replay seeded fuzz streams over carried state and
 //!   are compared on clock, memory traffic, merged and per-slice
 //!   statistics, and residency.
 //! * `driver` — a compact `pc-nic` batch-equivalence pass: batched
@@ -25,12 +25,10 @@
 //!   comparison from `crates/core/tests/fault_kill_rx.rs`, the rx-path
 //!   detector for `dropped-deferred-read`.
 //! * `monitor` — the attacker pool's eviction-set memo against the
-//!   memo-free oracle walk, then the fused multi-target probe sample
-//!   (`pc_probe::Monitor`) against per-target probing on a cloned
-//!   machine, mirroring `crates/pc-probe/tests/fault_kill_probe.rs` —
-//!   the only detector that exercises `stale-eviction-memo` and
-//!   `cross-epoch-misclassify`, whose mutations live in the memo lookup
-//!   and the fused per-segment classification alone.
+//!   memo-free oracle walk, mirroring
+//!   `crates/pc-probe/tests/fault_kill_probe.rs` — the only detector
+//!   that exercises `stale-eviction-memo`, whose mutation lives in the
+//!   memo lookup alone.
 //! * `golden` — the scenario registry at the blessed parameters
 //!   (`Scale::Quick`, seed 2020) byte-compared against the snapshots
 //!   in `tests/golden/` (`fingerprint` is excluded: it costs more than
@@ -52,7 +50,7 @@ use pc_cache::{
 use pc_core::{RxRecord, TestBed, TestBedConfig};
 use pc_net::{EthernetFrame, ScheduledFrame};
 use pc_nic::{DeferredReads, DriverConfig, IgbDriver, PageAllocator, RandomizeMode, RxEvent};
-use pc_probe::{oracle_eviction_sets, AddressPool, Monitor, MonitorTarget};
+use pc_probe::{oracle_eviction_sets, AddressPool};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -224,7 +222,7 @@ fn op_stream_differential() -> Option<String> {
         let mut oracle = Hierarchy::new(geom, mode);
         let mut streaming = Hierarchy::new(geom, mode);
         let mut batch = Hierarchy::new(geom, mode);
-        let mut sharded = Hierarchy::new(geom, mode);
+        let mut traced = Hierarchy::new(geom, mode);
         let mut buf = OpBuffer::new();
         for round in 0..6u64 {
             let ops = fuzz_stream(pc_par::mix_seed(0xD1FF, round), 6000);
@@ -245,12 +243,12 @@ fn op_stream_differential() -> Option<String> {
             }
             buf.advance(17);
             batch.run_ops(&buf);
-            sharded.run_trace_threads(&ops, 2);
-            sharded.advance(17);
+            traced.run_trace(ops.iter().copied());
+            traced.advance(17);
             for (name, h) in [
                 ("streaming", &streaming),
                 ("batch", &batch),
-                ("sharded", &sharded),
+                ("traced", &traced),
             ] {
                 if let Some(d) = hierarchy_differs(&oracle, h, &ops) {
                     return Some(format!("{mode:?} round {round}: {name} vs oracle: {d}"));
@@ -523,22 +521,15 @@ fn testbed_trajectory() -> Option<String> {
     None
 }
 
-// --- suite `monitor`: memo vs walk, fused sample vs per-target -----
+// --- suite `monitor`: eviction-set memo vs walk --------------------
 
-/// First the pool's eviction-set memo against the memo-free walk: every
-/// slice of 16 set indices, asked twice (a fill, then all hits, so
-/// every neighbour a stale hit could serve is memoized). The walk never
+/// The pool's eviction-set memo against the memo-free walk: every slice
+/// of 16 set indices, asked twice (a fill, then all hits, so every
+/// neighbour a stale hit could serve is memoized). The walk never
 /// consults the memo hook, so it is the oracle for
-/// `stale-eviction-memo`. Then the fused multi-target probe sample
-/// against per-target probing on a cloned machine: 32 monitored sets
-/// (every keyed modulus in the catalog fires within the first 32 keys),
-/// with NIC writes landing on a rotating third of the victims between
-/// samples. The per-target path never consults the fused
-/// classification hook, so it is the oracle for
-/// `cross-epoch-misclassify` — and the comparison doubles as a
-/// fusion-equivalence regression (clock and statistics included).
+/// `stale-eviction-memo`.
 fn monitor_differential() -> Option<String> {
-    let mut h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
+    let h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
     let pool = AddressPool::allocate(6, 16384);
     let memo_targets: Vec<SliceSet> = (0..16)
         .flat_map(|i| (0..8).map(move |slice| SliceSet::new(slice, i * 128 + i)))
@@ -547,51 +538,6 @@ fn monitor_differential() -> Option<String> {
     for call in 0..2 {
         if pool.memoized_oracle_sets(h.llc(), &memo_targets) != walked {
             return Some(format!("memoized eviction sets diverged (call {call})"));
-        }
-    }
-    let mut victims: Vec<PhysAddr> = Vec::new();
-    let mut targets = Vec::new();
-    for page in 0..4000u64 {
-        if targets.len() >= 32 {
-            break;
-        }
-        let v = PhysAddr::new(page * 4096);
-        let ss = h.llc().locate(v);
-        if victims.iter().any(|&p| h.llc().locate(p) == ss) {
-            continue;
-        }
-        let set = oracle_eviction_sets(h.llc(), &pool, &[ss]).remove(0);
-        targets.push(MonitorTarget::new(
-            targets.len(),
-            set,
-            h.latencies().miss_threshold(),
-        ));
-        victims.push(v);
-    }
-    let m = Monitor::new(targets);
-    m.prime_all(&mut h);
-    let _ = m.sample_misses(&mut h); // settle the primed state
-    for round in 0..3usize {
-        for (i, &v) in victims.iter().enumerate() {
-            if i % 3 == round {
-                h.io_write(v);
-            }
-        }
-        let mut oracle = h.clone();
-        let fused = m.sample_misses(&mut h);
-        let split: Vec<u32> = m
-            .targets()
-            .iter()
-            .map(|t| t.probe.probe(&mut oracle).misses)
-            .collect();
-        if fused != split {
-            return Some(format!("fused sample row diverged (round {round})"));
-        }
-        if h.now() != oracle.now() {
-            return Some(format!("clock after fused sample (round {round})"));
-        }
-        if h.llc().stats() != oracle.llc().stats() {
-            return Some(format!("LLC stats after fused sample (round {round})"));
         }
     }
     None

@@ -1,9 +1,10 @@
 //! Thread-parallel execution of independent experiment repetitions.
 //!
 //! This module is a facade over [`pc_par`], the workspace-wide parallel
-//! substrate (the sharded LLC engine in `pc-cache` and the fingerprint
-//! capture loop in `pc-core` use the same primitives, so
-//! `PC_BENCH_THREADS` governs every parallel path from one place).
+//! substrate (the fleet's tenants, the fingerprint capture loop in
+//! `pc-core` and Figure 16's defenses in `pc-defense` use the same
+//! primitives, so `PC_BENCH_THREADS` governs every parallel path from
+//! one place).
 //!
 //! Every experiment in [`crate::experiments`] is a pure function of its
 //! seed: repetitions share no state, so they can run on separate OS

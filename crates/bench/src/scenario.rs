@@ -3,12 +3,12 @@
 //!
 //! A [`ScenarioSpec`] is a named, seeded, scale-aware end-to-end
 //! workload description — mix weights, arrival process, duration, DDIO
-//! mode sweep — driven through the op-stream pipeline (batched driver
-//! receive, fused monitor primes, sharded trace replay). The registry
-//! unifies what used to be two separate worlds — the `pc-net` traffic
-//! generators (web traces, line-rate models, covert symbol streams)
-//! and the `pc-defense` measurement workloads (nginx, TCP receive,
-//! file copy) — behind `repro scenario <name>`, and the same specs are
+//! mode sweep — driven through the op-stream pipeline (streaming driver
+//! receive, batched monitor primes, the sequential trace replay). The
+//! registry unifies what used to be two separate worlds — the `pc-net`
+//! traffic generators (web traces, line-rate models, covert symbol
+//! streams) and the `pc-defense` measurement workloads (nginx, TCP
+//! receive, file copy) — behind `repro scenario <name>`, and the same specs are
 //! what the fleet driver (`crate::fleet`) composes into tenant
 //! templates: re-seeded, re-scaled, pinned to one DDIO mode.
 //!

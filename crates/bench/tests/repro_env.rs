@@ -1,6 +1,7 @@
 //! `repro` validates its configuration once, at startup: a bad
 //! `PC_BENCH_THREADS`, `PC_RSS_QUEUES` or `PC_FAULT`, a `--tenants`
-//! count above the fleet cap, or an unknown option exits 2 with one
+//! count above the fleet cap, an unknown option or an unknown
+//! experiment name anywhere in the list exits 2 with one
 //! `repro:` line on stderr, before any output and without a panic or
 //! an allocation abort.
 
@@ -75,6 +76,16 @@ fn unknown_options_exit_2_with_one_line() {
     ] {
         let out = repro(&[], args);
         assert_one_line_exit_2(&out, &args.join(" "), args[0]);
+    }
+}
+
+#[test]
+fn unknown_experiments_exit_2_before_any_report() {
+    // Names are checked up front: a typo after a valid experiment must
+    // not print that experiment's report first.
+    for args in [&["fig5", "bogus"][..], &["bogus"], &["all", "bogus"]] {
+        let out = repro(&[], args);
+        assert_one_line_exit_2(&out, &args.join(" "), "`bogus`");
     }
 }
 

@@ -32,7 +32,8 @@
 //!   the `nth` consultation after arming (`nth` derived from the
 //!   fault seed when not given). *Keyed* sites fire as a pure
 //!   function of the consulted key — `mix_seed(seed, key) % m == 0` —
-//!   so parallel engines fire identically under any thread schedule.
+//!   so a keyed site mutates the same keys in every run, whatever the
+//!   experiment-level thread count.
 //!
 //! ## Adding a site
 //!
@@ -54,8 +55,8 @@ use std::sync::Mutex;
 /// site ever mutates it.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub enum Engine {
-    /// The batched replay paths (`run_ops`, `run_trace_threads`, the
-    /// slice-sharded dispatcher and the buffered short loop).
+    /// The trace walk behind `Hierarchy::run_trace` and
+    /// `Hierarchy::run_ops`.
     Batch,
     /// The streaming [`crate::OpApplier`].
     Streaming,
@@ -91,11 +92,6 @@ pub enum FaultSite {
     /// drifts. Keyed on the line tag; requires the [`Engine::Batch`]
     /// context tag (the hook sits in the shared shard substrate).
     StaleLru,
-    /// The slice-sharded dispatcher bins keyed addresses into the
-    /// neighbouring slice — the undocumented hash and the shard
-    /// partition disagree. Keyed on the raw address; lexically
-    /// batch-only (the binning loop exists nowhere else).
-    SwappedSliceBin,
     /// [`crate::OpBuffer`] skews keyed ops' leads by +13 cycles — the
     /// buffered batch's clock walks away from the per-access oracle's.
     /// Keyed on the raw address; buffered producers only.
@@ -130,12 +126,6 @@ pub enum FaultSite {
     /// word; lexically buffered-decode-only (streaming and oracle
     /// engines never decode).
     TruncatedLead,
-    /// The monitor's fused cross-epoch sample inverts a keyed target's
-    /// classification (misses become `accesses - misses`) — the fused
-    /// batch aggregate disagrees with the per-target probe walk it
-    /// summarizes. Keyed on the target index; lexically
-    /// fused-sample-only.
-    CrossEpochMisclassify,
     /// The RSS steer routes a keyed flow to the *next* queue index —
     /// frames land in the wrong ring, so per-queue ring order, page
     /// placement and RNG streams all diverge from the steering
@@ -154,18 +144,16 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every catalog entry, in matrix order.
-    pub const ALL: [FaultSite; 13] = [
+    pub const ALL: [FaultSite; 11] = [
         FaultSite::StatOffByOne,
         FaultSite::DroppedFlush,
         FaultSite::StaleLru,
-        FaultSite::SwappedSliceBin,
         FaultSite::CorruptedLead,
         FaultSite::DroppedDeferredRead,
         FaultSite::SkippedDefenseEval,
         FaultSite::StaleDirtySet,
         FaultSite::SkippedEpochBump,
         FaultSite::TruncatedLead,
-        FaultSite::CrossEpochMisclassify,
         FaultSite::SwappedQueueSteer,
         FaultSite::StaleEvictionMemo,
     ];
@@ -176,14 +164,12 @@ impl FaultSite {
             FaultSite::StatOffByOne => "stat-off-by-one",
             FaultSite::DroppedFlush => "dropped-flush",
             FaultSite::StaleLru => "stale-lru",
-            FaultSite::SwappedSliceBin => "swapped-slice-bin",
             FaultSite::CorruptedLead => "corrupted-lead",
             FaultSite::DroppedDeferredRead => "dropped-deferred-read",
             FaultSite::SkippedDefenseEval => "skipped-defense-eval",
             FaultSite::StaleDirtySet => "stale-dirty-set",
             FaultSite::SkippedEpochBump => "skipped-epoch-bump",
             FaultSite::TruncatedLead => "truncated-lead",
-            FaultSite::CrossEpochMisclassify => "cross-epoch-misclassify",
             FaultSite::SwappedQueueSteer => "swapped-queue-steer",
             FaultSite::StaleEvictionMemo => "stale-eviction-memo",
         }
@@ -210,13 +196,11 @@ impl FaultSite {
                 FiringKind::Counter
             }
             FaultSite::StaleLru
-            | FaultSite::SwappedSliceBin
             | FaultSite::CorruptedLead
             | FaultSite::SkippedDefenseEval
             | FaultSite::StaleDirtySet
             | FaultSite::SkippedEpochBump
             | FaultSite::TruncatedLead
-            | FaultSite::CrossEpochMisclassify
             | FaultSite::SwappedQueueSteer
             | FaultSite::StaleEvictionMemo => FiringKind::Keyed,
         }
@@ -240,16 +224,12 @@ impl FaultSite {
             FaultSite::StatOffByOne => "stats merge adds one extra CPU hit",
             FaultSite::DroppedFlush => "streaming applier drop loses its flush",
             FaultSite::StaleLru => "batch shard hit skips the LRU touch",
-            FaultSite::SwappedSliceBin => "sharded dispatch bins into the wrong slice",
             FaultSite::CorruptedLead => "buffered op lead skewed by +13 cycles",
             FaultSite::DroppedDeferredRead => "deferred-read queue drops one due payload read",
             FaultSite::SkippedDefenseEval => "streaming shard skips a defense evaluation",
             FaultSite::StaleDirtySet => "batch shard stamps a set dirty without queueing it",
             FaultSite::SkippedEpochBump => "streaming shard keeps last period's dirty stamps live",
             FaultSite::TruncatedLead => "packed op decode truncates an escaped lead",
-            FaultSite::CrossEpochMisclassify => {
-                "fused monitor sample inverts one target's classification"
-            }
             FaultSite::SwappedQueueSteer => "RSS steer routes a flow to the next queue",
             FaultSite::StaleEvictionMemo => "eviction-set memo hit serves the next slice's set",
         }
@@ -264,20 +244,18 @@ impl FaultSite {
     /// positional: retiring a catalog entry shifts [`FaultSite::index`],
     /// and a positional salt would silently turn every later site's
     /// `site:seed` into a different mutant. A new site takes a salt no
-    /// other site has used (retired: 7, 11 and 12).
+    /// other site has used (retired: 3, 7, 11, 12 and 13).
     fn param_salt(self) -> u64 {
         match self {
             FaultSite::StatOffByOne => 0,
             FaultSite::DroppedFlush => 1,
             FaultSite::StaleLru => 2,
-            FaultSite::SwappedSliceBin => 3,
             FaultSite::CorruptedLead => 4,
             FaultSite::DroppedDeferredRead => 5,
             FaultSite::SkippedDefenseEval => 6,
             FaultSite::StaleDirtySet => 8,
             FaultSite::SkippedEpochBump => 9,
             FaultSite::TruncatedLead => 10,
-            FaultSite::CrossEpochMisclassify => 13,
             FaultSite::SwappedQueueSteer => 14,
             FaultSite::StaleEvictionMemo => 15,
         }
@@ -623,7 +601,7 @@ mod tests {
             assert!(fires_keyed(FaultSite::CorruptedLead, k), "pure in key");
         }
         // A different (un-armed) site never fires.
-        assert!((0..200u64).all(|k| !fires_keyed(FaultSite::SwappedSliceBin, k)));
+        assert!((0..200u64).all(|k| !fires_keyed(FaultSite::TruncatedLead, k)));
         disarm();
     }
 
@@ -677,18 +655,16 @@ mod tests {
     /// the values it had while the catalog still held 16 sites.
     #[test]
     fn seed_derived_params_survive_catalog_edits() {
-        let pinned: [(FaultSite, [u64; 3]); 13] = [
+        let pinned: [(FaultSite, [u64; 3]); 11] = [
             (FaultSite::StatOffByOne, [2, 2, 3]),
             (FaultSite::DroppedFlush, [2, 4, 4]),
             (FaultSite::StaleLru, [10, 8, 5]),
-            (FaultSite::SwappedSliceBin, [8, 10, 7]),
             (FaultSite::CorruptedLead, [6, 11, 7]),
             (FaultSite::DroppedDeferredRead, [2, 4, 1]),
             (FaultSite::SkippedDefenseEval, [11, 9, 12]),
             (FaultSite::StaleDirtySet, [10, 13, 5]),
             (FaultSite::SkippedEpochBump, [13, 13, 10]),
             (FaultSite::TruncatedLead, [11, 10, 12]),
-            (FaultSite::CrossEpochMisclassify, [11, 11, 6]),
             (FaultSite::SwappedQueueSteer, [9, 6, 12]),
             (FaultSite::StaleEvictionMemo, [13, 7, 6]),
         ];

@@ -57,8 +57,8 @@ impl LatencyModel {
     /// The single latency rule: what one access costs given whether it
     /// hit and whether I/O writes allocate in the LLC
     /// ([`crate::DdioMode::allocates_in_llc`]). Shared by the scalar
-    /// entry points, the sequential trace replay and the sharded trace
-    /// replay, so the paths cannot diverge.
+    /// entry points, the trace replay and the streaming applier, so the
+    /// paths cannot diverge.
     #[inline]
     pub fn access_latency(&self, hit: bool, kind: AccessKind, allocates_in_llc: bool) -> Cycles {
         if hit {
@@ -95,10 +95,6 @@ pub struct Hierarchy {
     mem: MemoryStats,
     lat: LatencyModel,
     clock: Cycles,
-    /// Reusable op scratch for [`Hierarchy::run_trace`]'s collect step,
-    /// carried across calls like the cache's `TraceBins` — content never
-    /// outlives one replay, so a clone starting empty is equivalent.
-    scratch: Vec<CacheOp>,
 }
 
 impl Hierarchy {
@@ -115,7 +111,6 @@ impl Hierarchy {
             mem: MemoryStats::new(),
             lat: LatencyModel::server_defaults(),
             clock: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -226,15 +221,6 @@ impl Hierarchy {
     /// Per-access behaviour (RNG stream, adaptation timing, statistics)
     /// is identical to issuing the ops one at a time.
     ///
-    /// A long trace is partitioned by slice inside worker threads and
-    /// replayed sharded (one shard group per worker; `PC_BENCH_THREADS`
-    /// bounds the pool, `=1` forces the sequential walk) — in **every**
-    /// [`DdioMode`], `Adaptive` included, because each slice's
-    /// adaptation period runs off that slice's own access-count defense
-    /// clock rather than the outcome-dependent cycle clock. The
-    /// summary, statistics and final clock are byte-identical for any
-    /// worker count.
-    ///
     /// ```
     /// use pc_cache::{CacheGeometry, CacheOp, DdioMode, Hierarchy, PhysAddr};
     /// let mut h = Hierarchy::new(CacheGeometry::tiny(), DdioMode::adaptive());
@@ -247,54 +233,11 @@ impl Hierarchy {
     where
         I: IntoIterator<Item = CacheOp>,
     {
-        let ops = ops.into_iter();
-        // The dominant caller is `PrimeProbe::prime` with a handful of
-        // ops per call: when the trace provably cannot shard (one slice,
-        // or a known-short iterator) stream it straight through, without
-        // copying it into the scratch first — at that call rate the copy
-        // would cost as much as the replay.
-        let short = matches!(ops.size_hint(), (_, Some(hi)) if hi < crate::llc::PAR_BATCH_MIN);
-        if short || self.llc.geometry().slices() <= 1 {
-            return self.run_trace_sequential(ops, |_, _| {});
-        }
-        // Collect into the reusable scratch (capacity carried across
-        // calls; taken out for the duration so the borrow of `self`
-        // stays free for the replay).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend(ops);
-        let sum = self.run_trace_threads(&scratch, pc_par::max_threads());
-        // Restore the scratch emptied: capacity is what gets reused, and
-        // a clone of the hierarchy should not memcpy stale ops.
-        scratch.clear();
-        self.scratch = scratch;
-        sum
+        self.run_trace_sequential(ops.into_iter(), |_, _| {})
     }
 
-    /// [`Hierarchy::run_trace`] with an explicit worker bound, for
-    /// callers that must pin the count instead of reading
-    /// `PC_BENCH_THREADS` (thread-invariance tests, benches) or that
-    /// replay a borrowed trace repeatedly. Results are byte-identical
-    /// for every `threads` value; short traces still replay inline.
-    pub fn run_trace_threads(&mut self, ops: &[CacheOp], threads: usize) -> TraceSummary {
-        if self.llc.batch_worth_sharding(ops.len(), threads) {
-            // Leads are input data, independent of the replay outcome:
-            // total clock movement is sum(leads) + sum(latencies) in any
-            // order, so they are summed here once and the workers never
-            // see them.
-            let lead: Cycles = ops.iter().map(|op| op.lead).sum();
-            let mut sum = self.llc.trace_batch_threads(ops, threads, self.lat);
-            sum.cycles += lead;
-            self.clock += sum.cycles;
-            self.mem.reads += sum.dram_reads;
-            self.mem.writes += sum.dram_writes;
-            return sum;
-        }
-        self.run_trace_sequential(ops.iter().copied(), |_, _| {})
-    }
-
-    /// Replays a recorded op batch: the ops through the trace engine
-    /// (sharded where legal), then the buffer's trailing advance.
+    /// Replays a recorded op batch: the ops through the trace walk, then
+    /// the buffer's trailing advance.
     ///
     /// This is the entry point behind every emit-then-replay producer
     /// (the NIC driver's per-frame batches, the defense workloads'
@@ -303,126 +246,26 @@ impl Hierarchy {
     /// against the hierarchy — which is exactly what pointing the emit
     /// code at the hierarchy itself (it implements [`OpSink`]) does.
     ///
-    /// A buffer below the sharding threshold (every Workbench request
-    /// behind Figures 14–16) replays inline, and that walk prefetches:
-    /// before op *i* it decodes op *i* + 8's line address from the
-    /// buffer and hints that op's `(slice, set)` row — line words, LRU
-    /// stamps, set record — into the host's L1. The hint touches no
-    /// simulated state, so accesses, their order, statistics and RNG
-    /// draws are exactly the unhinted walk's.
+    /// The walk prefetches: before op *i* it decodes op *i* + 8's line
+    /// address from the buffer and hints that op's `(slice, set)` row —
+    /// line words, LRU stamps, set record — into the host's L1. The
+    /// hint touches no simulated state, so accesses, their order,
+    /// statistics and RNG draws are exactly the unhinted walk's.
     pub fn run_ops(&mut self, buf: &OpBuffer) -> TraceSummary {
-        let mut sum = if buf.len() < crate::llc::PAR_BATCH_MIN {
-            self.run_trace_sequential(buf.iter(), |llc, i| {
-                if let Some(addr) = buf.line_addr(i + PREFETCH_DISTANCE) {
-                    llc.prefetch(addr);
-                }
-            })
-        } else {
-            // Sharding wants a contiguous slice; decode the packed words
-            // into the trace scratch once, then fan out.
-            let mut scratch = std::mem::take(&mut self.scratch);
-            scratch.clear();
-            scratch.extend(buf.iter());
-            let sum = self.run_trace_threads(&scratch, pc_par::max_threads());
-            scratch.clear();
-            self.scratch = scratch;
-            sum
-        };
+        let mut sum = self.run_trace_sequential(buf.iter(), |llc, i| {
+            if let Some(addr) = buf.line_addr(i + PREFETCH_DISTANCE) {
+                llc.prefetch(addr);
+            }
+        });
         self.clock += buf.trailing();
         sum.cycles += buf.trailing();
         sum
     }
 
-    /// Replays a borrowed trace like [`Hierarchy::run_trace_threads`],
-    /// additionally reporting one [`TraceSummary`] per segment into
-    /// `seg_out`: `starts` are ascending segment start indices
-    /// (`starts[0] == 0`; a repeated start is an empty segment). Replay,
-    /// statistics and final clock are byte-identical to the unsegmented
-    /// call, and the subtotals sum to its summary; the monitor uses this
-    /// to classify many probe targets from one fused batch.
-    pub fn run_trace_segmented(
-        &mut self,
-        ops: &[CacheOp],
-        starts: &[usize],
-        seg_out: &mut Vec<TraceSummary>,
-    ) -> TraceSummary {
-        seg_out.clear();
-        let threads = pc_par::max_threads();
-        if self.llc.batch_worth_sharding(ops.len(), threads) {
-            self.run_trace_threads_segmented(ops, starts, threads, seg_out)
-        } else {
-            self.run_trace_sequential_segmented(ops, starts, seg_out)
-        }
-    }
-
-    /// The sequential arm of [`Hierarchy::run_trace_segmented`]: one
-    /// walk with a segment cursor.
-    fn run_trace_sequential_segmented(
-        &mut self,
-        ops: &[CacheOp],
-        starts: &[usize],
-        seg_out: &mut Vec<TraceSummary>,
-    ) -> TraceSummary {
-        let _engine = crate::fault::engine_scope(crate::fault::Engine::Batch);
-        let allocates = self.llc.mode().allocates_in_llc();
-        seg_out.resize(starts.len(), TraceSummary::default());
-        let mut seg = 0usize;
-        for (idx, op) in ops.iter().enumerate() {
-            while seg + 1 < starts.len() && idx >= starts[seg + 1] {
-                seg += 1;
-            }
-            let out = self.llc.access(op.addr, op.kind);
-            let latency = self.lat.access_latency(out.hit, op.kind, allocates);
-            let cur = &mut seg_out[seg];
-            cur.accesses += 1;
-            cur.hits += u64::from(out.hit);
-            cur.cycles += op.lead + latency;
-            cur.dram_reads += u64::from(out.dram_reads);
-            cur.dram_writes += u64::from(out.dram_writes);
-        }
-        self.finish_segments(seg_out)
-    }
-
-    /// The sharded arm of [`Hierarchy::run_trace_segmented`]:
-    /// per-segment latency summaries from the sliced engine, then leads
-    /// folded in per segment (outcome-independent input data, exactly as
-    /// in [`Hierarchy::run_trace_threads`]).
-    fn run_trace_threads_segmented(
-        &mut self,
-        ops: &[CacheOp],
-        starts: &[usize],
-        threads: usize,
-        seg_out: &mut Vec<TraceSummary>,
-    ) -> TraceSummary {
-        self.llc
-            .trace_batch_threads_segmented(ops, starts, threads, self.lat, seg_out);
-        let mut seg = 0usize;
-        for (idx, op) in ops.iter().enumerate() {
-            while seg + 1 < starts.len() && idx >= starts[seg + 1] {
-                seg += 1;
-            }
-            seg_out[seg].cycles += op.lead;
-        }
-        self.finish_segments(seg_out)
-    }
-
-    /// Folds the per-segment subtotals into the replay's summary and
-    /// spends it on the clock and memory counters.
-    fn finish_segments(&mut self, seg_out: &[TraceSummary]) -> TraceSummary {
-        let mut total = TraceSummary::default();
-        for sum in seg_out {
-            total.merge(sum);
-        }
-        self.clock += total.cycles;
-        self.mem.reads += total.dram_reads;
-        self.mem.writes += total.dram_writes;
-        total
-    }
-
-    /// The clock-advancing sequential walk shared by every `run_trace`
-    /// path that doesn't shard. `ahead(llc, i)` runs before op `i`
-    /// replays — the inline `run_ops` prefetch; every other caller
-    /// passes a no-op, which compiles away.
+    /// The clock-advancing walk behind [`Hierarchy::run_trace`] and
+    /// [`Hierarchy::run_ops`]. `ahead(llc, i)` runs before op `i`
+    /// replays — the `run_ops` prefetch; `run_trace` passes a no-op,
+    /// which compiles away.
     fn run_trace_sequential<I, F>(&mut self, ops: I, mut ahead: F) -> TraceSummary
     where
         I: Iterator<Item = CacheOp>,
@@ -461,12 +304,12 @@ impl Hierarchy {
 /// latency rule hoisted at construction, clock and memory traffic
 /// accumulated in locals and flushed into the hierarchy on drop.
 ///
-/// This is the op-stream IR's third engine, for producers whose batch
-/// is too small to shard (the NIC driver replays ~6 ops per frame):
-/// same results as emitting into an [`OpBuffer`] and replaying it, and
-/// as issuing the accesses one at a time, with neither the buffer
-/// round-trip of the former nor the per-op statistics read-modify-write
-/// of the latter. Nothing mid-stream can observe the clock — callers
+/// This is the op-stream IR's streaming engine, for producers that
+/// emit a handful of ops at a time (the NIC driver replays ~6 ops per
+/// frame): same results as emitting into an [`OpBuffer`] and replaying
+/// it, and as issuing the accesses one at a time, with neither the
+/// buffer round-trip of the former nor the per-op statistics
+/// read-modify-write of the latter. Nothing mid-stream can observe the clock — callers
 /// that need that use the hierarchy itself as the sink.
 pub struct OpApplier<'a> {
     h: &'a mut Hierarchy,
@@ -626,7 +469,7 @@ mod tests {
 
     #[test]
     fn run_trace_matches_scalar_replay() {
-        let ops: Vec<CacheOp> = (0..300u64)
+        let ops: Vec<CacheOp> = (0..6000u64)
             .map(|i| {
                 let kind = match i % 5 {
                     0 => AccessKind::IoWrite,
@@ -634,7 +477,9 @@ mod tests {
                     2 => AccessKind::IoRead,
                     _ => AccessKind::CpuRead,
                 };
-                CacheOp::new(PhysAddr::new((i % 41) * 0x2040), kind)
+                // A small deterministic lead on every 7th op: the replay
+                // must move the clock by it exactly as an `advance` does.
+                CacheOp::new(PhysAddr::new((i % 97) * 0x3040), kind).after((i % 7 == 0) as u64 * 11)
             })
             .collect();
         // Every mode: the latency rule differs per mode (DDIO-allocating
@@ -645,36 +490,54 @@ mod tests {
             DdioMode::adaptive(),
         ] {
             let mut scalar = h(mode);
-            let mut cycles = 0u64;
             for &op in &ops {
-                let t0 = scalar.now();
+                scalar.advance(op.lead);
                 match op.kind {
                     AccessKind::CpuRead => scalar.cpu_read(op.addr),
                     AccessKind::CpuWrite => scalar.cpu_write(op.addr),
                     AccessKind::IoWrite => scalar.io_write(op.addr),
                     AccessKind::IoRead => scalar.io_read(op.addr),
                 };
-                cycles += scalar.now() - t0;
+            }
+            if matches!(mode, DdioMode::Adaptive(_)) {
+                assert!(
+                    scalar.llc().stats().defense_evals > 0,
+                    "the trace must actually exercise adaptation"
+                );
             }
             let mut batched = h(mode);
             let sum = batched.run_trace(ops.iter().copied());
             let s = batched.llc().stats();
             assert_eq!(sum.accesses, ops.len() as u64, "{mode:?}");
             assert_eq!(sum.hits, s.cpu_hits + s.io_hits, "{mode:?}");
-            assert_eq!(sum.cycles, cycles, "{mode:?}");
+            assert_eq!(sum.cycles, scalar.now(), "{mode:?}");
             assert_eq!(batched.now(), scalar.now(), "{mode:?}");
             assert_eq!(batched.memory_stats(), scalar.memory_stats(), "{mode:?}");
-            assert_eq!(batched.llc().stats(), scalar.llc().stats(), "{mode:?}");
+            // Per slice, so adaptation boundaries are pinned too.
+            for slice in 0..batched.llc().geometry().slices() {
+                assert_eq!(
+                    batched.llc().slice_stats(slice),
+                    scalar.llc().slice_stats(slice),
+                    "{mode:?} slice={slice}"
+                );
+            }
+            for &op in &ops {
+                assert_eq!(
+                    batched.llc().contains(op.addr),
+                    scalar.llc().contains(op.addr)
+                );
+            }
         }
     }
 
     #[test]
     fn sharded_trace_replay_is_thread_count_invariant() {
-        // A trace long enough to take the sharded path must leave the
-        // hierarchy in a byte-identical state (summary, clock, memory
-        // traffic, LLC stats — per slice, so adaptation boundaries are
-        // pinned too — and residency) for every worker count, in every
-        // mode including `Adaptive`.
+        // The experiment-level fan-out replays independent hierarchies on
+        // worker threads. The per-slice (sharded) state must carry nothing
+        // shared between hierarchies, so every replica leaves a
+        // byte-identical state (summary, clock, memory traffic, LLC stats
+        // per slice, residency) whatever the number of threads running
+        // replicas side by side, in every mode including `Adaptive`.
         let ops: Vec<CacheOp> = (0..6000u64)
             .map(|i| {
                 let kind = match i % 5 {
@@ -683,9 +546,6 @@ mod tests {
                     2 => AccessKind::IoRead,
                     _ => AccessKind::CpuRead,
                 };
-                // A small deterministic lead on every 7th op: the
-                // sharded replay must account leads identically to the
-                // sequential walk.
                 CacheOp::new(PhysAddr::new((i % 97) * 0x3040), kind).after((i % 7 == 0) as u64 * 11)
             })
             .collect();
@@ -695,7 +555,7 @@ mod tests {
             DdioMode::adaptive(),
         ] {
             let mut seq = h(mode);
-            let want = seq.run_trace_threads(&ops, 1);
+            let want = seq.run_trace(ops.iter().copied());
             if matches!(mode, DdioMode::Adaptive(_)) {
                 assert!(
                     seq.llc().stats().defense_evals > 0,
@@ -703,102 +563,35 @@ mod tests {
                 );
             }
             for threads in [2usize, 4, 16] {
-                let mut par = h(mode);
-                let got = par.run_trace_threads(&ops, threads);
-                assert_eq!(got, want, "{mode:?} threads={threads}");
-                assert_eq!(par.now(), seq.now(), "{mode:?} threads={threads}");
-                assert_eq!(par.memory_stats(), seq.memory_stats(), "{mode:?}");
-                for slice in 0..par.llc().geometry().slices() {
-                    assert_eq!(
-                        par.llc().slice_stats(slice),
-                        seq.llc().slice_stats(slice),
-                        "{mode:?} threads={threads} slice={slice}"
-                    );
+                let replicas: Vec<(TraceSummary, Hierarchy)> = std::thread::scope(|s| {
+                    let workers: Vec<_> = (0..threads)
+                        .map(|_| {
+                            s.spawn(|| {
+                                let mut par = h(mode);
+                                let sum = par.run_trace(ops.iter().copied());
+                                (sum, par)
+                            })
+                        })
+                        .collect();
+                    workers.into_iter().map(|w| w.join().unwrap()).collect()
+                });
+                for (got, par) in &replicas {
+                    assert_eq!(*got, want, "{mode:?} threads={threads}");
+                    assert_eq!(par.now(), seq.now(), "{mode:?} threads={threads}");
+                    assert_eq!(par.memory_stats(), seq.memory_stats(), "{mode:?}");
+                    for slice in 0..par.llc().geometry().slices() {
+                        assert_eq!(
+                            par.llc().slice_stats(slice),
+                            seq.llc().slice_stats(slice),
+                            "{mode:?} threads={threads} slice={slice}"
+                        );
+                    }
+                    for &op in &ops {
+                        assert_eq!(par.llc().contains(op.addr), seq.llc().contains(op.addr));
+                    }
                 }
-                for &op in &ops {
-                    assert_eq!(par.llc().contains(op.addr), seq.llc().contains(op.addr));
-                }
             }
         }
-    }
-
-    /// The segmented replay is pure reporting: same outcomes, clock,
-    /// stats as `run_trace`, subtotals that partition the total exactly,
-    /// and thread-count invariance of the per-segment summaries.
-    #[test]
-    fn segmented_replay_matches_unsegmented_and_is_thread_invariant() {
-        let ops: Vec<CacheOp> = (0..6000u64)
-            .map(|i| {
-                let kind = match i % 5 {
-                    0 => AccessKind::IoWrite,
-                    1 => AccessKind::CpuWrite,
-                    2 => AccessKind::IoRead,
-                    _ => AccessKind::CpuRead,
-                };
-                CacheOp::new(PhysAddr::new((i % 97) * 0x3040), kind).after((i % 7 == 0) as u64 * 11)
-            })
-            .collect();
-        // An empty segment (4096 twice) and a one-op tail segment.
-        let starts = [0usize, 1, 13, 900, 4096, 4096, 5000, 5999];
-        for mode in [
-            DdioMode::Disabled,
-            DdioMode::enabled(),
-            DdioMode::adaptive(),
-        ] {
-            let mut plain = h(mode);
-            let want = plain.run_trace(ops.iter().copied());
-            let mut seq = h(mode);
-            let mut segs = Vec::new();
-            let got = seq.run_trace_sequential_segmented(&ops, &starts, &mut segs);
-            assert_eq!(got, want, "{mode:?}");
-            assert_eq!(seq.now(), plain.now(), "{mode:?}");
-            assert_eq!(seq.memory_stats(), plain.memory_stats(), "{mode:?}");
-            assert_eq!(seq.llc().stats(), plain.llc().stats(), "{mode:?}");
-            assert_eq!(segs.len(), starts.len(), "{mode:?}");
-            assert_eq!(segs[4], TraceSummary::default(), "{mode:?}: empty segment");
-            let mut fold = TraceSummary::default();
-            for sum in &segs {
-                fold.merge(sum);
-            }
-            assert_eq!(fold, got, "{mode:?}: subtotals partition the replay");
-            for threads in [2usize, 4, 16] {
-                let mut par = h(mode);
-                let mut psegs = Vec::new();
-                let ptotal = par.run_trace_threads_segmented(&ops, &starts, threads, &mut psegs);
-                assert_eq!(ptotal, got, "{mode:?} threads={threads}");
-                assert_eq!(psegs, segs, "{mode:?} threads={threads}");
-                assert_eq!(par.now(), seq.now(), "{mode:?} threads={threads}");
-                assert_eq!(par.memory_stats(), seq.memory_stats(), "{mode:?}");
-                assert_eq!(par.llc().stats(), seq.llc().stats(), "{mode:?}");
-            }
-        }
-    }
-
-    /// `run_trace_segmented` (borrowed trace + explicit starts) agrees
-    /// with `run_trace` and reports per-segment hit/miss splits — the
-    /// aggregates the monitor's fused cross-epoch sample consumes.
-    #[test]
-    fn trace_segmented_reports_per_segment_aggregates() {
-        let ops: Vec<CacheOp> = (0..5000u64)
-            .map(|i| CacheOp::read(PhysAddr::new((i % 61) * 0x5040)))
-            .collect();
-        let starts = [0usize, 1000, 1000, 2500, 4999];
-        let mut plain = h(DdioMode::enabled());
-        let want = plain.run_trace(ops.iter().copied());
-        let mut seg = h(DdioMode::enabled());
-        let mut segs = Vec::new();
-        let got = seg.run_trace_segmented(&ops, &starts, &mut segs);
-        assert_eq!(got, want);
-        assert_eq!(seg.now(), plain.now());
-        assert_eq!(segs.len(), starts.len());
-        assert_eq!(segs[1], TraceSummary::default(), "empty segment");
-        let mut fold = TraceSummary::default();
-        for sum in &segs {
-            fold.merge(sum);
-        }
-        assert_eq!(fold, got);
-        assert_eq!(segs[0].accesses, 1000);
-        assert_eq!(segs[4].accesses, 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   return latencies and maintain memory-traffic statistics.
 //! * [`CacheOp`] / [`OpSink`] / [`OpBuffer`] — the batched op-stream IR:
 //!   producers (the NIC driver, the spy's walks, workload loops) emit
-//!   op batches once and replay them through the slice-sharded engine
+//!   op batches once and replay them through one sequential walk
 //!   ([`Hierarchy::run_ops`]), or point the same emit code at the
 //!   [`Hierarchy`] itself for the per-access equivalence oracle.
 //!
@@ -69,7 +69,7 @@ mod store;
 pub use addr::{PhysAddr, LINE_SIZE, LINE_SIZE_LOG2, PAGE_SIZE, PAGE_SIZE_LOG2};
 pub use geometry::CacheGeometry;
 pub use hierarchy::{Hierarchy, LatencyModel, OpApplier, TraceSummary};
-pub use llc::{AccessKind, AccessOutcome, BatchOutcome, DdioMode, SliceSet, SlicedCache};
+pub use llc::{AccessKind, AccessOutcome, DdioMode, SliceSet, SlicedCache};
 pub use memory::MemoryStats;
 pub use ops::{CacheOp, OpBuffer, OpIter, OpSink};
 pub use partition::AdaptiveConfig;

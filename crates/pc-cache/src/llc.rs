@@ -1,20 +1,15 @@
 //! The sliced last-level cache with DDIO write allocation and the
 //! adaptive I/O partitioning defense.
 //!
-//! Storage and simulation state are sharded by slice
+//! Storage and simulation state are kept per slice
 //! ([`crate::shard::Shard`]): each slice owns its cut of the SoA line
 //! store, its RNG stream, its statistics, its defense clock and its
-//! adaptive-partition worklists. Scalar accesses route to the owning
-//! shard; the batch entry points partition a trace by slice-hash range
-//! *inside* the worker threads (each worker bins and replays its own
-//! shard group), merging statistics in slice order — byte-identical to
-//! the sequential walk for any seed and any thread count, in every
-//! [`DdioMode`] including `Adaptive`.
+//! adaptive-partition worklists, as the paper's DDIO quotas, PRIME+PROBE
+//! sets and adaptive partitions are per-slice state. Every access routes
+//! to the owning shard; statistics merge in slice order.
 
 use crate::addr::PhysAddr;
 use crate::geometry::CacheGeometry;
-use crate::hierarchy::{LatencyModel, TraceSummary};
-use crate::ops::CacheOp;
 use crate::partition::AdaptiveConfig;
 use crate::replacement::ReplacementPolicy;
 use crate::set::Domain;
@@ -126,102 +121,6 @@ pub struct AccessOutcome {
     pub evicted_cpu: bool,
 }
 
-/// Aggregate of a batch of accesses (see [`SlicedCache::access_batch`]).
-#[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
-pub struct BatchOutcome {
-    /// Accesses that hit in the LLC.
-    pub hits: u64,
-    /// Accesses that missed.
-    pub misses: u64,
-    /// Total DRAM lines read.
-    pub dram_reads: u64,
-    /// Total DRAM lines written.
-    pub dram_writes: u64,
-    /// Accesses that displaced a CPU-domain line.
-    pub evicted_cpu: u64,
-}
-
-impl BatchOutcome {
-    #[inline]
-    fn absorb(&mut self, out: AccessOutcome) {
-        if out.hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        self.dram_reads += u64::from(out.dram_reads);
-        self.dram_writes += u64::from(out.dram_writes);
-        self.evicted_cpu += u64::from(out.evicted_cpu);
-    }
-
-    /// Folds another aggregate into this one (all counters are sums, so
-    /// merging per-shard aggregates in any order equals the sequential
-    /// total; the dispatcher still merges in slice order by convention).
-    #[inline]
-    pub fn merge(&mut self, other: BatchOutcome) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.dram_reads += other.dram_reads;
-        self.dram_writes += other.dram_writes;
-        self.evicted_cpu += other.evicted_cpu;
-    }
-}
-
-/// One decoded access, binned per slice by the batch dispatcher.
-type BinnedOp = (u32, u64, AccessKind); // (local set, tag, kind)
-
-/// A [`BinnedOp`] that also remembers which segment of the trace it
-/// came from, for the segment-reporting dispatcher.
-type SegBinnedOp = (u32, u32, u64, AccessKind); // (segment, local set, tag, kind)
-
-/// Reusable per-slice bin scratch for the batch dispatchers.
-///
-/// Binning a trace needs one `Vec` per slice; allocating them per batch
-/// costs real time at `Hierarchy::run_trace` call rates, so the cache
-/// carries one of these across batches (every dispatching entry point —
-/// `run_trace` through [`crate::Hierarchy`], `access_batch*` directly —
-/// shares it) and the dispatcher clears (capacity-preserving) rather
-/// than reallocates. The content never outlives a dispatch — this is
-/// scratch, not state — so a cloned cache starting from an empty
-/// scratch is equivalent.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct TraceBins {
-    bins: Vec<Vec<BinnedOp>>,
-}
-
-impl TraceBins {
-    /// Clears all bins and makes sure one exists per slice; keeps
-    /// whatever capacity previous batches grew.
-    fn reset(&mut self, slices: usize) {
-        self.bins.resize_with(slices, Vec::new);
-        for bin in &mut self.bins {
-            bin.clear();
-        }
-    }
-}
-
-/// [`TraceBins`] for the segment-reporting dispatcher. A separate
-/// scratch (rather than widening [`BinnedOp`]) keeps the unsegmented
-/// hot path's bin records at their current size.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct SegTraceBins {
-    bins: Vec<Vec<SegBinnedOp>>,
-}
-
-impl SegTraceBins {
-    fn reset(&mut self, slices: usize) {
-        self.bins.resize_with(slices, Vec::new);
-        for bin in &mut self.bins {
-            bin.clear();
-        }
-    }
-}
-
-/// Batches shorter than this replay inline: binning + thread hand-off
-/// costs more than it saves. Crossing the threshold never changes
-/// results (the two paths are byte-equivalent), only who runs them.
-pub(crate) const PAR_BATCH_MIN: usize = 4096;
-
 /// The sliced, set-associative LLC.
 ///
 /// All addresses are physical. The cache stores only metadata (tags,
@@ -243,10 +142,6 @@ pub struct SlicedCache {
     hash: SliceHash,
     mode: DdioMode,
     shards: Vec<Shard>,
-    /// Per-slice bin scratch reused across batch dispatches.
-    bins: TraceBins,
-    /// Per-slice bin scratch for the segment-reporting dispatcher.
-    seg_bins: SegTraceBins,
 }
 
 impl SlicedCache {
@@ -264,9 +159,9 @@ impl SlicedCache {
     /// Creates a cache with an explicit replacement policy and RNG seed.
     ///
     /// Each slice's shard derives its own RNG stream from
-    /// `pc_par::mix_seed(seed, slice)`, so a slice's randomized decisions
-    /// depend only on the accesses that slice receives — the property
-    /// that makes parallel and sequential simulation byte-identical.
+    /// `pc_par::stream_seed(seed, SeedDomain::Slice, slice)`, so a
+    /// slice's randomized decisions depend only on the accesses that
+    /// slice receives.
     ///
     /// # Panics
     ///
@@ -309,8 +204,6 @@ impl SlicedCache {
                     )
                 })
                 .collect(),
-            bins: TraceBins::default(),
-            seg_bins: SegTraceBins::default(),
         }
     }
 
@@ -379,8 +272,8 @@ impl SlicedCache {
     /// Statistics accumulated by one slice's shard alone.
     ///
     /// Summing this over all slices equals [`SlicedCache::stats`]. The
-    /// per-slice view exists so tests can pin the sharded replay to the
-    /// sequential walk at slice granularity — in particular
+    /// per-slice view exists so tests can pin the replay to the
+    /// reference model at slice granularity — in particular
     /// [`CacheStats::defense_evals`], the per-slice count of adaptive
     /// period re-evaluations, must match exactly, not just in total.
     ///
@@ -414,325 +307,26 @@ impl SlicedCache {
     /// clock, which drives that slice's periodic boundary re-evaluation
     /// (see [`crate::AdaptiveConfig`]); other modes keep the clock
     /// ticking but never read it.
+    ///
+    /// ```
+    /// use pc_cache::{AccessKind, CacheGeometry, DdioMode, PhysAddr, SlicedCache};
+    /// let mut llc = SlicedCache::new(CacheGeometry::tiny(), DdioMode::adaptive());
+    /// // Prime every set with CPU lines, then storm the same sets with
+    /// // DMA fills at conflicting tags.
+    /// for i in 0..64u64 {
+    ///     llc.access(PhysAddr::new(i * 0x1040), AccessKind::CpuRead);
+    /// }
+    /// let evicted_cpu = (0..64u64)
+    ///     .map(|i| llc.access(PhysAddr::new(0x10_0000 + i * 0x1040), AccessKind::IoWrite))
+    ///     .filter(|out| out.evicted_cpu)
+    ///     .count();
+    /// assert_eq!(evicted_cpu, 0, "the adaptive defense shields CPU lines");
+    /// ```
     #[inline]
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> AccessOutcome {
         let ss = self.locate(addr);
         let tag = self.geom.tag(addr);
         self.shards[ss.slice].access(self.mode, ss.set, tag, kind)
-    }
-
-    /// Runs a batch of [`CacheOp`]s and returns the aggregate outcome.
-    ///
-    /// Semantically identical to calling [`SlicedCache::access`] once per
-    /// element — and, because the shards share no state and every
-    /// slice's defense clock is a pure function of its own access
-    /// stream, identical for *any* worker-thread count, in every mode
-    /// including `Adaptive` (this entry point fans large batches out
-    /// over [`pc_par::max_threads`] workers; set `PC_BENCH_THREADS=1` to
-    /// force the sequential walk). This cache-level replay is
-    /// *clockless*: [`CacheOp::lead`]s are ignored (there is no clock to
-    /// advance — leads never affect cache behaviour). Clock-advancing
-    /// callers should use [`crate::Hierarchy::run_trace`] /
-    /// [`crate::Hierarchy::run_ops`]; this variant serves clockless
-    /// replay like the `cache_throughput` bench.
-    ///
-    /// ```
-    /// use pc_cache::{CacheGeometry, CacheOp, DdioMode, PhysAddr, SlicedCache};
-    /// let mut llc = SlicedCache::new(CacheGeometry::tiny(), DdioMode::adaptive());
-    /// // Prime every set with CPU lines, then storm the same sets with
-    /// // DMA fills at conflicting tags.
-    /// let cpu: Vec<_> = (0..64u64)
-    ///     .map(|i| CacheOp::read(PhysAddr::new(i * 0x1040)))
-    ///     .collect();
-    /// let io: Vec<_> = (0..64u64)
-    ///     .map(|i| CacheOp::io_write(PhysAddr::new(0x10_0000 + i * 0x1040)))
-    ///     .collect();
-    /// llc.access_batch(&cpu);
-    /// let out = llc.access_batch(&io);
-    /// assert_eq!(out.hits + out.misses, 64);
-    /// assert_eq!(out.evicted_cpu, 0, "the adaptive defense shields CPU lines");
-    /// ```
-    pub fn access_batch(&mut self, ops: &[CacheOp]) -> BatchOutcome {
-        let threads = pc_par::max_threads();
-        if !self.batch_worth_sharding(ops.len(), threads) {
-            // Short batch: binning + thread hand-off would cost more than
-            // it saves. Same results either way.
-            return self.access_batch_threads(ops, 1);
-        }
-        self.access_batch_threads(ops, threads)
-    }
-
-    /// [`SlicedCache::access_batch`] with an explicit worker bound.
-    ///
-    /// Shards whenever `threads > 1` — no batch-length heuristic — so
-    /// determinism tests and benches exercise the dispatcher on traces
-    /// of any size; results are byte-identical for every `threads`
-    /// value.
-    pub fn access_batch_threads(&mut self, ops: &[CacheOp], threads: usize) -> BatchOutcome {
-        if threads <= 1 || self.shards.len() <= 1 || ops.is_empty() {
-            let mut agg = BatchOutcome::default();
-            for &op in ops {
-                agg.absorb(self.access(op.addr, op.kind));
-            }
-            return agg;
-        }
-        let mode = self.mode;
-        let per_shard = self.run_sharded(ops, threads, &|shard, bin| {
-            let mut agg = BatchOutcome::default();
-            for &(set, tag, kind) in bin {
-                agg.absorb(shard.access(mode, set as usize, tag, kind));
-            }
-            agg
-        });
-        let mut total = BatchOutcome::default();
-        for out in per_shard {
-            total.merge(out);
-        }
-        total
-    }
-
-    /// Sharded trace replay for [`crate::Hierarchy::run_trace`]: like
-    /// [`SlicedCache::access_batch_threads`] but also prices every access
-    /// with `lat`, so the caller can advance its clock by the summed
-    /// cycles. [`CacheOp::lead`]s are *not* included here — they are
-    /// outcome-independent input data, so the caller sums them in one
-    /// pass and the workers never see them.
-    ///
-    /// Valid for **every** mode: an access outcome is a pure function of
-    /// the owning shard's prior accesses (the adaptive period runs off
-    /// the shard's own defense clock, not the cycle clock), so per-shard
-    /// replay equals the sequential clock-advancing walk byte for byte.
-    pub(crate) fn trace_batch_threads(
-        &mut self,
-        ops: &[CacheOp],
-        threads: usize,
-        lat: LatencyModel,
-    ) -> TraceSummary {
-        let mode = self.mode;
-        let allocates = mode.allocates_in_llc();
-        let per_shard = self.run_sharded(ops, threads, &|shard, bin| {
-            let mut sum = TraceSummary::default();
-            for &(set, tag, kind) in bin {
-                let out = shard.access(mode, set as usize, tag, kind);
-                sum.accesses += 1;
-                sum.hits += u64::from(out.hit);
-                sum.cycles += lat.access_latency(out.hit, kind, allocates);
-                sum.dram_reads += u64::from(out.dram_reads);
-                sum.dram_writes += u64::from(out.dram_writes);
-            }
-            sum
-        });
-        let mut total = TraceSummary::default();
-        for sum in per_shard {
-            total.accesses += sum.accesses;
-            total.hits += sum.hits;
-            total.cycles += sum.cycles;
-            total.dram_reads += sum.dram_reads;
-            total.dram_writes += sum.dram_writes;
-        }
-        total
-    }
-
-    /// Whether a batch of `len` ops should take the sharded path.
-    pub(crate) fn batch_worth_sharding(&self, len: usize, threads: usize) -> bool {
-        threads > 1 && self.shards.len() > 1 && len >= PAR_BATCH_MIN
-    }
-
-    /// Segment-reporting [`SlicedCache::trace_batch_threads`]: `starts`
-    /// are ascending segment start indices (`starts[0] == 0`), and
-    /// `seg_out` receives one latency-priced [`TraceSummary`] per
-    /// segment, merged across shards in slice order. The access stream
-    /// each shard replays is identical to the unsegmented dispatch —
-    /// segment tags ride along in the bins purely as reporting keys —
-    /// so cache state, statistics and the segment-summed totals are
-    /// byte-identical to [`SlicedCache::trace_batch_threads`], for any
-    /// thread count. Leads are again the caller's job.
-    pub(crate) fn trace_batch_threads_segmented(
-        &mut self,
-        ops: &[CacheOp],
-        starts: &[usize],
-        threads: usize,
-        lat: LatencyModel,
-        seg_out: &mut Vec<TraceSummary>,
-    ) {
-        let nsegs = starts.len();
-        seg_out.clear();
-        seg_out.resize(nsegs, TraceSummary::default());
-        let mode = self.mode;
-        let allocates = mode.allocates_in_llc();
-        let slices = self.shards.len();
-        self.seg_bins.reset(slices);
-        let hash = self.hash;
-        let geom = self.geom;
-        let shards = &mut self.shards;
-        let bins = &mut self.seg_bins.bins;
-        // Same keyed misbinning fault as the unsegmented dispatcher
-        // (`swapped-slice-bin`): the two arms must stay equally covered.
-        let slice_of = |addr: crate::PhysAddr| {
-            let slice = hash.slice_of(addr);
-            if slices > 1
-                && crate::fault::fires_keyed(crate::fault::FaultSite::SwappedSliceBin, addr.raw())
-            {
-                slice ^ 1
-            } else {
-                slice
-            }
-        };
-        let run = |shard: &mut Shard, bin: &[SegBinnedOp]| {
-            let mut sums = vec![TraceSummary::default(); nsegs];
-            for &(seg, set, tag, kind) in bin {
-                let out = shard.access(mode, set as usize, tag, kind);
-                let sum = &mut sums[seg as usize];
-                sum.accesses += 1;
-                sum.hits += u64::from(out.hit);
-                sum.cycles += lat.access_latency(out.hit, kind, allocates);
-                sum.dram_reads += u64::from(out.dram_reads);
-                sum.dram_writes += u64::from(out.dram_writes);
-            }
-            sums
-        };
-        let per_shard: Vec<Vec<TraceSummary>> = if threads <= 1 || slices <= 1 {
-            let _engine = crate::fault::engine_scope(crate::fault::Engine::Batch);
-            let per_slice_hint = ops.len() / slices + ops.len() / 8 + 1;
-            for bin in bins.iter_mut() {
-                bin.reserve(per_slice_hint);
-            }
-            let mut seg = 0u32;
-            for (idx, &op) in ops.iter().enumerate() {
-                while (seg as usize + 1) < nsegs && idx >= starts[seg as usize + 1] {
-                    seg += 1;
-                }
-                bins[slice_of(op.addr)].push((
-                    seg,
-                    geom.set_index(op.addr) as u32,
-                    geom.tag(op.addr),
-                    op.kind,
-                ));
-            }
-            shards
-                .iter_mut()
-                .zip(bins.iter())
-                .map(|(shard, bin)| run(shard, bin))
-                .collect()
-        } else {
-            let groups = pc_par::parallel_zip_chunks_threads(
-                shards,
-                bins,
-                threads,
-                |first_slice, shard_group, bin_group| {
-                    let _engine = crate::fault::engine_scope(crate::fault::Engine::Batch);
-                    let range = first_slice..first_slice + shard_group.len();
-                    let mut seg = 0u32;
-                    for (idx, &op) in ops.iter().enumerate() {
-                        while (seg as usize + 1) < nsegs && idx >= starts[seg as usize + 1] {
-                            seg += 1;
-                        }
-                        let slice = slice_of(op.addr);
-                        if range.contains(&slice) {
-                            bin_group[slice - first_slice].push((
-                                seg,
-                                geom.set_index(op.addr) as u32,
-                                geom.tag(op.addr),
-                                op.kind,
-                            ));
-                        }
-                    }
-                    shard_group
-                        .iter_mut()
-                        .zip(bin_group.iter())
-                        .map(|(shard, bin)| run(shard, bin))
-                        .collect::<Vec<Vec<TraceSummary>>>()
-                },
-            );
-            groups.into_iter().flatten().collect()
-        };
-        for sums in per_shard {
-            for (out, sum) in seg_out.iter_mut().zip(sums) {
-                out.merge(&sum);
-            }
-        }
-    }
-
-    /// Partitions `ops` by slice-hash range and runs `run` once per
-    /// shard with that shard's bin, on up to `threads` workers, returning
-    /// results in slice order.
-    ///
-    /// The binning pass is folded *into* the workers: shards are cut
-    /// into contiguous groups ([`pc_par::parallel_zip_chunks_threads`]
-    /// pairs each group with its cut of the bin scratch), and each
-    /// worker scans the whole trace once, decoding and keeping only the
-    /// ops whose slice hash lands in its range. Per-slice op order is
-    /// preserved by construction (one scanner per slice), so the bins —
-    /// and therefore the replay — are identical to a single sequential
-    /// binning pass, with no serial phase left in front of the workers.
-    fn run_sharded<R, F>(&mut self, ops: &[CacheOp], threads: usize, run: &F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut Shard, &[BinnedOp]) -> R + Sync,
-    {
-        let slices = self.shards.len();
-        self.bins.reset(slices);
-        let hash = self.hash;
-        let geom = self.geom;
-        // Disjoint field borrows: the workers mutate the shards and the
-        // bin scratch, nothing else of `self`.
-        let shards = &mut self.shards;
-        let bins = &mut self.bins.bins;
-        let bin_one = |bin: &mut Vec<BinnedOp>, op: CacheOp| {
-            bin.push((geom.set_index(op.addr) as u32, geom.tag(op.addr), op.kind));
-        };
-        // Fault site `swapped-slice-bin`: the dispatcher routes keyed
-        // addresses to the neighbouring slice, disagreeing with the
-        // hash the sequential walk uses. Keyed (pure in the address),
-        // so every worker schedule misbins the same ops. Shared by
-        // both dispatch arms so thread count still can't matter.
-        let slice_of = |addr: crate::PhysAddr| {
-            let slice = hash.slice_of(addr);
-            if slices > 1
-                && crate::fault::fires_keyed(crate::fault::FaultSite::SwappedSliceBin, addr.raw())
-            {
-                slice ^ 1
-            } else {
-                slice
-            }
-        };
-        if threads <= 1 || slices <= 1 {
-            // One sequential binning pass, then the shards in order.
-            let _engine = crate::fault::engine_scope(crate::fault::Engine::Batch);
-            let per_slice_hint = ops.len() / slices + ops.len() / 8 + 1;
-            for bin in bins.iter_mut() {
-                bin.reserve(per_slice_hint);
-            }
-            for &op in ops {
-                bin_one(&mut bins[slice_of(op.addr)], op);
-            }
-            return shards
-                .iter_mut()
-                .zip(bins.iter())
-                .map(|(shard, bin)| run(shard, bin))
-                .collect();
-        }
-        let groups = pc_par::parallel_zip_chunks_threads(
-            shards,
-            bins,
-            threads,
-            |first_slice, shard_group, bin_group| {
-                let _engine = crate::fault::engine_scope(crate::fault::Engine::Batch);
-                let range = first_slice..first_slice + shard_group.len();
-                for &op in ops {
-                    let slice = slice_of(op.addr);
-                    if range.contains(&slice) {
-                        bin_one(&mut bin_group[slice - first_slice], op);
-                    }
-                }
-                shard_group
-                    .iter_mut()
-                    .zip(bin_group.iter())
-                    .map(|(shard, bin)| run(shard, bin))
-                    .collect::<Vec<R>>()
-            },
-        );
-        groups.into_iter().flatten().collect()
     }
 }
 
@@ -1067,69 +661,6 @@ mod tests {
         assert_eq!(llc.flush_all(), 1, "one dirty line flushed");
         assert!(!llc.contains(a));
         assert_eq!(llc.stats().writebacks, 1);
-    }
-
-    fn mixed_ops(n: u64) -> Vec<CacheOp> {
-        (0..n)
-            .map(|i| {
-                let kind = match i % 4 {
-                    0 => AccessKind::IoWrite,
-                    1 => AccessKind::CpuWrite,
-                    2 => AccessKind::IoRead,
-                    _ => AccessKind::CpuRead,
-                };
-                CacheOp::new(PhysAddr::new((i % 37) * 0x1040), kind)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn access_batch_matches_scalar_accesses() {
-        let ops = mixed_ops(200);
-        let mut scalar = tiny_llc(DdioMode::enabled());
-        let mut agg = BatchOutcome::default();
-        for &op in &ops {
-            agg.absorb(scalar.access(op.addr, op.kind));
-        }
-        let mut batched = tiny_llc(DdioMode::enabled());
-        let got = batched.access_batch(&ops);
-        assert_eq!(got, agg);
-        assert_eq!(batched.stats(), scalar.stats());
-        for &op in &ops {
-            assert_eq!(batched.contains(op.addr), scalar.contains(op.addr));
-        }
-    }
-
-    #[test]
-    fn sharded_batch_is_thread_count_invariant() {
-        // The determinism contract in one test: a batch large enough to
-        // take the sharded path must produce identical aggregates, stats
-        // and residency for every worker count, in every mode.
-        let ops = mixed_ops(PAR_BATCH_MIN as u64 + 500);
-        for mode in [
-            DdioMode::Disabled,
-            DdioMode::enabled(),
-            DdioMode::adaptive(),
-        ] {
-            let mut scalar = tiny_llc(mode);
-            let mut want = BatchOutcome::default();
-            for &op in &ops {
-                want.absorb(scalar.access(op.addr, op.kind));
-            }
-            for threads in [1usize, 2, 3, 8] {
-                let mut sharded = tiny_llc(mode);
-                let got = sharded.access_batch_threads(&ops, threads);
-                assert_eq!(got, want, "{mode:?} threads={threads}");
-                assert_eq!(
-                    sharded.stats(),
-                    scalar.stats(),
-                    "{mode:?} threads={threads}"
-                );
-                for &op in &ops {
-                    assert_eq!(sharded.contains(op.addr), scalar.contains(op.addr));
-                }
-            }
-        }
     }
 
     #[test]

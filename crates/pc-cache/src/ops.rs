@@ -7,12 +7,11 @@
 //! overheads, compute gaps). [`CacheOp`] is that stream's record type;
 //! producers *emit* ops through the [`OpSink`] trait and consumers
 //! replay them through [`crate::Hierarchy::run_ops`] /
-//! [`crate::Hierarchy::run_trace`] (clock-advancing) or
-//! [`crate::SlicedCache::access_batch`] (clockless).
+//! [`crate::Hierarchy::run_trace`] (clock-advancing).
 //!
 //! The IR exists so one engine serves everybody: a producer that emits
-//! into an [`OpBuffer`] and replays the batch gets the slice-sharded
-//! fast path for free, while the *same* emit code pointed at a
+//! into an [`OpBuffer`] and replays the batch gets the prefetching
+//! trace walk for free, while the *same* emit code pointed at a
 //! [`crate::Hierarchy`] (which implements [`OpSink`] by applying each
 //! op immediately) is the per-access equivalence oracle — byte-identical
 //! results, per-access latencies available mid-stream.
@@ -23,9 +22,8 @@
 //! RNG draws and the adaptive defense's per-slice access-count clock
 //! all depend only on the `(addr, kind)` stream. Leads only move the
 //! cycle clock, and the clock moved over a replay is
-//! `sum(leads) + sum(latencies) + trailing advance`, which is
-//! order-independent — the reason a batch with leads can still shard
-//! by slice and stay byte-identical to the sequential walk.
+//! `sum(leads) + sum(latencies) + trailing advance`, so a replayed
+//! batch moves the clock exactly as issuing its ops one at a time.
 //!
 //! ## The packed 8-byte batch layout
 //!
@@ -176,8 +174,8 @@ const _: () = assert!(
 ///
 /// Producers (the NIC driver's frame decomposition, the spy's
 /// prime/probe walks, workload inner loops) are written once against
-/// this trait; pointing them at an [`OpBuffer`] batches for the sharded
-/// engine, pointing them at a [`crate::Hierarchy`] replays per access —
+/// this trait; pointing them at an [`OpBuffer`] batches for
+/// [`crate::Hierarchy::run_ops`], pointing them at a [`crate::Hierarchy`] replays per access —
 /// the equivalence oracle, and the path to take when per-access
 /// latencies are needed mid-stream.
 pub trait OpSink {
@@ -202,7 +200,7 @@ pub trait OpSink {
 ///
 /// Producers carry one of these across batches and [`OpBuffer::clear`]
 /// between them — capacity is preserved, so steady-state emission
-/// allocates nothing (the `TraceBins` pattern). An advance with no
+/// allocates nothing. An advance with no
 /// following op is kept as the [`OpBuffer::trailing`] advance and
 /// applied by `run_ops` after the last access.
 ///
@@ -287,8 +285,8 @@ impl<'a> IntoIterator for &'a OpBuffer {
 }
 
 /// Decoding iterator over an [`OpBuffer`]'s packed ops (see
-/// [`OpBuffer::iter`]). `ExactSizeIterator`, so replay dispatch can
-/// size scratch without a separate length pass.
+/// [`OpBuffer::iter`]). `ExactSizeIterator`, so consumers can size
+/// scratch without a separate length pass.
 #[derive(Clone, Debug)]
 pub struct OpIter<'a> {
     words: &'a [u64],

@@ -25,12 +25,10 @@
 //!    once per access **presented to the owning slice**, not once per
 //!    machine cycle. The cycle clock is a global, outcome-dependent
 //!    quantity (each access's latency depends on every prior hit/miss
-//!    across all slices), so a cycle-driven period would couple slices
-//!    and pin adaptive traces to the sequential walk. The access-count
-//!    clock is a pure function of the slice's own access stream — which
-//!    makes a slice's adaptation schedule reconstructible during trace
-//!    binning and lets adaptive traces shard across worker threads with
-//!    byte-identical results. (Either clock only ever *samples* I/O
+//!    across all slices), so a cycle-driven period would couple slices.
+//!    The access-count clock is a pure function of the slice's own
+//!    access stream, so each slice's adaptation schedule depends on that
+//!    slice alone, as in per-slice hardware. (Either clock only ever *samples* I/O
 //!    pressure; the security property — I/O fills never displace CPU
 //!    lines — is enforced on every fill and does not depend on the
 //!    period at all.) `paper_defaults` rescales the paper's

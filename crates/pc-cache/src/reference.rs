@@ -20,12 +20,12 @@
 //! The model is *not* a fossil of old bugs: behavioral fixes applied to
 //! the real cache (the adaptation-list deduplication, see
 //! `src/partition.rs`) are mirrored here, because the reference defines
-//! intended semantics, not historical accidents. Likewise the sharded
-//! engine's per-slice contract — one RNG stream per slice (seeded with
+//! intended semantics, not historical accidents. Likewise the real
+//! cache's per-slice contract — one RNG stream per slice (seeded with
 //! [`pc_par::stream_seed`] in the `Slice` domain) and per-slice
 //! adaptation timing/worklists — is
 //! part of the intended semantics and is mirrored here, so the
-//! equivalence tests hold the parallel engine to this model for every
+//! equivalence tests hold the real cache to this model for every
 //! policy, `Random` (RNG-consuming) included. Do not use this type
 //! outside tests and benches — it is an order of magnitude slower on
 //! large geometries.
@@ -269,13 +269,15 @@ impl CacheSet {
 
 /// Per-slice control state: the slice's RNG stream, its access-count
 /// defense clock and its adaptive defense bookkeeping (mirrors the
-/// sharded engine's per-slice decoupling; worklists hold flat set
+/// real cache's per-slice shards; worklists hold flat set
 /// indices).
 #[derive(Clone, Debug)]
 struct SliceCtl {
     rng: SmallRng,
     clock: u64,
     adapt_last: u64,
+    /// Period re-evaluations this slice ran.
+    defense_evals: u64,
     touched: Vec<usize>,
     elevated: Vec<usize>,
 }
@@ -340,6 +342,7 @@ impl ReferenceCache {
                 )),
                 clock: 0,
                 adapt_last: 0,
+                defense_evals: 0,
                 touched: Vec::new(),
                 elevated: Vec::new(),
             })
@@ -387,6 +390,16 @@ impl ReferenceCache {
         self.stats
     }
 
+    /// Adaptive-defense period re-evaluations run by one slice (the
+    /// per-slice share of [`CacheStats::defense_evals`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slice >= geometry.slices()`.
+    pub fn slice_defense_evals(&self, slice: usize) -> u64 {
+        self.ctl[slice].defense_evals
+    }
+
     /// Invalidates the whole cache, returning the dirty writeback count.
     pub fn flush_all(&mut self) -> usize {
         let mut wb = 0usize;
@@ -398,7 +411,7 @@ impl ReferenceCache {
     }
 
     /// Performs one access (original algorithm), ticking the owning
-    /// slice's defense clock exactly as the sharded engine does.
+    /// slice's defense clock exactly as the real cache's shard does.
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> AccessOutcome {
         let ss = self.locate(addr);
         let idx = self.flat_index(ss);
@@ -634,6 +647,7 @@ impl ReferenceCache {
     // each other). Do not optimize this method.
     fn adapt(&mut self, cfg: AdaptiveConfig, slice: usize) {
         self.ctl[slice].adapt_last = self.ctl[slice].clock;
+        self.ctl[slice].defense_evals += 1;
         self.stats.defense_evals += 1;
         let touched = std::mem::take(&mut self.ctl[slice].touched);
         let elevated = std::mem::take(&mut self.ctl[slice].elevated);

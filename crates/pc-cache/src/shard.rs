@@ -1,20 +1,19 @@
-//! One LLC slice as an independent simulation engine.
+//! One LLC slice's simulation state.
 //!
 //! A [`Shard`] owns everything needed to simulate the sets of one cache
 //! slice: the slice's cut of the SoA line store, its replacement state,
 //! its statistics, its RNG stream and its adaptive-defense bookkeeping.
-//! Nothing in a shard references another slice, which is the whole
-//! point: the Packet Chasing threat model is per-slice (DDIO ways,
-//! prime+probe sets and adaptive partitions are all sliced state), so
-//! slices can simulate concurrently on worker threads and still produce
-//! results byte-identical to a sequential walk.
+//! Nothing in a shard references another slice, because the Packet
+//! Chasing threat model is per-slice: DDIO ways, prime+probe sets and
+//! adaptive partitions are all sliced state. Replay itself is one
+//! sequential walk ([`crate::Hierarchy::run_trace`]); the per-slice
+//! split is the model, not a scheduling device.
 //!
-//! The determinism contract, concretely:
+//! The per-slice contract, concretely:
 //!
 //! * **RNG.** Each shard draws from its own `SmallRng` seeded with
 //!   [`pc_par::stream_seed`]`(cache_seed, SeedDomain::Slice, slice)`. A
-//!   slice's stream depends only on the accesses *that slice* receives,
-//!   never on the schedule.
+//!   slice's stream depends only on the accesses *that slice* receives.
 //! * **Replacement clock.** The LRU stamp clock is per-shard. Only the
 //!   relative stamp order within one set matters for victim selection,
 //!   and all touches of a set happen in its shard, so per-shard clocks
@@ -24,19 +23,14 @@
 //!   clock* ticks once per access it receives, and a slice re-evaluates
 //!   its partitions when its own clock crosses the period boundary
 //!   ([`crate::partition`] documents the deviation from the paper's
-//!   cycle-based period). Because the clock is a pure function of the
-//!   slice's own access stream — never of other slices' hit/miss
-//!   outcomes — a shard replaying its bin of a trace reconstructs
-//!   exactly the adaptation schedule the sequential walk would produce,
-//!   which is what lets *adaptive* traces shard across worker threads.
+//!   cycle-based period). The clock is a pure function of the slice's
+//!   own access stream — never of other slices' hit/miss outcomes.
 //!   (The paper's hardware proposal is per-set counters + per-set
 //!   decision logic, so per-slice timing is the faithful granularity; a
-//!   global timer would couple slices and make parallel simulation
-//!   order-dependent.)
+//!   global timer would couple slices.)
 //!
-//! [`crate::SlicedCache`] owns one shard per slice and routes scalar
-//! accesses; its batch entry points bin ops by slice and fan shards out
-//! over threads, merging statistics in slice order.
+//! [`crate::SlicedCache`] owns one shard per slice, routes every access
+//! to the owning shard and merges statistics in slice order.
 
 use crate::llc::{AccessKind, AccessOutcome, DdioMode};
 use crate::partition::AdaptiveConfig;
@@ -162,8 +156,7 @@ impl Shard {
     ///
     /// `mode` is passed per call (it is shared, `Copy` cache
     /// configuration owned by [`crate::SlicedCache`]); everything
-    /// mutable is shard-local, so concurrent `access` calls on
-    /// *different* shards are race-free by construction.
+    /// mutable is shard-local.
     #[inline]
     pub(crate) fn access(
         &mut self,

@@ -27,9 +27,10 @@ pub struct CacheStats {
     /// defense clock crossed a period boundary and its recently active
     /// sets were re-evaluated (see [`crate::AdaptiveConfig`]). Always 0
     /// outside `Adaptive` mode. Per-slice counts are observable through
-    /// [`crate::SlicedCache::slice_stats`] — the sharded trace replay
-    /// must reproduce the sequential walk's per-slice period boundaries
-    /// exactly, and this counter is how tests pin that down.
+    /// [`crate::SlicedCache::slice_stats`] — the trace replay must
+    /// reproduce the per-access walk's and the reference model's
+    /// per-slice period boundaries exactly, and this counter is how
+    /// tests pin that down.
     pub defense_evals: u64,
 }
 

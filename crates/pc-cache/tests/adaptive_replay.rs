@@ -1,28 +1,26 @@
-//! The slice-parallel *adaptive* trace replay against its two oracles.
+//! The *adaptive* trace replay against its two oracles.
 //!
-//! PR 2 sharded the LLC for `Disabled`/`Enabled` traces; this suite
-//! pins down the property that let adaptive traces join them: each
-//! slice's defense period runs off a per-slice access-count clock, so a
-//! shard replaying its bin reconstructs the sequential walk's
-//! adaptation schedule **exactly** — not just the final aggregate
-//! numbers, but the per-slice period boundaries themselves
-//! (`CacheStats::defense_evals` via `SlicedCache::slice_stats`), the
-//! partition boundaries of every set, and the residency.
+//! Each slice's defense period runs off a per-slice access-count clock,
+//! so the batch trace walk (`Hierarchy::run_trace`) must reproduce the
+//! per-access walk's adaptation schedule **exactly** — not just the
+//! final aggregate numbers, but the per-slice period boundaries
+//! themselves (`CacheStats::defense_evals` via
+//! `SlicedCache::slice_stats`), the partition boundaries of every set,
+//! and the residency.
 //!
 //! Two oracles:
 //!
-//! * the sequential clock-advancing walk (`run_trace_threads(ops, 1)`),
-//!   which is what `PC_BENCH_THREADS=1` runs in CI;
+//! * the clock-advancing per-access walk (`Hierarchy::cpu_read` and
+//!   friends, one call per op);
 //! * the pre-refactor [`ReferenceCache`] driven one op at a time.
 
 use pc_cache::reference::ReferenceCache;
 use pc_cache::{
     AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, DdioMode, Domain, Hierarchy, PhysAddr,
-    SlicedCache,
 };
 
-/// A mixed trace long enough to clear the sharded-dispatch threshold,
-/// touching many sets of every slice with an I/O-heavy kind mix.
+/// A mixed trace long enough to cross many defense periods in every
+/// slice, touching many sets of every slice with an I/O-heavy kind mix.
 fn long_mixed_trace(n: u64) -> Vec<CacheOp> {
     (0..n)
         .map(|i| {
@@ -55,50 +53,61 @@ fn adaptive_modes() -> Vec<DdioMode> {
     ]
 }
 
-/// The headline regression: for every worker count the sharded replay
-/// must reproduce the sequential walk's per-slice defense re-evaluation
-/// counts exactly — a thread-scheduling bug that merely preserved
-/// totals (or final stats) would slip past aggregate comparisons.
+/// Replays `ops` one access at a time through the scalar entry points.
+fn per_access(geom: CacheGeometry, mode: DdioMode, ops: &[CacheOp]) -> Hierarchy {
+    let mut h = Hierarchy::new(geom, mode);
+    for &op in ops {
+        match op.kind {
+            AccessKind::CpuRead => h.cpu_read(op.addr),
+            AccessKind::CpuWrite => h.cpu_write(op.addr),
+            AccessKind::IoWrite => h.io_write(op.addr),
+            AccessKind::IoRead => h.io_read(op.addr),
+        };
+    }
+    h
+}
+
+/// The headline regression: the trace walk must reproduce the
+/// per-access walk's per-slice defense re-evaluation counts exactly —
+/// a bug that merely preserved totals (or final stats) would slip past
+/// aggregate comparisons.
 #[test]
 fn sharded_adaptive_replay_reproduces_per_slice_period_boundaries() {
     let ops = long_mixed_trace(10_000);
     for mode in adaptive_modes() {
         for geom in [CacheGeometry::tiny(), CacheGeometry::xeon_e5_2660()] {
-            let mut seq = Hierarchy::new(geom, mode);
-            let want = seq.run_trace_threads(&ops, 1);
+            let scalar = per_access(geom, mode, &ops);
             let evals_per_slice: Vec<u64> = (0..geom.slices())
-                .map(|s| seq.llc().slice_stats(s).defense_evals)
+                .map(|s| scalar.llc().slice_stats(s).defense_evals)
                 .collect();
             assert!(
                 evals_per_slice.iter().all(|&e| e > 0),
                 "every slice must cross period boundaries for the test to bite: {evals_per_slice:?}"
             );
-            for threads in [2usize, 4] {
-                let mut par = Hierarchy::new(geom, mode);
-                let got = par.run_trace_threads(&ops, threads);
-                assert_eq!(got, want, "{mode:?} threads={threads}");
-                assert_eq!(par.now(), seq.now());
-                assert_eq!(par.memory_stats(), seq.memory_stats());
-                for (slice, &want_evals) in evals_per_slice.iter().enumerate() {
-                    assert_eq!(
-                        par.llc().slice_stats(slice),
-                        seq.llc().slice_stats(slice),
-                        "per-slice stats diverged: {mode:?} threads={threads} slice={slice}"
-                    );
-                    assert_eq!(
-                        par.llc().slice_stats(slice).defense_evals,
-                        want_evals,
-                        "period boundary count diverged: threads={threads} slice={slice}"
-                    );
-                }
+            let mut h = Hierarchy::new(geom, mode);
+            let sum = h.run_trace(ops.iter().copied());
+            assert_eq!(sum.cycles, scalar.now(), "{mode:?}");
+            assert_eq!(h.now(), scalar.now());
+            assert_eq!(h.memory_stats(), scalar.memory_stats());
+            for (slice, &want_evals) in evals_per_slice.iter().enumerate() {
+                assert_eq!(
+                    h.llc().slice_stats(slice),
+                    scalar.llc().slice_stats(slice),
+                    "per-slice stats diverged: {mode:?} slice={slice}"
+                );
+                assert_eq!(
+                    h.llc().slice_stats(slice).defense_evals,
+                    want_evals,
+                    "period boundary count diverged: slice={slice}"
+                );
             }
         }
     }
 }
 
-/// The sharded adaptive replay against the reference model: identical
+/// The adaptive trace replay against the reference model: identical
 /// statistics (defense re-evaluations included), partition boundaries
-/// and residency for 1/2/4 workers.
+/// and residency.
 #[test]
 fn sharded_adaptive_replay_matches_reference_model() {
     let ops = long_mixed_trace(9_000);
@@ -108,27 +117,21 @@ fn sharded_adaptive_replay_matches_reference_model() {
         for &op in &ops {
             reference.access(op.addr, op.kind);
         }
-        for threads in [1usize, 2, 4] {
-            let mut h = Hierarchy::new(geom, mode);
-            h.run_trace_threads(&ops, threads);
+        let mut h = Hierarchy::new(geom, mode);
+        h.run_trace(ops.iter().copied());
+        assert_eq!(h.llc().stats(), reference.stats(), "{mode:?}");
+        for &op in &ops {
+            let ss = h.llc().locate(op.addr);
+            assert_eq!(h.llc().contains(op.addr), reference.contains(op.addr));
             assert_eq!(
-                h.llc().stats(),
-                reference.stats(),
-                "{mode:?} threads={threads}"
+                h.llc().io_partition_limit(ss),
+                reference.io_partition_limit(ss),
+                "partition boundary diverged at {ss}: {mode:?}"
             );
-            for &op in &ops {
-                let ss = h.llc().locate(op.addr);
-                assert_eq!(h.llc().contains(op.addr), reference.contains(op.addr));
-                assert_eq!(
-                    h.llc().io_partition_limit(ss),
-                    reference.io_partition_limit(ss),
-                    "partition boundary diverged at {ss}: threads={threads}"
-                );
-                assert_eq!(
-                    h.llc().domain_count(ss, Domain::Io),
-                    reference.domain_count(ss, Domain::Io)
-                );
-            }
+            assert_eq!(
+                h.llc().domain_count(ss, Domain::Io),
+                reference.domain_count(ss, Domain::Io)
+            );
         }
     }
 }
@@ -138,47 +141,37 @@ fn sharded_adaptive_replay_matches_reference_model() {
 /// defense clock ticks per access, so batch boundaries can't shift
 /// period boundaries.
 #[test]
-fn chunked_adaptive_replay_is_chunk_and_thread_invariant() {
+fn chunked_adaptive_replay_is_chunk_invariant() {
     let ops = long_mixed_trace(8_192);
     let geom = CacheGeometry::tiny();
     let mode = DdioMode::adaptive();
-
-    let mut scalar = Hierarchy::new(geom, mode);
-    for &op in &ops {
-        match op.kind {
-            AccessKind::CpuRead => scalar.cpu_read(op.addr),
-            AccessKind::CpuWrite => scalar.cpu_write(op.addr),
-            AccessKind::IoWrite => scalar.io_write(op.addr),
-            AccessKind::IoRead => scalar.io_read(op.addr),
-        };
-    }
-
-    for (chunk, threads) in [(ops.len(), 2), (4_096, 4), (1_024, 2)] {
+    let scalar = per_access(geom, mode, &ops);
+    for chunk in [ops.len(), 4_096, 1_024, 7] {
         let mut h = Hierarchy::new(geom, mode);
         for part in ops.chunks(chunk) {
-            h.run_trace_threads(part, threads);
+            h.run_trace(part.iter().copied());
         }
-        assert_eq!(h.now(), scalar.now(), "chunk={chunk} threads={threads}");
+        assert_eq!(h.now(), scalar.now(), "chunk={chunk}");
         assert_eq!(h.memory_stats(), scalar.memory_stats());
         for slice in 0..geom.slices() {
             assert_eq!(
                 h.llc().slice_stats(slice),
                 scalar.llc().slice_stats(slice),
-                "chunk={chunk} threads={threads} slice={slice}"
+                "chunk={chunk} slice={slice}"
             );
         }
     }
 }
 
-/// The batch dispatcher's cache-level entry point keeps adapting inside
-/// a single large batch (the old cycle-stamped API re-evaluated at most
-/// once per batch because the whole batch shared one clock value).
+/// The trace walk keeps adapting inside a single large batch (the old
+/// cycle-stamped API re-evaluated at most once per batch because the
+/// whole batch shared one clock value).
 #[test]
 fn adaptation_fires_inside_one_batch() {
     let ops = long_mixed_trace(6_000);
-    let mut llc = SlicedCache::new(CacheGeometry::tiny(), DdioMode::adaptive());
-    llc.access_batch(&ops);
-    let evals = llc.stats().defense_evals;
+    let mut h = Hierarchy::new(CacheGeometry::tiny(), DdioMode::adaptive());
+    h.run_trace(ops.iter().copied());
+    let evals = h.llc().stats().defense_evals;
     assert!(
         evals >= ops.len() as u64 / (2 * AdaptiveConfig::paper_defaults().period),
         "one batch must keep crossing period boundaries, saw {evals}"

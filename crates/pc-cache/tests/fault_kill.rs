@@ -5,7 +5,7 @@
 //! (`pc_cache::fault`): a differential test that has never failed can
 //! be vacuous, so each catalog site is armed in turn and the detector —
 //! four engines (per-access oracle, streaming applier, buffered batch,
-//! pinned two-worker sharded replay) compared on clock, memory
+//! unbuffered `run_trace` replay) compared on clock, memory
 //! traffic, merged *and* per-slice statistics, and residency — must
 //! report a divergence (or panic, which also counts: a mutant that
 //! trips an internal assertion is dead). The same detector with no
@@ -13,8 +13,8 @@
 //! the injection hooks themselves perturb nothing.
 //!
 //! The rx site (`dropped-deferred-read`) lives above this crate; its
-//! kill test is `crates/core/tests/fault_kill_rx.rs`. The monitor site
-//! (`cross-epoch-misclassify`) is killed by
+//! kill test is `crates/core/tests/fault_kill_rx.rs`. The
+//! eviction-memo site (`stale-eviction-memo`) is killed by
 //! `crates/pc-probe/tests/fault_kill_probe.rs`.
 
 use pc_cache::fault::{self, FaultSite, FaultSpec};
@@ -112,7 +112,7 @@ fn detect(stream_seed: u64) -> Option<String> {
         let mut oracle = Hierarchy::new(geom, mode);
         let mut streaming = Hierarchy::new(geom, mode);
         let mut batch = Hierarchy::new(geom, mode);
-        let mut sharded = Hierarchy::new(geom, mode);
+        let mut traced = Hierarchy::new(geom, mode);
         let mut buf = OpBuffer::new();
         for round in 0..6u64 {
             let ops = fuzz_stream(pc_par::mix_seed(stream_seed, round), 6000);
@@ -133,12 +133,12 @@ fn detect(stream_seed: u64) -> Option<String> {
             }
             buf.advance(17);
             batch.run_ops(&buf);
-            sharded.run_trace_threads(&ops, 2);
-            sharded.advance(17);
+            traced.run_trace(ops.iter().copied());
+            traced.advance(17);
             for (name, h) in [
                 ("streaming", &streaming),
                 ("batch", &batch),
-                ("sharded", &sharded),
+                ("traced", &traced),
             ] {
                 if let Some(d) = differs(&oracle, h, &ops) {
                     return Some(format!("{mode:?} round {round}: {name} vs oracle: {d}"));
@@ -149,13 +149,12 @@ fn detect(stream_seed: u64) -> Option<String> {
     None
 }
 
-/// The nine catalog sites whose mutation lives at or below the
-/// op-stream engines (the two rx sites are killed in pc-core's suite).
-const CACHE_SITES: [FaultSite; 9] = [
+/// The eight catalog sites whose mutation lives at or below the
+/// op-stream engines.
+const CACHE_SITES: [FaultSite; 8] = [
     FaultSite::StatOffByOne,
     FaultSite::DroppedFlush,
     FaultSite::StaleLru,
-    FaultSite::SwappedSliceBin,
     FaultSite::CorruptedLead,
     FaultSite::SkippedDefenseEval,
     FaultSite::StaleDirtySet,

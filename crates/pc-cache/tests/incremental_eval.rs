@@ -1,7 +1,7 @@
 //! Incremental vs full-scan defense re-evaluation, pinned against the
 //! [`ReferenceCache`] oracle.
 //!
-//! PR 8 replaced the sharded engine's per-period full revisit scan with
+//! The real cache replaced the per-period full revisit scan with
 //! a dirty-set worklist plus per-set epoch stamps and a parked-set skip
 //! (see `shard.rs::adapt` and the "Adaptive defense" section of
 //! ARCHITECTURE.md). The reference model deliberately keeps the old
@@ -17,12 +17,12 @@
 //! * **partition sizes at every period boundary** — in fact after every
 //!   single access: the full `io_partition_limit` + I/O-occupancy map
 //!   of all 32 sets of the tiny geometry is swept in lockstep;
-//! * **per-slice `defense_evals`** — the threaded engines' per-slice
-//!   statistics must match the scalar engine's exactly (the reference
-//!   model only exposes merged stats, which are compared too);
+//! * **per-slice `defense_evals`** — each slice's count of period
+//!   re-evaluations must match the reference model's exactly, not just
+//!   the merged total (merged stats are compared too);
 //! * **displaced-line writebacks** — `writebacks` and
 //!   `partition_invalidations` ride along in every stats comparison;
-//! * **all [`DdioMode`]s × [`ReplacementPolicy`]s × {1, 2, 4} threads**
+//! * **all [`DdioMode`]s × [`ReplacementPolicy`]s**
 //!   — `Random` replacement included, because parked-set skipping is
 //!   only sound if skipped evaluations draw no RNG;
 //! * **adversarial oscillation** — streams that push a target band of
@@ -33,8 +33,8 @@
 
 use pc_cache::reference::ReferenceCache;
 use pc_cache::{
-    AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, CacheStats, DdioMode, Domain, PhysAddr,
-    ReplacementPolicy, SliceSet, SlicedCache,
+    AccessKind, AdaptiveConfig, CacheGeometry, DdioMode, Domain, PhysAddr, ReplacementPolicy,
+    SliceSet, SlicedCache,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -90,12 +90,6 @@ fn assert_partition_map(soa: &SlicedCache, reference: &ReferenceCache, what: &st
             );
         }
     }
-}
-
-fn slice_stats(c: &SlicedCache) -> Vec<CacheStats> {
-    (0..c.geometry().slices())
-        .map(|s| c.slice_stats(s))
-        .collect()
 }
 
 /// An adversarial stream oscillating around the quota thresholds: each
@@ -208,57 +202,42 @@ fn assert_lockstep(
     );
 }
 
-/// Threaded legs: the same trace through `access_batch_threads` at
-/// {1, 2, 4} workers, in period-sized chunks so every comparison lands
-/// on (or straddles) a period boundary. Per-slice statistics — each
-/// slice's own `defense_evals` included — must match the scalar
-/// engine's; merged stats and the partition map must match the oracle.
-fn assert_threaded(
+/// Per-slice leg: the same trace through [`SlicedCache::access`] and
+/// the oracle. Each slice's `defense_evals` must match the oracle's
+/// per-slice count; merged stats, the partition map and residency must
+/// match at the end.
+fn assert_per_slice_evals(
     mode: DdioMode,
     policy: ReplacementPolicy,
     seed: u64,
     ops: &[(PhysAddr, AccessKind)],
 ) {
     let geom = CacheGeometry::tiny();
-    let chunk = match mode {
-        DdioMode::Adaptive(cfg) => cfg.period as usize,
-        _ => 16,
-    };
-    let mut scalar = SlicedCache::with_policy_and_seed(geom, mode, policy, seed);
+    let mut soa = SlicedCache::with_policy_and_seed(geom, mode, policy, seed);
     let mut reference = ReferenceCache::with_policy_and_seed(geom, mode, policy, seed);
     for &(a, k) in ops {
-        scalar.access(a, k);
+        soa.access(a, k);
         reference.access(a, k);
     }
-    let scalar_per_slice = slice_stats(&scalar);
-    for threads in [1usize, 2, 4] {
-        let mut sharded = SlicedCache::with_policy_and_seed(geom, mode, policy, seed);
-        for batch in ops.chunks(chunk) {
-            let batch: Vec<CacheOp> = batch.iter().map(|&t| t.into()).collect();
-            sharded.access_batch_threads(&batch, threads);
-        }
+    for slice in 0..geom.slices() {
         assert_eq!(
-            slice_stats(&sharded),
-            scalar_per_slice,
-            "per-slice stats (incl. defense_evals) diverged: {mode:?} {policy:?} threads={threads}"
+            soa.slice_stats(slice).defense_evals,
+            reference.slice_defense_evals(slice),
+            "per-slice defense_evals diverged: {mode:?} {policy:?} slice={slice}"
         );
+    }
+    assert_eq!(
+        soa.stats(),
+        reference.stats(),
+        "merged stats diverged: {mode:?} {policy:?}"
+    );
+    assert_partition_map(&soa, &reference, &format!("end state {mode:?} {policy:?}"));
+    for &(a, _) in ops {
         assert_eq!(
-            sharded.stats(),
-            reference.stats(),
-            "merged stats diverged: {mode:?} {policy:?} threads={threads}"
+            soa.contains(a),
+            reference.contains(a),
+            "residency diverged for {a}: {mode:?} {policy:?}"
         );
-        assert_partition_map(
-            &sharded,
-            &reference,
-            &format!("end state {mode:?} {policy:?} threads={threads}"),
-        );
-        for &(a, _) in ops {
-            assert_eq!(
-                sharded.contains(a),
-                reference.contains(a),
-                "residency diverged for {a}: {mode:?} {policy:?} threads={threads}"
-            );
-        }
     }
 }
 
@@ -298,10 +277,10 @@ proptest! {
         }
     }
 
-    /// Threaded legs over both stream shapes: per-slice defense_evals,
-    /// merged stats and end-state partition map at {1, 2, 4} workers.
+    /// Both stream shapes: per-slice defense_evals, merged stats and
+    /// end-state partition map against the oracle.
     #[test]
-    fn threads_agree_on_per_slice_defense_evals(
+    fn per_slice_defense_evals_match_the_reference(
         seed in 0u64..u64::MAX,
         len in 64usize..600,
     ) {
@@ -311,7 +290,7 @@ proptest! {
                 _ => mixed_stream(seed, len),
             };
             for policy in policies() {
-                assert_threaded(mode, policy, seed % 1000, &ops);
+                assert_per_slice_evals(mode, policy, seed % 1000, &ops);
             }
         }
     }

@@ -7,14 +7,14 @@
 //! pins the three engines byte-identical on each:
 //!
 //! * **batch** — emit into an [`OpBuffer`], replay via
-//!   [`Hierarchy::run_ops`] (sharded where big enough);
+//!   [`Hierarchy::run_ops`] (the prefetching trace walk);
 //! * **streaming** — the one-pass [`Hierarchy::applier`] sink;
 //! * **oracle** — the per-access path (the hierarchy is itself an
 //!   [`OpSink`]).
 //!
-//! Each stream also replays through [`Hierarchy::run_trace_threads`] at
-//! {1, 2, 4} workers, across every [`DdioMode`] × [`ReplacementPolicy`]
-//! (`Random` included, so per-slice RNG streams are exercised), and a
+//! Each stream also replays through [`Hierarchy::run_trace`], across
+//! every [`DdioMode`] × [`ReplacementPolicy`] (`Random` included, so
+//! per-slice RNG streams are exercised), and a
 //! second round over the *same* hierarchies catches divergence that
 //! only shows up in carried state (LRU clocks, defense clocks, RNG).
 
@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 /// Deterministically generates one fuzz stream: `len` ops, `io_pct`%
 /// DMA writes, a lead on roughly one op in eight, and `skew_pct`% of
 /// addresses confined to a tiny conflict region (so some slices see
-/// far more traffic than others — the shard dispatcher's worst case).
+/// far more traffic than others).
 fn fuzz_stream(seed: u64, len: usize, io_pct: u32, skew_pct: u32) -> Vec<CacheOp> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..len)
@@ -104,7 +104,7 @@ fn assert_identical(a: &Hierarchy, b: &Hierarchy, ops: &[CacheOp], what: &str) {
 }
 
 /// Replays every round (with a trailing advance) on all three engines
-/// and the pinned-thread variants, asserting byte-identity after each;
+/// and through `run_trace`, asserting byte-identity after each;
 /// later rounds run over the carried state of earlier ones.
 fn run_all_engines(
     geom: CacheGeometry,
@@ -116,13 +116,9 @@ fn run_all_engines(
     let mut batch = hierarchy(geom, mode, policy);
     let mut streaming = hierarchy(geom, mode, policy);
     let mut oracle = hierarchy(geom, mode, policy);
-    let mut pinned: Vec<Hierarchy> = [1usize, 2, 4]
-        .iter()
-        .map(|_| hierarchy(geom, mode, policy))
-        .collect();
+    let mut traced = hierarchy(geom, mode, policy);
     for ops in rounds {
-        // Batch: one OpBuffer replay (sharded when it crosses the
-        // dispatch threshold).
+        // Batch: one OpBuffer replay.
         let mut buf = OpBuffer::new();
         for &op in ops {
             buf.op(op);
@@ -149,14 +145,10 @@ fn run_all_engines(
         assert_identical(&batch, &oracle, ops, "batch vs oracle");
         assert_identical(&streaming, &oracle, ops, "streaming vs oracle");
 
-        // Pinned worker counts through the sharded trace replay.
-        for (h, &threads) in pinned.iter_mut().zip(&[1usize, 2, 4]) {
-            h.run_trace_threads(ops, threads);
-            h.advance(trailing);
-        }
-        for (h, threads) in pinned.iter().zip([1usize, 2, 4]) {
-            assert_identical(h, &oracle, ops, &format!("threads={threads} vs oracle"));
-        }
+        // The unbuffered trace replay.
+        traced.run_trace(ops.iter().copied());
+        traced.advance(trailing);
+        assert_identical(&traced, &oracle, ops, "run_trace vs oracle");
     }
 }
 
@@ -183,11 +175,10 @@ proptest! {
         }
     }
 
-    /// Long streams on the paper geometry cross the sharded-dispatch
-    /// threshold (4096 ops), so the batch engine actually fans out on
-    /// multi-core hosts while the oracle stays sequential.
+    /// Long streams on the paper geometry: 6000 ops spread over all
+    /// eight slices, so every shard's carried state is exercised.
     #[test]
-    fn engines_agree_past_the_shard_threshold(
+    fn engines_agree_on_long_streams(
         seed in 0u64..u64::MAX,
         skew_pct in 0u32..100,
     ) {
@@ -203,10 +194,9 @@ proptest! {
         }
     }
 
-    /// Short streams on the paper geometry stay below the sharding
-    /// threshold, so the batch engine is the inline `run_ops` walk with
-    /// its prefetch lookahead (8 ops ahead), on the geometry whose rows
-    /// it hints. The lengths straddle the lookahead distance — a stream
+    /// Short streams on the paper geometry exercise the `run_ops`
+    /// walk's prefetch lookahead (8 ops ahead) on the geometry whose
+    /// rows it hints. The lengths straddle the lookahead distance — a stream
     /// shorter than it never prefetches, one just past it prefetches
     /// once — and random lengths sweep the rest of the inline range, in
     /// every mode × policy (`TreePlru` and `Random` keep no stamp

@@ -1,6 +1,6 @@
 //! SoA-store ↔ reference-model equivalence.
 //!
-//! The sharded structure-of-arrays engine must be observationally
+//! The per-slice structure-of-arrays engine must be observationally
 //! identical to the per-set reference implementation
 //! ([`pc_cache::reference::ReferenceCache`]): same [`AccessOutcome`] for
 //! every access of any random trace, same statistics, same residency,
@@ -8,15 +8,13 @@
 //! replacement policies (`Random` included, which exercises identical
 //! per-slice RNG consumption on both sides).
 //!
-//! On top of the scalar equivalence, the sharded batch dispatcher must
-//! be **thread-count invariant**: replaying the same trace through
-//! `access_batch_threads` with 1, 2 or 4 workers must land in the same
-//! state as the reference model driven one op at a time — that is the
-//! determinism contract the CI gate (`repro` stdout diff) rests on.
+//! On top of the scalar equivalence, the batch trace walk
+//! (`Hierarchy::run_trace`), fed the same trace in chunks, must land in
+//! the same state as the reference model driven one op at a time.
 
 use pc_cache::reference::ReferenceCache;
 use pc_cache::{
-    AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, DdioMode, Domain, PhysAddr,
+    AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, DdioMode, Domain, Hierarchy, PhysAddr,
     ReplacementPolicy, SlicedCache,
 };
 use proptest::prelude::*;
@@ -101,14 +99,14 @@ fn assert_equivalent(
     }
 }
 
-/// Drives the sharded batch engine (at several worker counts) and the
-/// reference model through the same trace — chunked, because batch
-/// boundaries must not be observable (each slice's defense clock ticks
-/// per access, wherever the chunks fall) — and asserts identical end
-/// state everywhere it is observable. Adaptive modes adapt *inside*
-/// the batches here, so per-slice period reconstruction is compared
-/// against the reference on every run.
-fn assert_sharded_equivalent(
+/// Drives the batch trace walk and the reference model through the
+/// same trace — chunked, because batch boundaries must not be
+/// observable (each slice's defense clock ticks per access, wherever
+/// the chunks fall) — and asserts identical end state everywhere it is
+/// observable. Adaptive modes adapt *inside* the batches here, so
+/// per-slice period reconstruction is compared against the reference
+/// on every run.
+fn assert_chunked_equivalent(
     mode: DdioMode,
     policy: ReplacementPolicy,
     seed: u64,
@@ -117,42 +115,37 @@ fn assert_sharded_equivalent(
     const CHUNK: usize = 96;
     let geom = CacheGeometry::tiny();
     let mut reference = ReferenceCache::with_policy_and_seed(geom, mode, policy, seed);
-    for chunk in ops.chunks(CHUNK) {
-        for &(a, k) in chunk {
-            reference.access(a, k);
-        }
+    for &(a, k) in ops {
+        reference.access(a, k);
     }
-    for threads in [1usize, 2, 4] {
-        let mut sharded = SlicedCache::with_policy_and_seed(geom, mode, policy, seed);
-        for chunk in ops.chunks(CHUNK) {
-            // Tuples lift into the op-stream IR (leads zero): the
-            // batched engine consumes `CacheOp`s.
-            let chunk: Vec<CacheOp> = chunk.iter().map(|&t| t.into()).collect();
-            sharded.access_batch_threads(&chunk, threads);
-        }
+    let mut h = Hierarchy::with_llc(SlicedCache::with_policy_and_seed(geom, mode, policy, seed));
+    for chunk in ops.chunks(CHUNK) {
+        // Tuples lift into the op-stream IR (leads zero).
+        h.run_trace(chunk.iter().map(|&t| CacheOp::from(t)));
+    }
+    let llc = h.llc();
+    assert_eq!(
+        llc.stats(),
+        reference.stats(),
+        "stats diverged: {mode:?} {policy:?}"
+    );
+    for &(a, _) in ops {
+        let ss = llc.locate(a);
         assert_eq!(
-            sharded.stats(),
-            reference.stats(),
-            "stats diverged: {mode:?} {policy:?} threads={threads}"
+            llc.contains(a),
+            reference.contains(a),
+            "residency diverged for {a}: {mode:?} {policy:?}"
         );
-        for &(a, _) in ops {
-            let ss = sharded.locate(a);
-            assert_eq!(
-                sharded.contains(a),
-                reference.contains(a),
-                "residency diverged for {a}: {mode:?} {policy:?} threads={threads}"
-            );
-            assert_eq!(
-                sharded.domain_count(ss, Domain::Io),
-                reference.domain_count(ss, Domain::Io),
-                "I/O occupancy diverged at {ss}: {mode:?} threads={threads}"
-            );
-            assert_eq!(
-                sharded.io_partition_limit(ss),
-                reference.io_partition_limit(ss),
-                "partition boundary diverged at {ss}: {mode:?} threads={threads}"
-            );
-        }
+        assert_eq!(
+            llc.domain_count(ss, Domain::Io),
+            reference.domain_count(ss, Domain::Io),
+            "I/O occupancy diverged at {ss}: {mode:?}"
+        );
+        assert_eq!(
+            llc.io_partition_limit(ss),
+            reference.io_partition_limit(ss),
+            "partition boundary diverged at {ss}: {mode:?}"
+        );
     }
 }
 
@@ -170,17 +163,17 @@ proptest! {
         assert_equivalent(mode, policy, seed, &ops);
     }
 
-    /// The sharded batch engine at 1/2/4 worker threads against the
-    /// reference model: identical stats, partition boundaries and
-    /// residency for every mode × policy.
+    /// The chunked batch trace walk against the reference model:
+    /// identical stats, partition boundaries and residency for every
+    /// mode × policy.
     #[test]
-    fn sharded_batches_are_equivalent_across_thread_counts(
+    fn chunked_batches_are_equivalent(
         mode in mode_strategy(),
         policy in policy_strategy(),
         seed in 0u64..1000,
         ops in proptest::collection::vec((addr_strategy(), kind_strategy()), 1..600),
     ) {
-        assert_sharded_equivalent(mode, policy, seed, &ops);
+        assert_chunked_equivalent(mode, policy, seed, &ops);
     }
 
     /// Flush in the middle of a trace: writeback counts and the emptied

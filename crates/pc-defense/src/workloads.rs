@@ -165,11 +165,10 @@ impl Workbench {
     /// working-set reads and the response write/DMA-read pairs) and
     /// replayed through [`Hierarchy::run_ops`] — byte-identical to the
     /// per-access walk, since the random lines are drawn before the
-    /// replay and the RNG never observes the hierarchy. A request's
-    /// ~630 ops stay below the sharding threshold, so they replay
-    /// inline, with each op's LLC row prefetched a few ops ahead: the
-    /// random working-set reads would otherwise stall on host cache
-    /// misses (this loop is Figure 16's dominant cost).
+    /// replay and the RNG never observes the hierarchy. `run_ops`
+    /// prefetches each op's LLC row a few ops ahead: the random
+    /// working-set reads would otherwise stall on host cache misses
+    /// (this loop is Figure 16's dominant cost).
     pub fn nginx_request(&mut self, cfg: &NginxConfig) -> Cycles {
         let t0 = self.h.now();
         let frame = EthernetFrame::clamped(cfg.request_bytes);
@@ -249,9 +248,8 @@ pub fn nginx(bench: &mut Workbench, cfg: &NginxConfig, requests: u64) -> Workloa
 /// back out.
 ///
 /// The copy loop is pure op emission (no mid-loop clock reads, no RNG),
-/// so it batches in large chunks and replays through the sharded engine
-/// wherever `PC_BENCH_THREADS` allows — the first defense workload on
-/// the slice-parallel fast path end to end.
+/// so it batches in large chunks and replays each through
+/// [`Hierarchy::run_ops`].
 pub fn file_copy(bench: &mut Workbench, megabytes: u64) -> WorkloadMetrics {
     bench.reset_stats();
     let t0 = bench.h.now();
@@ -259,8 +257,8 @@ pub fn file_copy(bench: &mut Workbench, megabytes: u64) -> WorkloadMetrics {
     let src = (APP_FIRST_PAGE + (1 << 17)) * 4096;
     let dst = (APP_FIRST_PAGE + (1 << 18)) * 4096;
     // 4 ops per copied line, so a chunk fills the workspace op-scratch
-    // cap exactly (64 Ki ops per replay): far above the shard
-    // threshold, small enough to keep the scratch cache-friendly.
+    // cap exactly (64 Ki ops per replay), which keeps the scratch
+    // bounded and cache-friendly.
     const CHUNK_LINES: u64 = pc_cache::ops::OP_SCRATCH_CAP / 4;
     let mut ops = std::mem::take(&mut bench.ops);
     let mut first = 0;

@@ -267,8 +267,8 @@ impl IgbDriver {
         let (blocks, small) = self.cfg.frame_shape(frame);
 
         // Stream the frame's ops through the applier engine: one pass,
-        // totals flushed when the sink drops (per-frame batches are too
-        // small to shard).
+        // totals flushed when the sink drops (a frame is ~6 ops, too few
+        // to be worth buffering).
         let mut sink = h.applier();
         self.cfg
             .emit_frame_ops(buffer_addr, blocks, small, &mut sink);

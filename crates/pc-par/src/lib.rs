@@ -6,18 +6,15 @@
 //!
 //! * [`parallel_map`] — ordered fan-out of independent work items; item
 //!   `i`'s result lands at index `i` regardless of which worker ran it.
-//! * [`parallel_zip_chunks_threads`] — the range-partitioned variant:
-//!   two equal-length mutable slices are cut into the *same* contiguous
-//!   chunks and each chunk pair runs on its own worker (the sharded LLC
-//!   dispatcher pairs shard groups with their op bins this way).
 //! * [`max_threads`] — the one place the `PC_BENCH_THREADS` environment
 //!   variable is read. `PC_BENCH_THREADS=1` forces every parallel path
-//!   in the workspace (experiment repetitions, the sharded LLC engine,
-//!   fingerprint captures) down its sequential branch end to end. The
+//!   in the workspace (experiment repetitions, fingerprint captures,
+//!   fleet tenants, Figure 16's defenses) down its sequential branch
+//!   end to end. The
 //!   count is resolved **once per process** and cached, so changing the
 //!   variable mid-run does nothing: tests that need a specific count
-//!   call the `_threads` APIs ([`parallel_map_threads`] and friends,
-//!   `Hierarchy::run_trace_threads`, …) instead.
+//!   call the `_threads` APIs ([`parallel_map_threads`] and
+//!   [`parallel_map_scratch_threads`]) instead.
 //! * [`mix_seed`] — the shared seed-derivation mix. Work that runs on
 //!   another thread must *never* consume a caller's RNG stream; it gets
 //!   its own `SmallRng` seeded with `mix_seed(base, salt)` where `salt`
@@ -33,8 +30,8 @@
 //!   thousands of small work items doesn't pay a fresh allocation
 //!   curve per item.
 //!
-//! This crate sits below `pc-cache` (which shards the LLC simulation by
-//! slice) and is re-exported as `pc_bench::par` for the harness. The
+//! This crate sits below `pc-cache` (which seeds each LLC slice's RNG
+//! stream with [`stream_seed`]) and is re-exported as `pc_bench::par` for the harness. The
 //! README next to this crate maps each primitive to its users; the
 //! workspace-wide determinism contract is spelled out in the top-level
 //! `ARCHITECTURE.md`.
@@ -51,8 +48,8 @@ use std::sync::OnceLock;
 ///
 /// Resolved **once per process**, on the first call: the environment
 /// and `available_parallelism()` (which reads cgroup files on Linux)
-/// are consulted then and never again, so the hot callers — every
-/// testbed delivery, batch replay and monitor sample — pay one load.
+/// are consulted then and never again, so every later caller pays one
+/// load.
 /// Setting `PC_BENCH_THREADS` after the first call has no effect; code
 /// that needs a specific count (tests, benches) passes it to the
 /// `_threads` variants instead.
@@ -282,70 +279,6 @@ where
         .collect()
 }
 
-/// Range-partitioned fan-out over two zipped mutable slices.
-///
-/// `a` and `b` (which must have equal length) are cut into the *same*
-/// contiguous chunks — at most `threads` of them — and
-/// `f(offset, a_chunk, b_chunk)` runs once per chunk pair, each on its
-/// own scoped worker thread; `offset` is the global index of the
-/// chunk's first element. Results return in range order.
-///
-/// This is the "partition by index range" counterpart to the
-/// round-robin [`parallel_map_threads`]: use it when workers need
-/// **mutable** access to their cut of shared state (the sharded LLC
-/// dispatcher pairs each worker's shard group with that group's op
-/// bins). Because the ranges are disjoint, the borrows are too — no
-/// locks, and determinism is inherited from `f` (each chunk pair sees
-/// exactly the state and inputs it would see sequentially).
-///
-/// With `threads <= 1` (or a single-element input) everything runs
-/// inline on the caller's thread, producing byte-identical results.
-/// Panics in `f` propagate to the caller.
-///
-/// # Panics
-///
-/// Panics if `a` and `b` differ in length.
-pub fn parallel_zip_chunks_threads<A, B, R, F>(
-    a: &mut [A],
-    b: &mut [B],
-    threads: usize,
-    f: F,
-) -> Vec<R>
-where
-    A: Send,
-    B: Send,
-    R: Send,
-    F: Fn(usize, &mut [A], &mut [B]) -> R + Sync,
-{
-    assert_eq!(a.len(), b.len(), "zipped slices must have equal length");
-    let n = a.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let chunk = n.div_ceil(threads.clamp(1, n));
-    if threads <= 1 || n <= 1 {
-        return a
-            .chunks_mut(chunk)
-            .zip(b.chunks_mut(chunk))
-            .enumerate()
-            .map(|(g, (ca, cb))| f(g * chunk, ca, cb))
-            .collect();
-    }
-    let f_ref = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = a
-            .chunks_mut(chunk)
-            .zip(b.chunks_mut(chunk))
-            .enumerate()
-            .map(|(g, (ca, cb))| scope.spawn(move || f_ref(g * chunk, ca, cb)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel_zip_chunks worker panicked"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,45 +330,6 @@ mod tests {
         let sequential: Vec<u64> = seeds.iter().map(|&s| work(s)).collect();
         let parallel = parallel_map(seeds, work);
         assert_eq!(parallel, sequential);
-    }
-
-    #[test]
-    fn zip_chunks_mutations_are_thread_invariant() {
-        // The chunking (and so the per-chunk results) depends on the
-        // worker count; the *state mutations* must not.
-        let run = |threads: usize| {
-            let mut a: Vec<u64> = (0..23).collect();
-            let mut b: Vec<u64> = (100..123).collect();
-            let offsets: Vec<usize> =
-                parallel_zip_chunks_threads(&mut a, &mut b, threads, |offset, ca, cb| {
-                    for (i, (x, y)) in ca.iter_mut().zip(cb.iter()).enumerate() {
-                        *x += *y * (offset + i) as u64;
-                    }
-                    offset
-                });
-            (a, offsets)
-        };
-        let (sequential, _) = run(1);
-        for threads in [2usize, 3, 8, 64] {
-            let (a, offsets) = run(threads);
-            assert_eq!(a, sequential, "threads={threads}");
-            // Offsets really are the global range starts, in order.
-            assert_eq!(offsets[0], 0);
-            assert!(offsets.windows(2).all(|w| w[0] < w[1]), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn zip_chunks_handles_empty_input() {
-        let out: Vec<()> =
-            parallel_zip_chunks_threads::<u8, u8, _, _>(&mut [], &mut [], 4, |_, _, _| ());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn zip_chunks_rejects_mismatched_lengths() {
-        parallel_zip_chunks_threads(&mut [1u8, 2], &mut [1u8], 2, |_, _, _| ());
     }
 
     #[test]

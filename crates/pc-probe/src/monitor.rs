@@ -182,15 +182,8 @@ impl SampleMatrix {
 ///
 /// A probe epoch observes a synchronized machine: `TestBed::advance_to`
 /// returns with every delivered frame's ops applied, so the probe never
-/// sees a half-replayed frame. Inside an epoch the monitor fuses its
-/// probes: when every target's threshold separates hit from miss in the
-/// latency model (every calibrated threshold does), one
-/// [`Monitor::sample`] concatenates all targets' probe walks into a
-/// single segmented batch — one `pc_cache::TraceSummary` per target,
-/// classified from the aggregates (`misses = accesses − hits`),
-/// byte-identical to probing target by target but sharded slice-
-/// parallel like any large batch. An ambiguous threshold falls back
-/// to per-target probing.
+/// sees a half-replayed frame. Inside an epoch the monitor probes its
+/// targets one after another with [`PrimeProbe::probe`].
 #[derive(Clone, Debug)]
 pub struct Monitor {
     targets: Vec<MonitorTarget>,
@@ -217,74 +210,29 @@ impl Monitor {
         self.targets.iter().map(|t| t.label).collect()
     }
 
-    /// Primes every target (attack setup) as **one** fused op batch:
-    /// the targets' walks concatenate in target order, so the access
-    /// stream is identical to priming one target at a time, but a
-    /// monitor over hundreds of sets (Figures 7/8 prime 256) clears the
-    /// sharded-dispatch threshold and replays slice-parallel.
+    /// Primes every target (attack setup) as one op batch: the
+    /// targets' walks concatenate in target order, so the access stream
+    /// is identical to priming one target at a time, in one
+    /// [`Hierarchy::run_trace`] call.
     pub fn prime_all(&self, h: &mut Hierarchy) {
         h.run_trace(self.targets.iter().flat_map(|t| t.probe.prime_ops()));
     }
 
-    /// Probes every target once, returning per-target activity.
-    ///
-    /// Fused when every target's threshold separates the latency model
-    /// (see the type docs): one segmented batch, one subtotal per
-    /// target, byte-identical to per-target probing.
+    /// Probes every target once, in target order, returning per-target
+    /// activity.
     pub fn sample(&self, h: &mut Hierarchy) -> Vec<bool> {
-        self.probe_all(h).into_iter().map(|m| m > 0).collect()
+        self.targets
+            .iter()
+            .map(|t| t.probe.probe(h).activity())
+            .collect()
     }
 
-    /// Probes every target once, returning per-target miss counts.
-    /// Fused exactly like [`Monitor::sample`].
+    /// Probes every target once, in target order, returning per-target
+    /// miss counts.
     pub fn sample_misses(&self, h: &mut Hierarchy) -> Vec<u32> {
-        self.probe_all(h)
-    }
-
-    /// One probe pass over every target, in target order. When all
-    /// targets are batch-separable, the targets' reverse probe walks
-    /// concatenate into **one** trace with a segment start per target
-    /// ([`Hierarchy::run_trace_segmented`]); each target's misses are
-    /// recovered from its subtotal as `accesses − hits`. The access
-    /// stream, clock and statistics are identical to probing one
-    /// target at a time — the fusion only lets a many-target monitor
-    /// (Figures 7/8 sample 256 sets) clear the sharded-dispatch
-    /// threshold instead of replaying hundreds of tiny batches.
-    fn probe_all(&self, h: &mut Hierarchy) -> Vec<u32> {
-        let lat = h.latencies();
-        if !self.targets.iter().all(|t| t.probe.batch_separable(lat)) {
-            return self
-                .targets
-                .iter()
-                .map(|t| t.probe.probe(h).misses)
-                .collect();
-        }
-        let mut ops: Vec<pc_cache::CacheOp> = Vec::new();
-        let mut starts = Vec::with_capacity(self.targets.len());
-        for t in &self.targets {
-            starts.push(ops.len());
-            ops.extend(t.probe.probe_ops());
-        }
-        let mut seg = Vec::new();
-        h.run_trace_segmented(&ops, &starts, &mut seg);
-        seg.iter()
-            .enumerate()
-            .map(|(k, s)| {
-                let mut misses = (s.accesses - s.hits) as u32;
-                // Fault site `cross-epoch-misclassify`: the fused
-                // sample inverts one keyed target's classification
-                // (misses become hits and vice versa) — the aggregate
-                // is consistent, only the recovered per-target signal
-                // is wrong, which is exactly what a differential
-                // monitor check must catch.
-                if pc_cache::fault::fires_keyed(
-                    pc_cache::fault::FaultSite::CrossEpochMisclassify,
-                    k as u64,
-                ) {
-                    misses = s.accesses as u32 - misses;
-                }
-                misses
-            })
+        self.targets
+            .iter()
+            .map(|t| t.probe.probe(h).misses)
             .collect()
     }
 
@@ -376,26 +324,34 @@ mod tests {
     }
 
     #[test]
-    fn fused_sample_matches_per_target_probing() {
-        // The fused segmented sample against a hand-driven per-target
-        // walk on a cloned machine: same misses, same clock, same
-        // cache statistics — fusion is pure scheduling.
+    fn sample_matches_per_access_probing() {
+        // The monitor's sample against a hand-timed per-access walk of
+        // every target on a cloned machine: same misses, same clock,
+        // same cache statistics.
         let (mut h, m, victims) = setup(6);
         m.prime_all(&mut h);
         let _ = m.sample(&mut h);
         h.io_write(victims[1]);
         h.io_write(victims[4]);
         let mut oracle = h.clone();
-        let fused = m.sample_misses(&mut h);
-        let split: Vec<u32> = m
+        let sampled = m.sample_misses(&mut h);
+        let threshold = oracle.latencies().miss_threshold();
+        let timed: Vec<u32> = m
             .targets()
             .iter()
-            .map(|t| t.probe.probe(&mut oracle).misses)
+            .map(|t| {
+                let addrs = t.probe.eviction_set().addresses();
+                addrs
+                    .iter()
+                    .rev()
+                    .filter(|&&a| oracle.cpu_read(a) >= threshold)
+                    .count() as u32
+            })
             .collect();
-        assert_eq!(fused, split);
+        assert_eq!(sampled, timed);
         assert_eq!(h.now(), oracle.now());
         assert_eq!(h.llc().stats(), oracle.llc().stats());
-        assert!(fused[1] > 0 && fused[4] > 0, "activity where written");
-        assert_eq!(fused[0], 0);
+        assert!(sampled[1] > 0 && sampled[4] > 0, "activity where written");
+        assert_eq!(sampled[0], 0);
     }
 }

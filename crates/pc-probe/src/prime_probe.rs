@@ -46,19 +46,16 @@ impl PrimeProbe {
     }
 
     /// The priming walk as an op stream (forward order) — **the** walk
-    /// definition, shared by [`PrimeProbe::prime`], fused multi-target
+    /// definition, shared by [`PrimeProbe::prime`] and multi-target
     /// primes (`Monitor::prime_all` concatenates every target's walk
-    /// into one batch) and the probe's reverse pass, so traversal order
-    /// lives in one place.
+    /// into one batch).
     pub fn prime_ops(&self) -> impl Iterator<Item = CacheOp> + '_ {
         self.set.addresses().iter().map(|&a| CacheOp::read(a))
     }
 
     /// The probing walk: the same lines in reverse (re-priming as it
-    /// goes — the classic zig-zag). Crate-visible so the monitor's
-    /// fused multi-target sample can concatenate many targets' walks
-    /// into one segmented batch.
-    pub(crate) fn probe_ops(&self) -> impl Iterator<Item = CacheOp> + '_ {
+    /// goes — the classic zig-zag).
+    fn probe_ops(&self) -> impl Iterator<Item = CacheOp> + '_ {
         self.set.addresses().iter().rev().map(|&a| CacheOp::read(a))
     }
 
@@ -66,10 +63,8 @@ impl PrimeProbe {
     /// from aggregates alone under `lat`: the latency model separates
     /// hit from miss at the threshold (`llc_hit < threshold ≤ dram` —
     /// true for every calibrated threshold), so per-access timing
-    /// recovers exactly as `misses = accesses − hits`. The single
-    /// definition behind [`PrimeProbe::probe`]'s fast path and the
-    /// monitor's fused sample.
-    pub(crate) fn batch_separable(&self, lat: pc_cache::LatencyModel) -> bool {
+    /// recovers exactly as `misses = accesses − hits`.
+    fn batch_separable(&self, lat: pc_cache::LatencyModel) -> bool {
         lat.llc_hit < self.threshold && lat.dram >= self.threshold
     }
 
