@@ -2,7 +2,7 @@
 //! registered end-to-end scenarios.
 //!
 //! ```text
-//! repro [--full] [--smoke] [--seed N] [--queues N] <experiment|all|bench-cache>
+//! repro [--full] [--seed N] [--queues N] <experiment|all>
 //! repro [--full] [--seed N] [--queues N] scenario <name>... | list
 //! repro [--full] [--seed N] [--tenants N] fleet
 //! repro [--seeds N] fault-matrix
@@ -36,19 +36,9 @@
 //! full runs to enforce it.
 //! Timing chatter goes to stderr so it never perturbs the comparison.
 //!
-//! `bench-cache` times the LLC hot path (scalar SoA loop, the
-//! `run_trace` replay and the pre-refactor reference layout; 9
-//! trace/mode cases) plus the end-to-end `IgbDriver` receive path on
-//! both replay paths (streaming / per-access oracle, per DDIO mode)
-//! and writes
-//! `BENCH_cache.json` next to the working directory so the perf
-//! trajectory is tracked machine-readably from PR to PR (see
-//! `crates/bench/README.md` for the schema). `--smoke` shrinks it to a
-//! seconds-long sanity-checked pass for CI (writing
-//! `BENCH_cache_smoke.json` so the tracked file only ever holds
-//! full-protocol numbers): it fails loudly if any engine produces an
-//! unusable timing. `--smoke` is rejected for other experiments —
-//! they have no reduced mode, and silently ignoring it would be worse.
+//! `--tenants` applies only to `fleet` and `--seeds` only to
+//! `fault-matrix`; either one with any other command exits 2 rather
+//! than being silently ignored.
 
 use pc_bench::experiments::{self as exp, Scale};
 use std::time::Instant;
@@ -64,23 +54,22 @@ fn main() {
         die(&e.escape_debug().to_string());
     }
     let mut scale = Scale::Quick;
-    let mut smoke = false;
     let mut seed = 2020u64;
-    let mut fault_seeds = 3u64;
-    let mut tenants = 64usize;
+    let mut fault_seeds: Option<u64> = None;
+    let mut tenants: Option<usize> = None;
     let mut cmds: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--full" => scale = Scale::Full,
             "--quick" => scale = Scale::Quick,
-            "--smoke" => smoke = true,
             "--seeds" => {
-                fault_seeds = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--seeds needs a positive number"));
+                fault_seeds = Some(
+                    args.next()
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&n| n > 0)
+                        .unwrap_or_else(|| die("--seeds needs a positive number")),
+                );
             }
             "--seed" => {
                 seed = args
@@ -89,16 +78,17 @@ fn main() {
                     .unwrap_or_else(|| die("--seed needs a number"));
             }
             "--tenants" => {
-                tenants = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| (1..=pc_bench::fleet::MAX_TENANTS).contains(n))
-                    .unwrap_or_else(|| {
-                        die(&format!(
-                            "--tenants needs 1..={} tenants",
-                            pc_bench::fleet::MAX_TENANTS
-                        ))
-                    });
+                tenants = Some(
+                    args.next()
+                        .and_then(|s| s.parse().ok())
+                        .filter(|n| (1..=pc_bench::fleet::MAX_TENANTS).contains(n))
+                        .unwrap_or_else(|| {
+                            die(&format!(
+                                "--tenants needs 1..={} tenants",
+                                pc_bench::fleet::MAX_TENANTS
+                            ))
+                        }),
+                );
             }
             // Queue-count selection for every TestBed the run
             // constructs: validated here, routed through PC_RSS_QUEUES
@@ -119,7 +109,7 @@ fn main() {
                 }
             }
             "-h" | "--help" => {
-                println!("usage: repro [--full] [--smoke] [--seed N] [--queues N] <experiment|all|bench-cache>");
+                println!("usage: repro [--full] [--seed N] [--queues N] <experiment|all>");
                 println!("       repro [--full] [--seed N] [--queues N] scenario <name>... | list");
                 println!("       repro [--full] [--seed N] [--tenants N] fleet");
                 println!("       repro [--seeds N] fault-matrix");
@@ -130,8 +120,6 @@ fn main() {
                 println!("             scenario defaults; routed via PC_RSS_QUEUES)");
                 println!("experiments: fig5 fig6 fig7 fig8 table1 fig10 fig11 fig12ab");
                 println!("             fig12cd fig13 fingerprint table2 fig14 fig15 fig16");
-                println!("bench-cache: LLC hot-path microbenchmark -> BENCH_cache.json");
-                println!("             (--smoke: short sanity-checked pass for CI)");
                 println!("scenario:    registered end-to-end workloads (`scenario list`)");
                 println!("fleet:       --tenants N independent tenants from the standard");
                 println!("             templates, merged fleet statistics (default 64)");
@@ -147,8 +135,12 @@ fn main() {
     if cmds.is_empty() {
         cmds.push("all".to_owned());
     }
-    if smoke && cmds.iter().any(|c| c != "bench-cache") {
-        die("--smoke only applies to bench-cache");
+    // A count flag outside its one command would otherwise be ignored.
+    if tenants.is_some() && cmds[0] != "fleet" {
+        die("--tenants only applies to fleet");
+    }
+    if fault_seeds.is_some() && cmds[0] != "fault-matrix" {
+        die("--seeds only applies to fault-matrix");
     }
     if cmds[0] == "scenario" {
         run_scenarios(&cmds[1..], scale, seed);
@@ -158,7 +150,7 @@ fn main() {
         if cmds.len() > 1 {
             die("fleet takes no further arguments (use --tenants N)");
         }
-        run_fleet_cmd(tenants, scale, seed);
+        run_fleet_cmd(tenants.unwrap_or(64), scale, seed);
         return;
     }
     if cmds[0] == "fault-matrix" {
@@ -168,7 +160,7 @@ fn main() {
         if pc_cache::fault::current().is_some() {
             die("fault-matrix arms its own faults; unset PC_FAULT first");
         }
-        if !pc_bench::faultmatrix::run(fault_seeds) {
+        if !pc_bench::faultmatrix::run(fault_seeds.unwrap_or(3)) {
             std::process::exit(2);
         }
         return;
@@ -195,7 +187,7 @@ fn main() {
     // late in the list cannot follow a full report with exit 2.
     if let Some(bad) = cmds
         .iter()
-        .find(|c| !matches!(c.as_str(), "all" | "bench-cache") && !all.contains(&c.as_str()))
+        .find(|c| *c != "all" && !all.contains(&c.as_str()))
     {
         die(&format!("unknown experiment `{bad}` (try --help)"));
     }
@@ -224,7 +216,6 @@ fn main() {
             "fig14" => fig14(scale, seed),
             "fig15" => fig15(scale, seed),
             "fig16" => fig16(scale, seed),
-            "bench-cache" => bench_cache(scale, smoke),
             other => unreachable!("experiment `{other}` was validated above"),
         }
         // Wall-clock chatter goes to stderr: stdout must be byte-stable
@@ -281,14 +272,22 @@ fn run_fleet_cmd(tenants: usize, scale: Scale, seed: u64) {
 
 fn run_scenarios(names: &[String], scale: Scale, seed: u64) {
     use pc_bench::scenario;
+    // Every name is checked before the first scenario runs, so a typo
+    // late in the list cannot follow a full report with exit 2.
+    let selected: Vec<_> = names
+        .iter()
+        .filter(|n| *n != "list")
+        .map(|name| {
+            scenario::find(name)
+                .unwrap_or_else(|| die(&format!("unknown scenario `{name}` (try `scenario list`)")))
+        })
+        .collect();
     if names.is_empty() || names.iter().any(|n| n == "list") {
         println!("registered scenarios:");
         print!("{}", scenario::render_list());
         return;
     }
-    for name in names {
-        let s = scenario::find(name)
-            .unwrap_or_else(|| die(&format!("unknown scenario `{name}` (try `scenario list`)")));
+    for s in selected {
         let t = Instant::now();
         println!("==================================================================");
         println!("Scenario {} — {}", s.name(), s.summary());
@@ -296,7 +295,8 @@ fn run_scenarios(names: &[String], scale: Scale, seed: u64) {
         // Timing to stderr, like the figure experiments: stdout must be
         // byte-stable (the CI determinism job diffs scenario runs too).
         eprintln!(
-            "[scenario {name} done in {:.1}s]",
+            "[scenario {} done in {:.1}s]",
+            s.name(),
             t.elapsed().as_secs_f64()
         );
     }
@@ -564,124 +564,4 @@ fn fig16(scale: Scale, seed: u64) {
 fn print_fig16_row(name: &str, vals: &[f64]) {
     let cols: Vec<String> = vals.iter().map(|v| format!("{v:.2}")).collect();
     println!("{name},{}", cols.join(","));
-}
-
-fn bench_cache(scale: Scale, smoke: bool) {
-    println!("LLC hot path — scalar SoA / trace replay / reference");
-    let (samples, trace_len) = if smoke {
-        (1, pc_bench::cache_bench::TRACE_LEN / 4)
-    } else {
-        match scale {
-            Scale::Quick => (5, pc_bench::cache_bench::TRACE_LEN),
-            Scale::Full => (15, pc_bench::cache_bench::TRACE_LEN),
-        }
-    };
-    let driver_packets = if smoke {
-        pc_bench::cache_bench::DRIVER_PACKETS / 4
-    } else {
-        pc_bench::cache_bench::DRIVER_PACKETS
-    };
-    let results = pc_bench::cache_bench::measure_all(samples, trace_len);
-    println!("case,soa_ns_per_access,trace_ns_per_access,reference_ns_per_access,speedup");
-    for r in &results {
-        println!(
-            "{},{:.1},{:.1},{:.1},{:.2}x",
-            r.case,
-            r.soa_ns_per_access,
-            r.trace_ns_per_access,
-            r.reference_ns_per_access,
-            r.speedup()
-        );
-    }
-    // The end-to-end driver engine: one frame at a time through the
-    // batched receive path vs the per-access oracle.
-    let drivers = pc_bench::cache_bench::measure_driver(samples, driver_packets);
-    println!("driver_mode,driver_ns_per_packet,driver_scalar_ns_per_packet,driver_speedup");
-    for d in &drivers {
-        println!(
-            "{},{:.1},{:.1},{:.2}x",
-            d.mode,
-            d.driver_ns_per_packet,
-            d.driver_scalar_ns_per_packet,
-            d.driver_speedup()
-        );
-    }
-    // End-to-end multi-queue scenarios: wall clock per registry run, so
-    // RSS steering overhead is tracked PR to PR.
-    let scenarios = pc_bench::cache_bench::measure_scenarios(samples, if smoke { 4 } else { 1 });
-    println!("scenario,wall_ms");
-    for s in &scenarios {
-        println!("{},{:.1}", s.scenario, s.wall_ms);
-    }
-    // Fleet orchestration: the standard tenant mix end to end, wall
-    // clock for the harness plus the (deterministic) simulated line rate.
-    let fleet_tenants = if smoke {
-        pc_bench::cache_bench::FLEET_TENANTS / 4
-    } else {
-        pc_bench::cache_bench::FLEET_TENANTS
-    };
-    let fleet = pc_bench::cache_bench::measure_fleet(samples, fleet_tenants);
-    println!("fleet_tenants,tenants_per_sec,packets_per_sec");
-    println!(
-        "{},{:.1},{:.0}",
-        fleet.tenants, fleet.tenants_per_sec, fleet.packets_per_sec
-    );
-    // The adaptive-mode tax the incremental re-evaluation is sized by
-    // (target ≤ 4× enabled; ~15× before the dirty-set worklist).
-    if let Some(tax) = pc_bench::cache_bench::adaptive_driver_tax(&drivers) {
-        println!("# adaptive_driver_tax: {tax:.2}x enabled-mode ns/packet (target <= 4x)");
-    }
-    let json = pc_bench::cache_bench::to_json(&results, &drivers, &scenarios, &fleet, trace_len);
-    // Smoke runs are quarter-length single-sample measurements: keep
-    // them away from the tracked BENCH_cache.json so the PR-to-PR perf
-    // trajectory only ever records full-protocol numbers.
-    let path = if smoke {
-        "BENCH_cache_smoke.json"
-    } else {
-        "BENCH_cache.json"
-    };
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(e) => eprintln!("# could not write {path}: {e}"),
-    }
-    if smoke {
-        // The CI gate `cargo bench --no-run` only proves the benches
-        // compile; this proves they *measure*: every engine must produce
-        // a finite positive timing on every case or the job fails.
-        for r in &results {
-            if !r.is_sane() {
-                die(&format!(
-                    "bench-cache smoke: unusable timing for {}: {r:?}",
-                    r.case
-                ));
-            }
-        }
-        for d in &drivers {
-            if !d.is_sane() {
-                die(&format!(
-                    "bench-cache smoke: unusable driver timing for {}: {d:?}",
-                    d.mode
-                ));
-            }
-        }
-        for s in &scenarios {
-            if !s.is_sane() {
-                die(&format!(
-                    "bench-cache smoke: unusable scenario timing for {}: {s:?}",
-                    s.scenario
-                ));
-            }
-        }
-        if !fleet.is_sane() {
-            die(&format!(
-                "bench-cache smoke: unusable fleet measurement: {fleet:?}"
-            ));
-        }
-        println!(
-            "# smoke: {} cases + {} driver rows + {} scenario rows + fleet sane",
-            results.len(),
-            drivers.len(),
-            scenarios.len()
-        );
-    }
 }

@@ -1,6 +1,6 @@
 //! One harness function per paper table/figure.
 //!
-//! Every function takes a [`Scale`] so the Criterion benches can run
+//! Every function takes a [`Scale`] so the default quick scale runs
 //! minutes-long experiments in seconds while `repro --full` runs
 //! paper-like parameters. All randomness is seeded: same scale, same
 //! output.
@@ -34,7 +34,7 @@ use rand::SeedableRng;
 /// How big to run each experiment.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub enum Scale {
-    /// Seconds per experiment — used by benches and CI.
+    /// Seconds per experiment — the default, used by perfbench and CI.
     Quick,
     /// Paper-like parameters — used by `repro --full`.
     Full,

@@ -1,13 +1,9 @@
 //! # pc-bench — reproduction harness
 //!
-//! [`experiments`] hosts one function per paper table/figure, shared by
-//! the `repro` binary (full printouts) and the Criterion benches
-//! (scaled-down timed runs). Each function returns plain row structs so
-//! callers decide how to render them.
+//! [`experiments`] hosts one function per paper table/figure, called by
+//! the `repro` binary (full printouts) and `perfbench`. Each function
+//! returns plain row structs so callers decide how to render them.
 //!
-//! * [`cache_bench`] — the LLC hot-path microbenchmark behind
-//!   `repro bench-cache` (four engines × nine trace/mode cases →
-//!   `BENCH_cache.json`; schema documented in this crate's README).
 //! * [`faultmatrix`] — the fault-injection kill matrix behind
 //!   `repro fault-matrix`: every `pc_cache::fault` catalog site ×
 //!   seed armed against four detector suites, failing on survivors.
@@ -34,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache_bench;
 pub mod experiments;
 pub mod faultmatrix;
 pub mod fleet;

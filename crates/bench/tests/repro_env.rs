@@ -1,9 +1,9 @@
 //! `repro` validates its configuration once, at startup: a bad
 //! `PC_BENCH_THREADS`, `PC_RSS_QUEUES` or `PC_FAULT`, a `--tenants`
-//! count above the fleet cap, an unknown option or an unknown
-//! experiment name anywhere in the list exits 2 with one
-//! `repro:` line on stderr, before any output and without a panic or
-//! an allocation abort.
+//! count above the fleet cap, a count flag outside its command, an
+//! unknown option or an unknown experiment or scenario name anywhere
+//! in the list exits 2 with one `repro:` line on stderr, before any
+//! output and without a panic or an allocation abort.
 
 use std::process::{Command, Output};
 
@@ -81,11 +81,32 @@ fn unknown_options_exit_2_with_one_line() {
 
 #[test]
 fn unknown_experiments_exit_2_before_any_report() {
-    // Names are checked up front: a typo after a valid experiment must
-    // not print that experiment's report first.
-    for args in [&["fig5", "bogus"][..], &["bogus"], &["all", "bogus"]] {
+    // Names are checked up front: a typo after a valid experiment or
+    // scenario must not print its report first, and one next to
+    // `scenario list` must not be ignored.
+    for args in [
+        &["fig5", "bogus"][..],
+        &["bogus"],
+        &["all", "bogus"],
+        &["scenario", "tcp-recv", "bogus"],
+        &["scenario", "bogus", "list"],
+    ] {
         let out = repro(&[], args);
         assert_one_line_exit_2(&out, &args.join(" "), "`bogus`");
+    }
+}
+
+#[test]
+fn count_flags_outside_their_command_exit_2() {
+    // `--tenants` sizes only `fleet` and `--seeds` only `fault-matrix`;
+    // anywhere else they would be silently ignored.
+    for args in [
+        &["--tenants", "8", "table2"],
+        &["--seeds", "5", "table2"],
+        &["--seeds", "2", "fleet"],
+    ] {
+        let out = repro(&[], args);
+        assert_one_line_exit_2(&out, &args.join(" "), args[0]);
     }
 }
 

@@ -4,18 +4,13 @@
 //! [`ReferenceCache`] is the original storage layout behind
 //! [`crate::SlicedCache`]: one heap-allocated `Vec<Option<Line>>` plus a
 //! replacement-state object *per set*, with O(ways) rescans for every
-//! domain-occupancy check. It exists for two reasons:
-//!
-//! 1. **Equivalence testing.** The SoA store must be observably
-//!    indistinguishable from this model: same [`AccessOutcome`] per
-//!    access, same statistics, same residency — for every mode, policy
-//!    and seed. The property tests in `tests/soa_equivalence.rs` drive
-//!    both implementations with identical random traces and assert
-//!    exactly that.
-//! 2. **Benchmark baseline.** The `cache_throughput` bench measures both
-//!    layouts in the same process on the same traces, so the SoA
-//!    speedup is re-measured (not asserted from stale numbers) on every
-//!    machine the bench runs on.
+//! domain-occupancy check. It exists for equivalence testing: the SoA
+//! store must be observably indistinguishable from this model — same
+//! [`AccessOutcome`] per access, same statistics, same residency — for
+//! every mode, policy and seed. The property tests in
+//! `tests/soa_equivalence.rs` (and the `adaptive_replay` and
+//! `incremental_eval` suites) drive both implementations with identical
+//! random traces and assert exactly that.
 //!
 //! The model is *not* a fossil of old bugs: behavioral fixes applied to
 //! the real cache (the adaptation-list deduplication, see
@@ -27,8 +22,8 @@
 //! part of the intended semantics and is mirrored here, so the
 //! equivalence tests hold the real cache to this model for every
 //! policy, `Random` (RNG-consuming) included. Do not use this type
-//! outside tests and benches — it is an order of magnitude slower on
-//! large geometries.
+//! outside tests — it is an order of magnitude slower on large
+//! geometries.
 
 use crate::addr::PhysAddr;
 use crate::geometry::CacheGeometry;

@@ -51,7 +51,7 @@ use std::sync::OnceLock;
 /// are consulted then and never again, so every later caller pays one
 /// load.
 /// Setting `PC_BENCH_THREADS` after the first call has no effect; code
-/// that needs a specific count (tests, benches) passes it to the
+/// that needs a specific count (tests) passes it to the
 /// `_threads` variants instead.
 pub fn max_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();

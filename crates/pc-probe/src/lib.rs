@@ -19,8 +19,7 @@
 //! * [`oracle_eviction_sets`] — ground-truth shortcut for experiment
 //!   *setup* (clearly marked; used where the paper also relies on a
 //!   one-time offline phase, so that paper-scale experiments run in
-//!   seconds — the timing-based builder is exercised by its own tests and
-//!   benches).
+//!   seconds — the timing-based builder is exercised by its own tests).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
