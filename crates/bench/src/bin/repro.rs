@@ -38,7 +38,8 @@
 //!
 //! `--tenants` applies only to `fleet` and `--seeds` only to
 //! `fault-matrix`; either one with any other command exits 2 rather
-//! than being silently ignored.
+//! than being silently ignored. `fault-matrix` picks its own seeds and
+//! scale, so `--seed`, `--full` or `--quick` with it exits 2 too.
 
 use pc_bench::experiments::{self as exp, Scale};
 use std::time::Instant;
@@ -57,12 +58,21 @@ fn main() {
     let mut seed = 2020u64;
     let mut fault_seeds: Option<u64> = None;
     let mut tenants: Option<usize> = None;
+    // The first of `--seed`/`--full`/`--quick` given: they shape every
+    // run except `fault-matrix`, which picks its own seeds and scale.
+    let mut run_flag: Option<&'static str> = None;
     let mut cmds: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--full" => scale = Scale::Full,
-            "--quick" => scale = Scale::Quick,
+            "--full" => {
+                scale = Scale::Full;
+                run_flag = run_flag.or(Some("--full"));
+            }
+            "--quick" => {
+                scale = Scale::Quick;
+                run_flag = run_flag.or(Some("--quick"));
+            }
             "--seeds" => {
                 fault_seeds = Some(
                     args.next()
@@ -76,6 +86,7 @@ fn main() {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("--seed needs a number"));
+                run_flag = run_flag.or(Some("--seed"));
             }
             "--tenants" => {
                 tenants = Some(
@@ -135,12 +146,18 @@ fn main() {
     if cmds.is_empty() {
         cmds.push("all".to_owned());
     }
-    // A count flag outside its one command would otherwise be ignored.
+    // A count flag outside its one command would otherwise be ignored,
+    // and so would a run flag on the one command that ignores them.
     if tenants.is_some() && cmds[0] != "fleet" {
         die("--tenants only applies to fleet");
     }
     if fault_seeds.is_some() && cmds[0] != "fault-matrix" {
         die("--seeds only applies to fault-matrix");
+    }
+    if let (Some(flag), "fault-matrix") = (run_flag, cmds[0].as_str()) {
+        die(&format!(
+            "{flag} does not apply to fault-matrix (it picks its own seeds and scale; use --seeds N)"
+        ));
     }
     if cmds[0] == "scenario" {
         run_scenarios(&cmds[1..], scale, seed);

@@ -99,11 +99,16 @@ fn unknown_experiments_exit_2_before_any_report() {
 #[test]
 fn count_flags_outside_their_command_exit_2() {
     // `--tenants` sizes only `fleet` and `--seeds` only `fault-matrix`;
-    // anywhere else they would be silently ignored.
+    // anywhere else they would be silently ignored. `fault-matrix`
+    // picks its own seeds and scale, so the run flags would be too.
     for args in [
-        &["--tenants", "8", "table2"],
+        &["--tenants", "8", "table2"][..],
         &["--seeds", "5", "table2"],
         &["--seeds", "2", "fleet"],
+        &["--seed", "7", "fault-matrix"],
+        &["--seed", "7", "--full", "--seeds", "1", "fault-matrix"],
+        &["--full", "fault-matrix"],
+        &["--quick", "--seeds", "1", "fault-matrix"],
     ] {
         let out = repro(&[], args);
         assert_one_line_exit_2(&out, &args.join(" "), args[0]);

@@ -16,7 +16,7 @@ use crate::Cycles;
 
 /// How many ops ahead of the replay the inline [`Hierarchy::run_ops`]
 /// walk hints each op's LLC row into the host cache. A paper-geometry
-/// model is ≈ 4 MiB of host memory and a request's working-set reads
+/// model is ≈ 1.8 MiB of host memory and a request's working-set reads
 /// land on random sets, so nearly every access misses the host's L2;
 /// 8 ops (≈ 0.5 µs of replay) covers an L3 or DRAM fetch. Distances 4
 /// and 16 measured no better on Figure 16's load.

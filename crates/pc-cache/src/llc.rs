@@ -8,7 +8,7 @@
 //! sets and adaptive partitions are per-slice state. Every access routes
 //! to the owning shard; statistics merge in slice order.
 
-use crate::addr::PhysAddr;
+use crate::addr::{PhysAddr, LINE_SIZE_LOG2};
 use crate::geometry::CacheGeometry;
 use crate::partition::AdaptiveConfig;
 use crate::replacement::ReplacementPolicy;
@@ -16,6 +16,7 @@ use crate::set::Domain;
 use crate::shard::Shard;
 use crate::slicehash::SliceHash;
 use crate::stats::CacheStats;
+use crate::store::MAX_TAG;
 use std::fmt;
 
 /// How DMA from I/O devices interacts with the LLC.
@@ -129,6 +130,12 @@ pub struct AccessOutcome {
 /// by that slice's simulation shard — there is no per-set object on the
 /// hot path, and no cross-slice state at all.
 ///
+/// A line's tag is packed into 29 bits, so addresses must stay below
+/// `2^(35 + sets_per_slice_log2)`: 2^46 on the paper's geometry, 2^39
+/// on [`CacheGeometry::tiny`]. Every address the simulator builds is
+/// below 2^36; [`SlicedCache::access`] and [`SlicedCache::contains`]
+/// panic on one past the bound.
+///
 /// ```
 /// use pc_cache::{AccessKind, CacheGeometry, DdioMode, PhysAddr, SlicedCache};
 /// let mut llc = SlicedCache::new(CacheGeometry::tiny(), DdioMode::enabled());
@@ -241,11 +248,33 @@ impl SlicedCache {
         self.shards[ss.slice].prefetch(ss.set);
     }
 
+    /// `addr`'s tag as the line store packs it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tag does not fit a packed line word, naming the
+    /// address and the bound (see the type docs).
+    #[inline]
+    fn line_tag(&self, addr: PhysAddr) -> u32 {
+        match u32::try_from(self.geom.tag(addr)) {
+            Ok(tag) if tag <= MAX_TAG => tag,
+            _ => panic!(
+                "address {:#x} is past the LLC model's address bound {:#x}",
+                addr.raw(),
+                (u64::from(MAX_TAG) + 1) << (LINE_SIZE_LOG2 + self.geom.sets_per_slice_log2())
+            ),
+        }
+    }
+
     /// Whether `addr` is currently cached (oracle for tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is past the address bound (see the type docs).
     pub fn contains(&self, addr: PhysAddr) -> bool {
         let ss = self.locate(addr);
         self.shards[ss.slice]
-            .lookup(ss.set, self.geom.tag(addr))
+            .lookup(ss.set, self.line_tag(addr))
             .is_some()
     }
 
@@ -322,10 +351,14 @@ impl SlicedCache {
     ///     .count();
     /// assert_eq!(evicted_cpu, 0, "the adaptive defense shields CPU lines");
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is past the address bound (see the type docs).
     #[inline]
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> AccessOutcome {
         let ss = self.locate(addr);
-        let tag = self.geom.tag(addr);
+        let tag = self.line_tag(addr);
         self.shards[ss.slice].access(self.mode, ss.set, tag, kind)
     }
 }
@@ -670,5 +703,27 @@ mod tests {
         let ss = llc.locate(a);
         assert_eq!(ss.set, llc.geometry().set_index(a));
         assert_eq!(ss.slice, llc.slice_hash().slice_of(a));
+    }
+
+    #[test]
+    fn addresses_up_to_the_bound_are_cached() {
+        // The tiny geometry's bound is 2^(29 + 6 + 4) = 2^39.
+        let mut llc = tiny_llc(DdioMode::enabled());
+        let last = PhysAddr::new((1 << 39) - 1);
+        assert!(!llc.access(last, AccessKind::CpuRead).hit);
+        assert!(llc.contains(last));
+        let mut paper = SlicedCache::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
+        let last = PhysAddr::new((1 << 46) - 1);
+        assert!(!paper.access(last, AccessKind::IoWrite).hit);
+        assert!(paper.contains(last));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "address 0x8000000000 is past the LLC model's address bound 0x8000000000"
+    )]
+    fn an_address_one_tag_past_the_bound_panics() {
+        let mut llc = tiny_llc(DdioMode::enabled());
+        llc.access(PhysAddr::new(1 << 39), AccessKind::CpuRead);
     }
 }

@@ -4,16 +4,16 @@
 //! lines?" — depends on the victim-selection policy, so the simulator
 //! supports true LRU (the default, and the policy PRIME+PROBE literature
 //! assumes), tree pseudo-LRU (closer to real Intel parts), and random
-//! (an ablation). The `ablation_replacement` bench compares them.
+//! (an ablation).
 //!
 //! Unlike the original per-set objects, replacement state lives in one
 //! flat allocation covering every set of the sliced cache (see
-//! [`crate::llc::SlicedCache`]'s SoA store): LRU keeps one `u32` stamp
-//! per line in a single `Vec`, PLRU one fixed-stride bit block per set.
-//! A single store-wide logical clock replaces the per-set clocks; only
-//! the *relative order* of stamps within one set matters for victim
-//! selection, so this is behavior-preserving while keeping every access
-//! on one cache-friendly array.
+//! [`crate::llc::SlicedCache`]'s SoA store): LRU keeps one `u8` stamp
+//! per line in a single `Vec` and one `u8` clock per set beside it,
+//! PLRU one fixed-stride bit block per set. Only the *relative order*
+//! of stamps within one set matters for victim selection, so a set's
+//! stamps are re-ranked whenever its clock is about to wrap, and LRU
+//! order stays exact across arbitrarily long runs.
 
 use crate::set::Domain;
 use rand::rngs::SmallRng;
@@ -32,21 +32,26 @@ pub enum ReplacementPolicy {
     Random,
 }
 
+/// An LRU stamp, and a set's LRU clock.
+pub(crate) type Stamp = u8;
+
 /// Flattened replacement state for all sets of the cache.
 ///
-/// LRU stamps are `u32` (half the per-set footprint of a `u64` stamp
-/// array — the victim scan is memory-bound). The shared clock therefore
-/// wraps after 2³²−1 touches; [`FlatReplacement::renormalize`] then
-/// rewrites every set's stamps to small order-preserving ranks, so LRU
-/// order is exact across arbitrarily long runs.
+/// LRU stamps are `u8` (a 20-way set's stamps fill 20 bytes, and the
+/// victim scan is memory-bound), driven by a per-set `u8` clock. A
+/// set's clock wraps after at most 255 touches;
+/// [`FlatReplacement::renormalize`] then rewrites that set's stamps to
+/// order-preserving ranks, so LRU order is exact across arbitrarily
+/// long runs.
 #[derive(Clone, Debug)]
 pub(crate) enum FlatReplacement {
     Lru {
-        /// `stamps[set * ways + way]` = logical time of last touch;
-        /// the smallest stamp among a set's candidate ways is the LRU.
-        stamps: Vec<u32>,
-        /// Store-wide logical clock (monotone, shared by all sets).
-        clock: u32,
+        /// `stamps[set * ways + way]` = the set's clock at the way's
+        /// last touch; the smallest stamp among a set's candidate ways
+        /// is the LRU.
+        stamps: Vec<Stamp>,
+        /// `clocks[set]` = the set's LRU clock: its latest stamp.
+        clocks: Vec<Stamp>,
     },
     TreePlru {
         /// Direction bits, `stride` per set, 1-indexed heap layout.
@@ -62,7 +67,7 @@ impl FlatReplacement {
         match policy {
             ReplacementPolicy::Lru => FlatReplacement::Lru {
                 stamps: vec![0; ways * total_sets],
-                clock: 0,
+                clocks: vec![0; total_sets],
             },
             ReplacementPolicy::TreePlru => {
                 let stride = ways.next_power_of_two().max(2);
@@ -75,34 +80,40 @@ impl FlatReplacement {
         }
     }
 
-    /// Rewrites all LRU stamps as per-set ranks (`1..=ways`, ties broken
-    /// by way index exactly as the victim scan breaks them), resetting
-    /// the clock past every rank. Order within each set — the only thing
-    /// victim selection reads — is unchanged.
+    /// Rewrites one set's LRU stamps as ranks `1..=ways`, ties broken
+    /// by way index exactly as the victim scan breaks them, and returns
+    /// the highest rank: the clock restarts there, so the next touch
+    /// stamps above every rank. Order within the set — the only thing
+    /// victim selection reads — is unchanged. At most 64 ways
+    /// (`LineStore::new`), so every rank fits a `u8`.
     #[cold]
-    fn renormalize(stamps: &mut [u32], ways: usize) -> u32 {
-        let mut order: Vec<usize> = Vec::with_capacity(ways);
-        for set_stamps in stamps.chunks_mut(ways) {
-            order.clear();
-            order.extend(0..ways);
-            order.sort_by_key(|&w| (set_stamps[w], w));
-            for (rank, &w) in order.iter().enumerate() {
-                set_stamps[w] = rank as u32 + 1;
-            }
+    fn renormalize(set_stamps: &mut [Stamp]) -> Stamp {
+        let ways = set_stamps.len();
+        let mut order = [0u8; 64];
+        for (slot, w) in order[..ways].iter_mut().zip(0u8..) {
+            *slot = w;
         }
-        ways as u32 + 1
+        // Keys are unique (the way breaks ties), so an unstable sort
+        // gives the one order the victim scan sees.
+        order[..ways].sort_unstable_by_key(|&w| (set_stamps[usize::from(w)], w));
+        for (rank, &w) in (1..).zip(&order[..ways]) {
+            set_stamps[usize::from(w)] = rank;
+        }
+        Stamp::try_from(ways).expect("at most 64 ways")
     }
 
     /// Records a touch (hit or fill) of `way` in set `set`.
     #[inline]
     pub(crate) fn touch(&mut self, set: usize, ways: usize, way: usize) {
         match self {
-            FlatReplacement::Lru { stamps, clock } => {
-                if *clock == u32::MAX {
-                    *clock = FlatReplacement::renormalize(stamps, ways);
+            FlatReplacement::Lru { stamps, clocks } => {
+                let clock = &mut clocks[set];
+                let set_stamps = &mut stamps[set * ways..(set + 1) * ways];
+                if *clock == Stamp::MAX {
+                    *clock = FlatReplacement::renormalize(set_stamps);
                 }
                 *clock += 1;
-                stamps[set * ways + way] = *clock;
+                set_stamps[way] = *clock;
             }
             FlatReplacement::TreePlru { bits, stride } => {
                 // Walk from the root to the leaf for `way`, flipping each
@@ -261,6 +272,57 @@ mod tests {
         }
         assert_eq!(st.victim(0, 4, &mut rng(), 0b1100), Some(2));
         assert_eq!(st.victim(0, 4, &mut rng(), 0), None);
+    }
+
+    /// The `u8` clock wraps every couple of hundred touches of a set;
+    /// each wrap re-ranks the set. Against a plain `u64`-stamp model
+    /// that never wraps, the victim for a random eligibility mask, and
+    /// the set's whole eviction order, must agree after every touch,
+    /// across dozens of wraps.
+    #[test]
+    fn clock_wraps_keep_lru_order_exact() {
+        const WAYS: usize = 20;
+        const ALL: u64 = (1 << WAYS) - 1;
+        let mut st = FlatReplacement::new(ReplacementPolicy::Lru, WAYS, 1);
+        let mut model = [0u64; WAYS];
+        let mut model_clock = 0u64;
+        let model_victim = |model: &[u64; WAYS], mask: u64| {
+            (0..WAYS)
+                .filter(|&w| mask & (1 << w) != 0)
+                .min_by_key(|&w| (model[w], w))
+        };
+        let mut r = rng();
+        let mut wraps = 0;
+        for step in 0..20_000 {
+            // Skewed draws leave some ways untouched for long runs, so
+            // re-ranking sees stale and never-touched stamps too.
+            let way = if r.gen_bool(0.7) {
+                r.gen_range(0..4)
+            } else {
+                r.gen_range(0..WAYS)
+            };
+            if let FlatReplacement::Lru { clocks, .. } = &st {
+                wraps += usize::from(clocks[0] == Stamp::MAX);
+            }
+            st.touch(0, WAYS, way);
+            model_clock += 1;
+            model[way] = model_clock;
+            let mask = r.gen::<u64>() & ALL;
+            assert_eq!(
+                st.victim(0, WAYS, &mut r, mask),
+                model_victim(&model, mask),
+                "step {step}, mask {mask:#x}"
+            );
+            // Peeling victims off the full mask walks the eviction
+            // order; a stamp tied with another shows up as a swap.
+            let mut left = ALL;
+            while left != 0 {
+                let want = model_victim(&model, left);
+                assert_eq!(st.victim(0, WAYS, &mut r, left), want, "step {step}");
+                left &= !(1 << want.unwrap());
+            }
+        }
+        assert!(wraps >= 50, "only {wraps} clock wraps exercised");
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! * **RNG.** Each shard draws from its own `SmallRng` seeded with
 //!   [`pc_par::stream_seed`]`(cache_seed, SeedDomain::Slice, slice)`. A
 //!   slice's stream depends only on the accesses *that slice* receives.
-//! * **Replacement clock.** The LRU stamp clock is per-shard. Only the
-//!   relative stamp order within one set matters for victim selection,
-//!   and all touches of a set happen in its shard, so per-shard clocks
-//!   are observationally identical to a store-wide clock.
+//! * **Replacement clock.** The LRU stamp clock is per set, one `u8`
+//!   beside the set's stamps that re-ranks them when it wraps.
+//!   Only the relative stamp order within one set matters for victim
+//!   selection, so per-set clocks are observationally identical to a
+//!   store-wide clock.
 //! * **Adaptation.** The adaptive defense's period timer and
 //!   touched/elevated worklists are per-shard: the shard's *defense
 //!   clock* ticks once per access it receives, and a slice re-evaluates
@@ -115,7 +116,7 @@ impl Shard {
     }
 
     /// Way of local set `set` holding `tag`, if valid (oracle).
-    pub(crate) fn lookup(&self, set: usize, tag: u64) -> Option<usize> {
+    pub(crate) fn lookup(&self, set: usize, tag: u32) -> Option<usize> {
         self.store.lookup(set, tag)
     }
 
@@ -162,7 +163,7 @@ impl Shard {
         &mut self,
         mode: DdioMode,
         set: usize,
-        tag: u64,
+        tag: u32,
         kind: AccessKind,
     ) -> AccessOutcome {
         self.clock += 1;
@@ -200,7 +201,7 @@ impl Shard {
         &mut self,
         mode: DdioMode,
         set: usize,
-        tag: u64,
+        tag: u32,
         kind: AccessKind,
     ) -> AccessOutcome {
         let write = kind == AccessKind::CpuWrite;
@@ -208,7 +209,7 @@ impl Shard {
             // Fault site `stale-lru`: batch replay leaves keyed lines'
             // recency stamps stale on a hit, so eviction order drifts
             // from the per-access oracle's.
-            if !crate::fault::fires_keyed(crate::fault::FaultSite::StaleLru, tag) {
+            if !crate::fault::fires_keyed(crate::fault::FaultSite::StaleLru, u64::from(tag)) {
                 self.store.touch(set, way);
             }
             if write {
@@ -274,7 +275,7 @@ impl Shard {
         out
     }
 
-    fn io_write(&mut self, mode: DdioMode, set: usize, tag: u64) -> AccessOutcome {
+    fn io_write(&mut self, mode: DdioMode, set: usize, tag: u32) -> AccessOutcome {
         match mode {
             DdioMode::Disabled => {
                 // DMA goes to memory; any cached copy is invalidated (the
@@ -396,7 +397,7 @@ impl Shard {
         }
     }
 
-    fn io_read(&mut self, mode: DdioMode, set: usize, tag: u64) -> AccessOutcome {
+    fn io_read(&mut self, mode: DdioMode, set: usize, tag: u32) -> AccessOutcome {
         if mode.allocates_in_llc() {
             if let Some(way) = self.store.lookup(set, tag) {
                 self.store.touch(set, way);

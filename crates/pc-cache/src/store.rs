@@ -7,34 +7,46 @@
 //! every quota check rescanning all ways. This store flattens the whole
 //! LLC into parallel arrays indexed by `set * ways + way`:
 //!
-//! * `lines` — one packed `u64` per line: `tag << 3 | IO | DIRTY |
-//!   VALID`. A tag always fits in 61 bits because at least the 6
-//!   block-offset bits are shifted off the 64-bit physical address, so
-//!   the whole lookup is a single load + mask + compare per way over one
-//!   contiguous array. An invalid line is the all-zero word.
-//! * replacement state — flat per-line stamps / per-set PLRU bit blocks
+//! * `lines` — one packed `u32` per line: `tag << 3 | IO | DIRTY |
+//!   VALID`, so the whole lookup is a single load + mask + compare per
+//!   way over one contiguous array. An invalid line is the all-zero
+//!   word. A word holds tags up to [`MAX_TAG`] (2^29 − 1): addresses
+//!   below 2^46 on the paper's geometry. Every simulated address is
+//!   below 2^36, and [`crate::SlicedCache`] asserts the bound where it
+//!   forms a tag.
+//! * replacement state — flat per-line `u8` LRU stamps plus one `u8`
+//!   LRU clock per set / per-set PLRU bit blocks
 //!   ([`crate::replacement::FlatReplacement`]).
 //! * per-set bookkeeping — one packed 16-byte [`SetMeta`] record (valid
 //!   count, I/O count, partition limit, activity, flags, dirty-epoch
 //!   stamp) per set.
+//!
+//! A paper-geometry model (327 680 lines, 16 384 sets) thus takes
+//! 1.25 MiB of line words, 320 KiB of stamps, 16 KiB of clocks and
+//! 256 KiB of set records.
 //!
 //! The incrementally-maintained counters in [`SetMeta`] turn the
 //! DDIO way-limit and adaptive-partition quota checks (previously
 //! O(ways) rescans per access) into O(1) loads; lookups and victim
 //! scans walk a single cache-line-friendly slice.
 
-use crate::replacement::{FlatReplacement, ReplacementPolicy, Victims};
+use crate::replacement::{FlatReplacement, ReplacementPolicy, Stamp, Victims};
 use crate::set::{Domain, EvictedLine};
 use rand::rngs::SmallRng;
 
+/// One line's packed word: `tag << TAG_SHIFT | IO | DIRTY | VALID`.
+type Word = u32;
+
 /// Packed-word bit: the line holds valid data.
-const VALID: u64 = 1 << 0;
+const VALID: Word = 1 << 0;
 /// Packed-word bit: the line is dirty (write-back owed on displacement).
-const DIRTY: u64 = 1 << 1;
+const DIRTY: Word = 1 << 1;
 /// Packed-word bit: the line belongs to [`Domain::Io`] (clear = CPU).
-const IO: u64 = 1 << 2;
+const IO: Word = 1 << 2;
 /// Bits below the tag.
 const TAG_SHIFT: u32 = 3;
+/// Largest tag a packed line word holds.
+pub(crate) const MAX_TAG: u32 = Word::MAX >> TAG_SHIFT;
 
 /// Scratch flag: set holds an elevated partition (`io_limit > min`).
 pub(crate) const FLAG_ELEVATED: u8 = 1 << 1;
@@ -51,11 +63,8 @@ pub(crate) const FLAG_PARKED: u8 = 1 << 2;
 pub(crate) const NEVER_TOUCHED: u32 = u32::MAX;
 
 #[inline]
-fn pack(tag: u64, domain: Domain, dirty: bool) -> u64 {
-    debug_assert!(
-        tag << TAG_SHIFT >> TAG_SHIFT == tag,
-        "tag overflows packed word"
-    );
+fn pack(tag: u32, domain: Domain, dirty: bool) -> Word {
+    debug_assert!(tag <= MAX_TAG, "tag overflows packed word");
     (tag << TAG_SHIFT)
         | VALID
         | if dirty { DIRTY } else { 0 }
@@ -138,11 +147,18 @@ impl Default for SetMeta {
     }
 }
 
+// The layout the module docs size: a 4-byte line word with a 29-bit
+// tag, a 1-byte LRU stamp and a 16-byte set record.
+const _: () = assert!(std::mem::size_of::<Word>() == 4);
+const _: () = assert!(MAX_TAG == (1 << 29) - 1);
+const _: () = assert!(std::mem::size_of::<Stamp>() == 1);
+const _: () = assert!(std::mem::size_of::<SetMeta>() == 16);
+
 /// All lines of all sets, as parallel flat arrays.
 #[derive(Clone, Debug)]
 pub(crate) struct LineStore {
     ways: usize,
-    lines: Vec<u64>,
+    lines: Vec<Word>,
     repl: FlatReplacement,
     /// One packed record per set.
     pub(crate) sets: Vec<SetMeta>,
@@ -181,7 +197,7 @@ impl LineStore {
     }
 
     #[inline]
-    fn set_lines(&self, set: usize) -> &[u64] {
+    fn set_lines(&self, set: usize) -> &[Word] {
         &self.lines[set * self.ways..(set + 1) * self.ways]
     }
 
@@ -200,7 +216,7 @@ impl LineStore {
 
     /// Way of set `set` holding `tag`, if present and valid.
     #[inline]
-    pub(crate) fn lookup(&self, set: usize, tag: u64) -> Option<usize> {
+    pub(crate) fn lookup(&self, set: usize, tag: u32) -> Option<usize> {
         let key = (tag << TAG_SHIFT) | VALID;
         // Dirty/domain bits vary per line; mask them off so the compare
         // is tag+valid only.
@@ -255,7 +271,7 @@ impl LineStore {
     }
 
     #[inline]
-    fn retire(&mut self, set: usize, way: usize) -> u64 {
+    fn retire(&mut self, set: usize, way: usize) -> Word {
         let idx = set * self.ways + way;
         let w = self.lines[idx];
         debug_assert!(w & VALID != 0);
@@ -268,7 +284,7 @@ impl LineStore {
     }
 
     #[inline]
-    fn install(&mut self, set: usize, way: usize, tag: u64, domain: Domain, dirty: bool) {
+    fn install(&mut self, set: usize, way: usize, tag: u32, domain: Domain, dirty: bool) {
         self.lines[set * self.ways + way] = pack(tag, domain, dirty);
         self.sets[set].valid += 1;
         if domain == Domain::Io {
@@ -279,7 +295,7 @@ impl LineStore {
 
     /// Invalidates `tag` in `set` if present, reporting whether it was
     /// dirty.
-    pub(crate) fn invalidate(&mut self, set: usize, tag: u64) -> Option<bool> {
+    pub(crate) fn invalidate(&mut self, set: usize, tag: u32) -> Option<bool> {
         let way = self.lookup(set, tag)?;
         let w = self.retire(set, way);
         Some(w & DIRTY != 0)
@@ -331,7 +347,7 @@ impl LineStore {
     pub(crate) fn fill(
         &mut self,
         set: usize,
-        tag: u64,
+        tag: u32,
         domain: Domain,
         dirty: bool,
         rng: &mut SmallRng,
@@ -359,7 +375,7 @@ impl LineStore {
     pub(crate) fn fill_no_invalid(
         &mut self,
         set: usize,
-        tag: u64,
+        tag: u32,
         domain: Domain,
         dirty: bool,
         rng: &mut SmallRng,
@@ -399,7 +415,7 @@ impl LineStore {
 
 /// Whether a packed word is a valid line the policy may displace.
 #[inline]
-fn eligible(word: u64, victims: Victims) -> bool {
+fn eligible(word: Word, victims: Victims) -> bool {
     match victims {
         Victims::Any => word & VALID != 0,
         Victims::Only(Domain::Io) => word & (VALID | IO) == (VALID | IO),
@@ -411,7 +427,7 @@ fn eligible(word: u64, victims: Victims) -> bool {
 /// eligibility mask the replacement scan consumes (bit `w` set = way `w`
 /// is a valid line the policy may displace).
 #[inline]
-fn eligibility_mask(lines: &[u64], victims: Victims) -> u64 {
+fn eligibility_mask(lines: &[Word], victims: Victims) -> u64 {
     let mut mask = 0u64;
     for (w, &word) in lines.iter().enumerate() {
         mask |= u64::from(eligible(word, victims)) << w;
@@ -594,19 +610,21 @@ mod tests {
     }
 
     #[test]
-    fn huge_tags_pack_without_collision() {
-        // Largest possible tag: a u64 address with only the 6 offset bits
-        // shifted off still fits the packed word's 61 tag bits.
+    fn largest_tag_packs_without_collision() {
+        // The largest tag a line word holds and its neighbour pack,
+        // look up and invalidate independently.
         let mut st = store(2);
         let mut r = rng();
-        let big = u64::MAX >> 6;
-        st.fill(S, big, Domain::Io, true, &mut r, Victims::Any)
+        st.fill(S, MAX_TAG, Domain::Io, true, &mut r, Victims::Any)
             .unwrap();
-        st.fill(S, big - 1, Domain::Cpu, false, &mut r, Victims::Any)
+        st.fill(S, MAX_TAG - 1, Domain::Cpu, false, &mut r, Victims::Any)
             .unwrap();
-        assert!(st.lookup(S, big).is_some());
-        assert!(st.lookup(S, big - 1).is_some());
-        assert_eq!(st.invalidate(S, big), Some(true));
-        assert!(st.lookup(S, big - 1).is_some());
+        assert!(st.lookup(S, MAX_TAG).is_some());
+        assert!(st.lookup(S, MAX_TAG - 1).is_some());
+        assert_eq!(st.invalidate(S, MAX_TAG), Some(true));
+        assert!(st.lookup(S, MAX_TAG).is_none());
+        assert!(st.lookup(S, MAX_TAG - 1).is_some());
+        assert_eq!(st.count_domain(S, Domain::Io), 0);
+        assert_eq!(st.count_domain(S, Domain::Cpu), 1);
     }
 }

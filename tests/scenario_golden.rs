@@ -16,12 +16,17 @@
 //! ```
 //!
 //! (documented in `crates/bench/README.md`). The bless run rewrites the
-//! golden files; commit the diff with the change that caused it.
+//! golden files; commit the diff with the change that caused it. The
+//! compare/bless rule lives in `tests/support/golden.rs`, shared with
+//! pc-bench's `repro_all_golden` suite.
 
+#[path = "support/golden.rs"]
+mod golden;
+
+use golden::parse_bless;
 use pc_bench::experiments::Scale;
 use pc_bench::scenario;
 use std::ffi::OsStr;
-use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -38,56 +43,9 @@ fn serialized() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Reads a `PC_BLESS` value: unset or `0` compares, `1` blesses.
-/// Anything else is an error rather than a silent compare, so a
-/// `PC_BLESS=true` run cannot pass while blessing nothing.
-fn parse_bless(value: Option<&OsStr>) -> Result<bool, String> {
-    match value {
-        None => Ok(false),
-        Some(v) if v == "0" => Ok(false),
-        Some(v) if v == "1" => Ok(true),
-        Some(v) => Err(format!(
-            "PC_BLESS must be unset, 0 (compare) or 1 (bless), got {v:?}"
-        )),
-    }
-}
-
-fn blessing() -> bool {
-    let bless =
-        parse_bless(std::env::var_os("PC_BLESS").as_deref()).unwrap_or_else(|e| panic!("{e}"));
-    if bless {
-        // A snapshot taken with a fault armed would enshrine the
-        // mutation as truth; refuse (covers both a programmatic arming
-        // and a PC_FAULT variable in the blessing environment).
-        if let Err(e) = pc_cache::fault::bless_guard() {
-            panic!("refusing to bless goldens: {e}");
-        }
-    }
-    bless
-}
-
 fn check(name: &str, actual: &str) -> Result<(), String> {
-    let path = golden_dir().join(format!("{name}.golden.txt"));
-    if blessing() {
-        fs::create_dir_all(golden_dir()).expect("create tests/golden");
-        fs::write(&path, actual).expect("write golden");
-        return Ok(());
-    }
-    let want = fs::read_to_string(&path).map_err(|e| {
-        format!("missing golden {path:?} ({e}); run PC_BLESS=1 cargo test --test scenario_golden")
-    })?;
-    if want == actual {
-        return Ok(());
-    }
-    Err(format!(
-        "scenario `{name}` diverged from its golden snapshot.\n\
-         If intentional, re-bless: PC_BLESS=1 cargo test --release --test scenario_golden\n\
-         --- golden ---\n{want}\n--- actual ---\n{actual}"
-    ))
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    golden::check(&dir, "scenario_golden", name, actual)
 }
 
 /// One test over the whole registry (rather than a test per scenario)
