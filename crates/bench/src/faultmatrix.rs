@@ -13,11 +13,11 @@
 //! contract):
 //!
 //! * `ops` — the op-stream differential from
-//!   `crates/pc-cache/tests/fault_kill.rs`: four engines (per-access
-//!   oracle, streaming applier, buffered batch, unbuffered `run_trace`
-//!   replay) replay seeded fuzz streams over carried state and
-//!   are compared on clock, memory traffic, merged and per-slice
-//!   statistics, and residency.
+//!   `crates/pc-cache/tests/fault_kill.rs`: the per-access oracle and
+//!   the fast path's three entry points (streaming applier, buffered
+//!   `run_ops`, unbuffered `run_trace`) replay seeded fuzz streams
+//!   over carried state and are compared on clock, memory traffic,
+//!   merged and per-slice statistics, and residency.
 //! * `driver` — a compact `pc-nic` batch-equivalence pass: batched
 //!   receive against the per-access scalar path over a mixed
 //!   frame-size cycle, per DDIO mode × randomization defense.
@@ -205,9 +205,9 @@ fn hierarchy_differs(oracle: &Hierarchy, other: &Hierarchy, ops: &[CacheOp]) -> 
     None
 }
 
-/// Four op-stream engines over carried state, compared after every
-/// round (six rounds per DDIO mode — enough consultations for every
-/// counter site's trigger range).
+/// The oracle and three fast-path entry points over carried state,
+/// compared after every round (six rounds per DDIO mode — enough
+/// consultations for every counter site's trigger range).
 fn op_stream_differential() -> Option<String> {
     let geom = CacheGeometry::tiny();
     let modes = [

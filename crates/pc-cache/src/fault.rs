@@ -22,12 +22,14 @@
 //!   that arming hooks perturb nothing.
 //! * Every site mutates exactly **one** engine, so the differential
 //!   suites always have a clean engine to differ against. Sites whose
-//!   hook sits in substrate shared by several engines (the shard hit
-//!   path) additionally require an [`Engine`] context tag, set by the
-//!   engine driver via [`engine_scope`]; without the matching tag the
-//!   site never fires. The one exception is `dropped-deferred-read`:
-//!   its counter fires once per arming, so of two paths driven in
-//!   lockstep through the shared queue exactly one is mutated.
+//!   hook sits in the shard substrate, which the fast path shares with
+//!   the per-access oracle, additionally require the fast-path scope
+//!   ([`fast_path_scope`]), held by the hierarchy's one replay loop
+//!   and by the streaming applier; outside it the site never fires, so
+//!   the oracle stays clean. The one exception is
+//!   `dropped-deferred-read`: its counter fires once per arming, so of
+//!   two paths driven in lockstep through the shared queue exactly one
+//!   is mutated.
 //! * Firing is deterministic. *Counter* sites fire exactly once, on
 //!   the `nth` consultation after arming (`nth` derived from the
 //!   fault seed when not given). *Keyed* sites fire as a pure
@@ -39,28 +41,13 @@
 //!
 //! When a new engine joins an equivalence class, give it a site here:
 //! add a variant, extend [`FaultSite::ALL`] and the `match` tables
-//! (name, kind, engine, description), hook the mutation into the new
+//! (name, kind, scope, salt), hook the mutation into the new
 //! engine behind [`fires`]/[`fires_keyed`], and add the site to the
 //! kill harness — the matrix then proves the suites notice when that
 //! engine, and only that engine, misbehaves.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
-
-/// Which replay engine a fault mutates (and therefore which context
-/// tag its hook requires when the hook sits in shared substrate).
-///
-/// The per-access oracle deliberately has no variant: it is the clean
-/// reference every differential suite compares against, so no catalog
-/// site ever mutates it.
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub enum Engine {
-    /// The trace walk behind `Hierarchy::run_trace` and
-    /// `Hierarchy::run_ops`.
-    Batch,
-    /// The streaming [`crate::OpApplier`].
-    Streaming,
-}
 
 /// How a site decides to fire (see the module-level arming rules).
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
@@ -84,13 +71,13 @@ pub enum FaultSite {
     /// per-slice stats stay truthful.
     StatOffByOne,
     /// [`crate::OpApplier`]'s drop skips flushing its accumulated
-    /// clock/memory deltas — the streaming engine silently loses its
-    /// tail. Counter-fired, streaming engine only.
+    /// clock/memory deltas — the streaming applier silently loses its
+    /// tail. Counter-fired, applier only.
     DroppedFlush,
-    /// The shard hit path skips the LRU touch for keyed tags — batch
-    /// replay ages lines the oracle refreshes, so eviction order
-    /// drifts. Keyed on the line tag; requires the [`Engine::Batch`]
-    /// context tag (the hook sits in the shared shard substrate).
+    /// The shard hit path skips the LRU touch for keyed tags — the
+    /// fast path ages lines the oracle refreshes, so eviction order
+    /// drifts. Keyed on the line tag; requires the fast-path scope
+    /// (the hook sits in the shared shard substrate).
     StaleLru,
     /// [`crate::OpBuffer`] skews keyed ops' leads by +13 cycles — the
     /// buffered batch's clock walks away from the per-access oracle's.
@@ -103,29 +90,23 @@ pub enum FaultSite {
     /// one loses the read.
     DroppedDeferredRead,
     /// A shard skips one adaptive-defense period evaluation — the
-    /// streaming engine's defense clock crosses a boundary without
+    /// fast path's defense clock crosses a boundary without
     /// re-evaluating. Keyed on the shard's defense clock; requires
-    /// the [`Engine::Streaming`] context tag.
+    /// the fast-path scope.
     SkippedDefenseEval,
     /// The adaptive defense's incremental bookkeeping stamps a keyed
     /// set's dirty epoch without pushing it onto the dirty worklist —
     /// the set silently skips its period evaluation while later writes
     /// think it is queued. Keyed on the slice-local set index; requires
-    /// the [`Engine::Batch`] context tag (the hook sits in the shared
-    /// shard substrate).
+    /// the fast-path scope (the hook sits in the shared shard
+    /// substrate).
     StaleDirtySet,
     /// A shard's period evaluation skips the epoch bump that retires
     /// last period's dirty stamps — sets touched last period falsely
     /// appear already-queued, so their next I/O write never re-enters
-    /// them into the worklist. Keyed on the shard's defense clock;
-    /// requires the [`Engine::Streaming`] context tag.
+    /// them into the worklist. Keyed on the shard's dirty epoch;
+    /// requires the fast-path scope.
     SkippedEpochBump,
-    /// The packed 8-byte `CacheOp` decode truncates a keyed escaped
-    /// lead to the largest inline value — the buffered batch's clock
-    /// falls short of the per-access oracle's. Keyed on the packed op
-    /// word; lexically buffered-decode-only (streaming and oracle
-    /// engines never decode).
-    TruncatedLead,
     /// The RSS steer routes a keyed flow to the *next* queue index —
     /// frames land in the wrong ring, so per-queue ring order, page
     /// placement and RNG streams all diverge from the steering
@@ -144,7 +125,7 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every catalog entry, in matrix order.
-    pub const ALL: [FaultSite; 11] = [
+    pub const ALL: [FaultSite; 10] = [
         FaultSite::StatOffByOne,
         FaultSite::DroppedFlush,
         FaultSite::StaleLru,
@@ -153,7 +134,6 @@ impl FaultSite {
         FaultSite::SkippedDefenseEval,
         FaultSite::StaleDirtySet,
         FaultSite::SkippedEpochBump,
-        FaultSite::TruncatedLead,
         FaultSite::SwappedQueueSteer,
         FaultSite::StaleEvictionMemo,
     ];
@@ -169,7 +149,6 @@ impl FaultSite {
             FaultSite::SkippedDefenseEval => "skipped-defense-eval",
             FaultSite::StaleDirtySet => "stale-dirty-set",
             FaultSite::SkippedEpochBump => "skipped-epoch-bump",
-            FaultSite::TruncatedLead => "truncated-lead",
             FaultSite::SwappedQueueSteer => "swapped-queue-steer",
             FaultSite::StaleEvictionMemo => "stale-eviction-memo",
         }
@@ -200,39 +179,23 @@ impl FaultSite {
             | FaultSite::SkippedDefenseEval
             | FaultSite::StaleDirtySet
             | FaultSite::SkippedEpochBump
-            | FaultSite::TruncatedLead
             | FaultSite::SwappedQueueSteer
             | FaultSite::StaleEvictionMemo => FiringKind::Keyed,
         }
     }
 
-    /// The engine-context tag the site's hook requires, for hooks in
-    /// substrate shared by several engines. `None` means the hook's
-    /// location is already unique to one engine.
-    pub fn required_engine(self) -> Option<Engine> {
-        match self {
-            FaultSite::StaleLru | FaultSite::StaleDirtySet => Some(Engine::Batch),
-            FaultSite::SkippedDefenseEval | FaultSite::SkippedEpochBump => Some(Engine::Streaming),
-            _ => None,
-        }
-    }
-
-    /// One-line description of the mutation, for the kill-matrix
-    /// report and docs.
-    pub fn description(self) -> &'static str {
-        match self {
-            FaultSite::StatOffByOne => "stats merge adds one extra CPU hit",
-            FaultSite::DroppedFlush => "streaming applier drop loses its flush",
-            FaultSite::StaleLru => "batch shard hit skips the LRU touch",
-            FaultSite::CorruptedLead => "buffered op lead skewed by +13 cycles",
-            FaultSite::DroppedDeferredRead => "deferred-read queue drops one due payload read",
-            FaultSite::SkippedDefenseEval => "streaming shard skips a defense evaluation",
-            FaultSite::StaleDirtySet => "batch shard stamps a set dirty without queueing it",
-            FaultSite::SkippedEpochBump => "streaming shard keeps last period's dirty stamps live",
-            FaultSite::TruncatedLead => "packed op decode truncates an escaped lead",
-            FaultSite::SwappedQueueSteer => "RSS steer routes a flow to the next queue",
-            FaultSite::StaleEvictionMemo => "eviction-set memo hit serves the next slice's set",
-        }
+    /// `true` for the sites whose hook sits in the shard substrate the
+    /// fast path shares with the per-access oracle: they fire only
+    /// inside [`fast_path_scope`]. Every other hook's location is
+    /// already unique to one engine.
+    pub fn fast_path_only(self) -> bool {
+        matches!(
+            self,
+            FaultSite::StaleLru
+                | FaultSite::StaleDirtySet
+                | FaultSite::SkippedDefenseEval
+                | FaultSite::SkippedEpochBump
+        )
     }
 
     /// Position in [`FaultSite::ALL`]: the armed-site encoding.
@@ -244,7 +207,7 @@ impl FaultSite {
     /// positional: retiring a catalog entry shifts [`FaultSite::index`],
     /// and a positional salt would silently turn every later site's
     /// `site:seed` into a different mutant. A new site takes a salt no
-    /// other site has used (retired: 3, 7, 11, 12 and 13).
+    /// other site has used (retired: 3, 7, 10, 11, 12 and 13).
     fn param_salt(self) -> u64 {
         match self {
             FaultSite::StatOffByOne => 0,
@@ -255,7 +218,6 @@ impl FaultSite {
             FaultSite::SkippedDefenseEval => 6,
             FaultSite::StaleDirtySet => 8,
             FaultSite::SkippedEpochBump => 9,
-            FaultSite::TruncatedLead => 10,
             FaultSite::SwappedQueueSteer => 14,
             FaultSite::StaleEvictionMemo => 15,
         }
@@ -420,48 +382,39 @@ pub fn bless_guard() -> Result<(), String> {
 }
 
 thread_local! {
-    static ENGINE_CTX: std::cell::Cell<u8> = const { std::cell::Cell::new(0) };
+    static IN_FAST_PATH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// RAII guard that tags the current thread as running inside `engine`
-/// (see [`engine_scope`]); restores the previous tag on drop.
+/// RAII guard marking the current thread as inside the op-stream fast
+/// path (see [`fast_path_scope`]); restores the previous mark on drop.
 #[derive(Debug)]
-pub struct EngineScope {
-    prev: u8,
-    active: bool,
+pub struct FastPathScope {
+    /// The mark to restore; `None` when the guard is inert.
+    prev: Option<bool>,
 }
 
-impl Drop for EngineScope {
+impl Drop for FastPathScope {
     fn drop(&mut self) {
-        if self.active {
-            ENGINE_CTX.set(self.prev);
+        if let Some(prev) = self.prev {
+            IN_FAST_PATH.set(prev);
         }
     }
 }
 
-/// Tags the current thread as running inside `engine` until the
-/// returned guard drops. Engine drivers whose replay shares substrate
-/// with other engines set this so shared-path sites can target one
-/// engine; when no fault is armed the guard is inert (one atomic
-/// load, no TLS write).
-pub fn engine_scope(engine: Engine) -> EngineScope {
-    if !ARMED.load(Ordering::Relaxed) {
-        return EngineScope {
-            prev: 0,
-            active: false,
-        };
-    }
-    let tag = engine as u8 + 1;
-    let prev = ENGINE_CTX.replace(tag);
-    EngineScope { prev, active: true }
-}
-
-fn engine_ctx_matches(required: Engine) -> bool {
-    ENGINE_CTX.get() == required as u8 + 1
+/// Marks the current thread as inside the op-stream fast path until
+/// the returned guard drops, so the [`FaultSite::fast_path_only`]
+/// sites can fire. The hierarchy's replay loop and streaming applier
+/// hold one; the per-access oracle never does. When no fault is armed
+/// the guard is inert (one atomic load, no TLS write).
+pub fn fast_path_scope() -> FastPathScope {
+    let prev = ARMED
+        .load(Ordering::Relaxed)
+        .then(|| IN_FAST_PATH.replace(true));
+    FastPathScope { prev }
 }
 
 /// Hot-path predicate for counter sites: `true` exactly when `site` is
-/// armed, its engine context (if any) is active, and this is the
+/// armed, its fast-path scope (if required) is held, and this is the
 /// resolved `nth` consultation since arming. One relaxed load when
 /// nothing is armed.
 #[inline]
@@ -473,7 +426,7 @@ pub fn fires(site: FaultSite) -> bool {
 }
 
 /// Hot-path predicate for keyed sites: `true` exactly when `site` is
-/// armed, its engine context (if any) is active, and
+/// armed, its fast-path scope (if required) is held, and
 /// `mix_seed(seed, key)` lands on the resolved modulus — a pure
 /// function of `key`, schedule-independent. One relaxed load when
 /// nothing is armed.
@@ -490,10 +443,8 @@ fn fires_slow(site: FaultSite, key: Option<u64>) -> bool {
     if SITE.load(Ordering::Relaxed) != site.index() as u8 + 1 {
         return false;
     }
-    if let Some(required) = site.required_engine() {
-        if !engine_ctx_matches(required) {
-            return false;
-        }
+    if site.fast_path_only() && !IN_FAST_PATH.get() {
+        return false;
     }
     match key {
         Some(k) => {
@@ -601,7 +552,7 @@ mod tests {
             assert!(fires_keyed(FaultSite::CorruptedLead, k), "pure in key");
         }
         // A different (un-armed) site never fires.
-        assert!((0..200u64).all(|k| !fires_keyed(FaultSite::TruncatedLead, k)));
+        assert!((0..200u64).all(|k| !fires_keyed(FaultSite::SwappedQueueSteer, k)));
         disarm();
     }
 
@@ -615,17 +566,18 @@ mod tests {
         });
         assert!(!fires_keyed(FaultSite::StaleLru, 0), "no scope, no fire");
         {
-            let _scope = engine_scope(Engine::Streaming);
-            assert!(!fires_keyed(FaultSite::StaleLru, 0), "wrong engine");
+            let _scope = fast_path_scope();
+            assert!(fires_keyed(FaultSite::StaleLru, 0));
             {
-                let _inner = engine_scope(Engine::Batch);
+                let _inner = fast_path_scope();
                 assert!(fires_keyed(FaultSite::StaleLru, 0));
             }
             assert!(
-                !fires_keyed(FaultSite::StaleLru, 0),
-                "inner scope restored the outer tag"
+                fires_keyed(FaultSite::StaleLru, 0),
+                "inner scope restored the outer mark"
             );
         }
+        assert!(!fires_keyed(FaultSite::StaleLru, 0), "scope left");
         disarm();
     }
 
@@ -655,7 +607,7 @@ mod tests {
     /// the values it had while the catalog still held 16 sites.
     #[test]
     fn seed_derived_params_survive_catalog_edits() {
-        let pinned: [(FaultSite, [u64; 3]); 11] = [
+        let pinned: [(FaultSite, [u64; 3]); 10] = [
             (FaultSite::StatOffByOne, [2, 2, 3]),
             (FaultSite::DroppedFlush, [2, 4, 4]),
             (FaultSite::StaleLru, [10, 8, 5]),
@@ -664,7 +616,6 @@ mod tests {
             (FaultSite::SkippedDefenseEval, [11, 9, 12]),
             (FaultSite::StaleDirtySet, [10, 13, 5]),
             (FaultSite::SkippedEpochBump, [13, 13, 10]),
-            (FaultSite::TruncatedLead, [11, 10, 12]),
             (FaultSite::SwappedQueueSteer, [9, 6, 12]),
             (FaultSite::StaleEvictionMemo, [13, 7, 6]),
         ];

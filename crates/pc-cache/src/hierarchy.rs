@@ -6,8 +6,15 @@
 //! blocks, the spy issues `cpu_read`s to prime and probe, and the defense
 //! workloads issue both. Latencies are returned *and* accumulated on the
 //! shared clock, so interleaving (who runs when) falls out naturally.
+//!
+//! Op streams replay through one fast path — [`Hierarchy::run_trace`],
+//! [`Hierarchy::run_ops`] and the streaming [`OpApplier`] share one
+//! access + latency + clock step and hold the fault layer's fast-path
+//! scope — while the hierarchy itself, as an [`OpSink`], is the
+//! per-access oracle every fast-path result is checked against.
 
 use crate::addr::PhysAddr;
+use crate::fault;
 use crate::geometry::CacheGeometry;
 use crate::llc::{AccessKind, DdioMode, SlicedCache};
 use crate::memory::MemoryStats;
@@ -57,8 +64,8 @@ impl LatencyModel {
     /// The single latency rule: what one access costs given whether it
     /// hit and whether I/O writes allocate in the LLC
     /// ([`crate::DdioMode::allocates_in_llc`]). Shared by the scalar
-    /// entry points, the trace replay and the streaming applier, so the
-    /// paths cannot diverge.
+    /// entry points and the fast path's replay step, so the paths
+    /// cannot diverge.
     #[inline]
     pub fn access_latency(&self, hit: bool, kind: AccessKind, allocates_in_llc: bool) -> Cycles {
         if hit {
@@ -233,7 +240,7 @@ impl Hierarchy {
     where
         I: IntoIterator<Item = CacheOp>,
     {
-        self.run_trace_sequential(ops.into_iter(), |_, _| {})
+        self.replay(ops.into_iter(), |_, _| {})
     }
 
     /// Replays a recorded op batch: the ops through the trace walk, then
@@ -246,15 +253,16 @@ impl Hierarchy {
     /// against the hierarchy — which is exactly what pointing the emit
     /// code at the hierarchy itself (it implements [`OpSink`]) does.
     ///
-    /// The walk prefetches: before op *i* it decodes op *i* + 8's line
-    /// address from the buffer and hints that op's `(slice, set)` row —
-    /// line words, LRU stamps, set record — into the host's L1. The
-    /// hint touches no simulated state, so accesses, their order,
-    /// statistics and RNG draws are exactly the unhinted walk's.
+    /// The walk prefetches: before op *i* it hints op *i* + 8's
+    /// `(slice, set)` row — line words, LRU stamps, set record — into
+    /// the host's L1. The hint touches no simulated state, so accesses,
+    /// their order, statistics and RNG draws are exactly the unhinted
+    /// walk's.
     pub fn run_ops(&mut self, buf: &OpBuffer) -> TraceSummary {
-        let mut sum = self.run_trace_sequential(buf.iter(), |llc, i| {
-            if let Some(addr) = buf.line_addr(i + PREFETCH_DISTANCE) {
-                llc.prefetch(addr);
+        let ops = buf.ops();
+        let mut sum = self.replay(ops.iter().copied(), |llc, i| {
+            if let Some(op) = ops.get(i + PREFETCH_DISTANCE) {
+                llc.prefetch(op.addr);
             }
         });
         self.clock += buf.trailing();
@@ -262,77 +270,81 @@ impl Hierarchy {
         sum
     }
 
-    /// The clock-advancing walk behind [`Hierarchy::run_trace`] and
+    /// The fast path's one loop, behind [`Hierarchy::run_trace`] and
     /// [`Hierarchy::run_ops`]. `ahead(llc, i)` runs before op `i`
     /// replays — the `run_ops` prefetch; `run_trace` passes a no-op,
-    /// which compiles away.
-    fn run_trace_sequential<I, F>(&mut self, ops: I, mut ahead: F) -> TraceSummary
+    /// which compiles away. The summary is a local, so the per-op
+    /// accumulators stay in registers and fold into the hierarchy once.
+    fn replay<I, F>(&mut self, ops: I, mut ahead: F) -> TraceSummary
     where
         I: Iterator<Item = CacheOp>,
         F: FnMut(&SlicedCache, usize),
     {
-        let _engine = crate::fault::engine_scope(crate::fault::Engine::Batch);
-        let mut sum = TraceSummary::default();
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        let mut clock = self.clock;
+        let _scope = fault::fast_path_scope();
         // The latency rule's mode input is loop-invariant; hoist it so
         // the per-op work is the access and a few adds.
         let allocates = self.llc.mode().allocates_in_llc();
+        let mut sum = TraceSummary::default();
         for (i, op) in ops.enumerate() {
             ahead(&self.llc, i);
-            let out = self.llc.access(op.addr, op.kind);
-            reads += u64::from(out.dram_reads);
-            writes += u64::from(out.dram_writes);
-            let latency = self.lat.access_latency(out.hit, op.kind, allocates);
-            clock += op.lead + latency;
-            sum.accesses += 1;
-            sum.hits += u64::from(out.hit);
-            sum.cycles += op.lead + latency;
+            self.step(allocates, op, &mut sum);
         }
-        self.clock = clock;
-        self.mem.reads += reads;
-        self.mem.writes += writes;
-        sum.dram_reads = reads;
-        sum.dram_writes = writes;
+        self.absorb(&sum);
         sum
+    }
+
+    /// The fast path's one step, shared by [`Hierarchy::replay`] and
+    /// [`OpApplier`]: `op`'s access, its DRAM traffic and its lead +
+    /// latency, accumulated into `sum` rather than the hierarchy.
+    /// Always inlined: left to the inliner it stayed out of line, and the
+    /// loop's accumulators went through memory on every op.
+    #[inline(always)]
+    fn step(&mut self, allocates: bool, op: CacheOp, sum: &mut TraceSummary) {
+        let out = self.llc.access(op.addr, op.kind);
+        sum.accesses += 1;
+        sum.hits += u64::from(out.hit);
+        sum.dram_reads += u64::from(out.dram_reads);
+        sum.dram_writes += u64::from(out.dram_writes);
+        sum.cycles += op.lead + self.lat.access_latency(out.hit, op.kind, allocates);
+    }
+
+    /// Folds a fast-path summary's clock motion and DRAM traffic into
+    /// the hierarchy.
+    fn absorb(&mut self, sum: &TraceSummary) {
+        self.clock += sum.cycles;
+        self.mem.reads += sum.dram_reads;
+        self.mem.writes += sum.dram_writes;
     }
 }
 
-/// A streaming replay sink: applies each emitted op immediately with
-/// the batch engine's lean loop body — the DDIO-mode input of the
-/// latency rule hoisted at construction, clock and memory traffic
-/// accumulated in locals and flushed into the hierarchy on drop.
+/// A streaming replay sink: applies each emitted op immediately through
+/// the fast path's step, accumulating clock and memory traffic in the
+/// applier and folding them into the hierarchy on drop.
 ///
-/// This is the op-stream IR's streaming engine, for producers that
-/// emit a handful of ops at a time (the NIC driver replays ~6 ops per
-/// frame): same results as emitting into an [`OpBuffer`] and replaying
-/// it, and as issuing the accesses one at a time, with neither the
-/// buffer round-trip of the former nor the per-op statistics
-/// read-modify-write of the latter. Nothing mid-stream can observe the clock — callers
-/// that need that use the hierarchy itself as the sink.
+/// This is the fast path for producers that emit a handful of ops at a
+/// time (the NIC driver replays ~6 ops per frame): same results as
+/// emitting into an [`OpBuffer`] and replaying it, and as issuing the
+/// accesses one at a time, with neither the buffer round-trip of the
+/// former nor the per-op statistics read-modify-write of the latter.
+/// Nothing mid-stream can observe the clock — callers that need that
+/// use the hierarchy itself as the sink.
 pub struct OpApplier<'a> {
     h: &'a mut Hierarchy,
     allocates: bool,
-    clock: Cycles,
-    reads: u64,
-    writes: u64,
-    /// Tags the applier's thread as the streaming engine for the whole
-    /// applier lifetime (inert unless a fault is armed).
-    _engine: crate::fault::EngineScope,
+    sum: TraceSummary,
+    /// Holds the fault layer's fast-path scope for the applier's
+    /// lifetime (inert unless a fault is armed).
+    _scope: fault::FastPathScope,
 }
 
 impl Hierarchy {
     /// A streaming [`OpSink`] over this hierarchy (see [`OpApplier`]).
     /// Totals flush when the applier drops.
     pub fn applier(&mut self) -> OpApplier<'_> {
-        let allocates = self.llc.mode().allocates_in_llc();
         OpApplier {
-            allocates,
-            clock: 0,
-            reads: 0,
-            writes: 0,
-            _engine: crate::fault::engine_scope(crate::fault::Engine::Streaming),
+            allocates: self.llc.mode().allocates_in_llc(),
+            sum: TraceSummary::default(),
+            _scope: fault::fast_path_scope(),
             h: self,
         }
     }
@@ -341,35 +353,30 @@ impl Hierarchy {
 impl OpSink for OpApplier<'_> {
     #[inline]
     fn op(&mut self, op: CacheOp) {
-        let out = self.h.llc.access(op.addr, op.kind);
-        self.reads += u64::from(out.dram_reads);
-        self.writes += u64::from(out.dram_writes);
-        self.clock += op.lead + self.h.lat.access_latency(out.hit, op.kind, self.allocates);
+        self.h.step(self.allocates, op, &mut self.sum);
     }
 
     #[inline]
     fn advance(&mut self, cycles: Cycles) {
-        self.clock += cycles;
+        self.sum.cycles += cycles;
     }
 }
 
 impl Drop for OpApplier<'_> {
     fn drop(&mut self) {
-        // Fault site `dropped-flush`: the streaming engine silently
-        // loses one applier's accumulated clock and memory deltas.
-        if crate::fault::fires(crate::fault::FaultSite::DroppedFlush) {
+        // Fault site `dropped-flush`: the applier silently loses its
+        // accumulated clock and memory deltas.
+        if fault::fires(fault::FaultSite::DroppedFlush) {
             return;
         }
-        self.h.clock += self.clock;
-        self.h.mem.reads += self.reads;
-        self.h.mem.writes += self.writes;
+        self.h.absorb(&self.sum);
     }
 }
 
 /// The per-access replay path of the op-stream IR: each emitted op is
 /// applied immediately (lead, then the access), each advance moves the
 /// clock. Producers written against [`OpSink`] can therefore target the
-/// hierarchy directly — the equivalence oracle for the batched paths,
+/// hierarchy directly — the equivalence oracle for the fast path,
 /// and the path to use when per-access latencies are needed mid-stream.
 impl OpSink for Hierarchy {
     #[inline]
@@ -384,7 +391,8 @@ impl OpSink for Hierarchy {
     }
 }
 
-/// Aggregate of a [`Hierarchy::run_trace`] replay.
+/// Aggregate of a fast-path replay ([`Hierarchy::run_trace`],
+/// [`Hierarchy::run_ops`]).
 #[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
 pub struct TraceSummary {
     /// Ops replayed.
@@ -397,18 +405,6 @@ pub struct TraceSummary {
     pub dram_reads: u64,
     /// DRAM lines written.
     pub dram_writes: u64,
-}
-
-impl TraceSummary {
-    /// Accumulates another summary into this one, field by field.
-    #[inline]
-    pub fn merge(&mut self, other: &TraceSummary) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.cycles += other.cycles;
-        self.dram_reads += other.dram_reads;
-        self.dram_writes += other.dram_writes;
-    }
 }
 
 #[cfg(test)]
@@ -531,9 +527,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_trace_replay_is_thread_count_invariant() {
+    fn trace_replay_is_thread_count_invariant() {
         // The experiment-level fan-out replays independent hierarchies on
-        // worker threads. The per-slice (sharded) state must carry nothing
+        // worker threads. The per-slice state must carry nothing
         // shared between hierarchies, so every replica leaves a
         // byte-identical state (summary, clock, memory traffic, LLC stats
         // per slice, residency) whatever the number of threads running

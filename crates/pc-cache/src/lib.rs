@@ -23,10 +23,11 @@
 //! * [`Hierarchy`] — the facade every other crate uses: a cycle clock plus
 //!   `cpu_read` / `cpu_write` / `io_write` / `io_read` operations that
 //!   return latencies and maintain memory-traffic statistics.
-//! * [`CacheOp`] / [`OpSink`] / [`OpBuffer`] — the batched op-stream IR:
+//! * [`CacheOp`] / [`OpSink`] / [`OpBuffer`] — the op-stream IR:
 //!   producers (the NIC driver, the spy's walks, workload loops) emit
-//!   op batches once and replay them through one sequential walk
-//!   ([`Hierarchy::run_ops`]), or point the same emit code at the
+//!   ops once and replay them through one fast path
+//!   ([`Hierarchy::run_ops`], [`Hierarchy::run_trace`],
+//!   [`Hierarchy::applier`]), or point the same emit code at the
 //!   [`Hierarchy`] itself for the per-access equivalence oracle.
 //!
 //! The simulator is deterministic: all randomized behaviour (the `Random`
@@ -71,7 +72,7 @@ pub use geometry::CacheGeometry;
 pub use hierarchy::{Hierarchy, LatencyModel, OpApplier, TraceSummary};
 pub use llc::{AccessKind, AccessOutcome, DdioMode, SliceSet, SlicedCache};
 pub use memory::MemoryStats;
-pub use ops::{CacheOp, OpBuffer, OpIter, OpSink};
+pub use ops::{CacheOp, OpBuffer, OpSink};
 pub use partition::AdaptiveConfig;
 pub use replacement::ReplacementPolicy;
 pub use set::Domain;

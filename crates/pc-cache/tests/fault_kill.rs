@@ -4,9 +4,10 @@
 //! This is the suite-of-suites check the fault layer exists for
 //! (`pc_cache::fault`): a differential test that has never failed can
 //! be vacuous, so each catalog site is armed in turn and the detector —
-//! four engines (per-access oracle, streaming applier, buffered batch,
-//! unbuffered `run_trace` replay) compared on clock, memory
-//! traffic, merged *and* per-slice statistics, and residency — must
+//! the per-access oracle against the fast path's three entry points
+//! (streaming applier, buffered `run_ops`, unbuffered `run_trace`),
+//! compared on clock, memory traffic, merged *and* per-slice
+//! statistics, and residency — must
 //! report a divergence (or panic, which also counts: a mutant that
 //! trips an internal assertion is dead). The same detector with no
 //! fault armed must stay silent — the negative control pinning that
@@ -103,7 +104,7 @@ fn differs(oracle: &Hierarchy, other: &Hierarchy, ops: &[CacheOp]) -> Option<Str
     None
 }
 
-/// The detector: replays seeded streams through all four engines over
+/// The detector: replays seeded streams through all four paths over
 /// carried state (six rounds per mode — enough consultations for every
 /// counter site's trigger range) and reports the first divergence.
 fn detect(stream_seed: u64) -> Option<String> {
@@ -149,9 +150,9 @@ fn detect(stream_seed: u64) -> Option<String> {
     None
 }
 
-/// The eight catalog sites whose mutation lives at or below the
-/// op-stream engines.
-const CACHE_SITES: [FaultSite; 8] = [
+/// The seven catalog sites whose mutation lives at or below the
+/// op-stream replay.
+const CACHE_SITES: [FaultSite; 7] = [
     FaultSite::StatOffByOne,
     FaultSite::DroppedFlush,
     FaultSite::StaleLru,
@@ -159,7 +160,15 @@ const CACHE_SITES: [FaultSite; 8] = [
     FaultSite::SkippedDefenseEval,
     FaultSite::StaleDirtySet,
     FaultSite::SkippedEpochBump,
-    FaultSite::TruncatedLead,
+];
+
+/// The sites whose hook sits in the shard substrate the fast path
+/// shares with the per-access oracle.
+const FAST_PATH_SITES: [FaultSite; 4] = [
+    FaultSite::StaleLru,
+    FaultSite::SkippedDefenseEval,
+    FaultSite::StaleDirtySet,
+    FaultSite::SkippedEpochBump,
 ];
 
 #[test]
@@ -220,4 +229,64 @@ fn disarm_restores_clean_behaviour() {
         "an every-key lead skew must be detected"
     );
     assert_eq!(detect(0xD1FF), None, "disarm must fully restore");
+}
+
+/// The oracle side of the fast-path scope: each shard-substrate site,
+/// armed to fire on every key, leaves the per-access oracle exactly as
+/// the unarmed run leaves it — the hook is live only inside the fast
+/// path, so the oracle stays the clean reference. The same arming
+/// must still mutate `run_trace`, or the check would be vacuous.
+#[test]
+fn fast_path_sites_never_fire_in_the_per_access_oracle() {
+    let _g = serialized();
+    fault::disarm();
+    let geom = CacheGeometry::tiny();
+    let ops = fuzz_stream(0x0AC1E, 6000);
+    let oracle_run = |mode| {
+        let mut h = Hierarchy::new(geom, mode);
+        for &op in &ops {
+            h.op(op);
+        }
+        h
+    };
+    for site in FAST_PATH_SITES {
+        assert!(site.fast_path_only(), "{site:?}");
+        let mut mutated = false;
+        for mode in modes() {
+            let clean = oracle_run(mode);
+            fault::arm(FaultSpec {
+                site,
+                seed: 0,
+                nth: Some(1), // modulus 1: fires on every key it reaches
+            });
+            let armed = catch_unwind(AssertUnwindSafe(|| oracle_run(mode)));
+            let mut fast = Hierarchy::new(geom, mode);
+            let fast_outcome = catch_unwind(AssertUnwindSafe(|| {
+                fast.run_trace(ops.iter().copied());
+            }));
+            fault::disarm();
+            let armed = armed.unwrap_or_else(|_| panic!("{site:?} {mode:?}: oracle panicked"));
+            assert_eq!(armed.now(), clean.now(), "{site:?} {mode:?}: clock");
+            assert_eq!(
+                armed.memory_stats(),
+                clean.memory_stats(),
+                "{site:?} {mode:?}: memory traffic"
+            );
+            assert_eq!(
+                slice_stats(&armed),
+                slice_stats(&clean),
+                "{site:?} {mode:?}: per-slice stats"
+            );
+            for op in &ops {
+                assert_eq!(
+                    armed.llc().contains(op.addr),
+                    clean.llc().contains(op.addr),
+                    "{site:?} {mode:?}: residency of {:?}",
+                    op.addr
+                );
+            }
+            mutated |= fast_outcome.is_err() || differs(&clean, &fast, &ops).is_some();
+        }
+        assert!(mutated, "{site:?}: the armed site never mutated run_trace");
+    }
 }

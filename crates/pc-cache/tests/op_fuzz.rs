@@ -1,13 +1,14 @@
-//! Differential fuzz of the op-stream IR's three replay engines.
+//! Differential fuzz of the op-stream IR's fast path against the
+//! per-access oracle.
 //!
-//! Every other equivalence suite in the workspace reaches these engines
+//! Every other equivalence suite in the workspace reaches the replay
 //! through *driver-shaped* traffic (pc-nic frame bursts, monitor
-//! primes). This one feeds them raw, adversarial [`CacheOp`] streams —
+//! primes). This one feeds it raw, adversarial [`CacheOp`] streams —
 //! mixed access kinds, random leads, skewed slice distributions — and
-//! pins the three engines byte-identical on each:
+//! pins every entry point byte-identical to the oracle on each:
 //!
 //! * **batch** — emit into an [`OpBuffer`], replay via
-//!   [`Hierarchy::run_ops`] (the prefetching trace walk);
+//!   [`Hierarchy::run_ops`] (the prefetching walk);
 //! * **streaming** — the one-pass [`Hierarchy::applier`] sink;
 //! * **oracle** — the per-access path (the hierarchy is itself an
 //!   [`OpSink`]).
@@ -103,9 +104,10 @@ fn assert_identical(a: &Hierarchy, b: &Hierarchy, ops: &[CacheOp], what: &str) {
     }
 }
 
-/// Replays every round (with a trailing advance) on all three engines
-/// and through `run_trace`, asserting byte-identity after each;
-/// later rounds run over the carried state of earlier ones.
+/// Replays every round (with a trailing advance) through `run_ops`,
+/// the applier, `run_trace` and the per-access oracle, asserting
+/// byte-identity after each; later rounds run over the carried state
+/// of earlier ones.
 fn run_all_engines(
     geom: CacheGeometry,
     mode: DdioMode,
@@ -218,43 +220,6 @@ proptest! {
                 run_all_engines(CacheGeometry::xeon_e5_2660(), mode, policy, &rounds, 5);
             }
         }
-    }
-
-    /// Packed-vs-unpacked round trip: every op pushed through the
-    /// 8-byte [`OpBuffer`] encoding decodes back to itself modulo line
-    /// quantization. Leads are drawn to straddle the inline/escape
-    /// boundary (0..=14 inline, 15.. escaped) so both encodings and the
-    /// escape cursor's ordering are fuzz-pinned, not just unit-tested.
-    #[test]
-    fn packed_ops_round_trip_through_the_buffer(
-        seed in 0u64..u64::MAX,
-        len in 1usize..3000,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut buf = OpBuffer::new();
-        let mut want = Vec::with_capacity(len);
-        for _ in 0..len {
-            let addr = PhysAddr::new(rng.gen::<u64>() >> rng.gen_range(0..32));
-            let kind = match rng.gen_range(0..4u32) {
-                0 => AccessKind::CpuRead,
-                1 => AccessKind::CpuWrite,
-                2 => AccessKind::IoWrite,
-                _ => AccessKind::IoRead,
-            };
-            // Half the draws hug the escape threshold (lead 15), the
-            // rest sweep the full magnitude range.
-            let lead = if rng.gen_bool(0.5) {
-                rng.gen_range(0..31u64)
-            } else {
-                rng.gen::<u64>() >> rng.gen_range(0..64)
-            };
-            let op = CacheOp::new(addr, kind).after(lead);
-            want.push(CacheOp { addr: addr.line_base(), ..op });
-            buf.op(op);
-        }
-        let got: Vec<CacheOp> = buf.iter().collect();
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(buf.len(), len);
     }
 }
 

@@ -256,10 +256,10 @@ pub fn file_copy(bench: &mut Workbench, megabytes: u64) -> WorkloadMetrics {
     let lines = megabytes * (1 << 20) / 64;
     let src = (APP_FIRST_PAGE + (1 << 17)) * 4096;
     let dst = (APP_FIRST_PAGE + (1 << 18)) * 4096;
-    // 4 ops per copied line, so a chunk fills the workspace op-scratch
-    // cap exactly (64 Ki ops per replay), which keeps the scratch
-    // bounded and cache-friendly.
-    const CHUNK_LINES: u64 = pc_cache::ops::OP_SCRATCH_CAP / 4;
+    // 4 ops per copied line, so a chunk is 16 Ki ops (384 KiB of
+    // scratch): bounded and cache-friendly. Chunk boundaries are not
+    // observable — a split batch replays exactly as an unsplit one.
+    const CHUNK_LINES: u64 = (1 << 14) / 4;
     let mut ops = std::mem::take(&mut bench.ops);
     let mut first = 0;
     while first < lines {

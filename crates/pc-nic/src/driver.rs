@@ -1,4 +1,4 @@
-//! The IGB driver receive path, replayed as per-frame op batches.
+//! The IGB driver receive path, replayed as per-frame op streams.
 
 use crate::alloc::PageAllocator;
 use crate::ring::{RxRing, HALF_PAGE_BYTES, RX_BUFFER_BLOCKS};
@@ -251,8 +251,9 @@ impl IgbDriver {
         self.defense_overhead
     }
 
-    /// Receives one frame into the next ring buffer, replaying its
-    /// memory traffic as one op batch (the driver's fast path).
+    /// Receives one frame into the next ring buffer, streaming its
+    /// memory traffic through [`Hierarchy::applier`] (the driver's fast
+    /// path: one pass, nothing buffered).
     ///
     /// Frames longer than a 2048-byte buffer are truncated to the buffer
     /// (jumbo handling is out of scope, as in the paper).
@@ -266,8 +267,8 @@ impl IgbDriver {
         let buffer_addr = self.ring.buffer(idx).dma_addr();
         let (blocks, small) = self.cfg.frame_shape(frame);
 
-        // Stream the frame's ops through the applier engine: one pass,
-        // totals flushed when the sink drops (a frame is ~6 ops, too few
+        // Stream the frame's ops through the applier: one pass, totals
+        // flushed when the sink drops (a frame is ~6 ops, too few
         // to be worth buffering).
         let mut sink = h.applier();
         self.cfg
@@ -279,9 +280,9 @@ impl IgbDriver {
 
     /// [`IgbDriver::receive`] replayed access-by-access: the same emit
     /// code pointed at the hierarchy (which applies each op as it is
-    /// emitted) instead of at the op batch.
+    /// emitted) instead of at the applier.
     ///
-    /// This is the **equivalence oracle** for the batched path — the two
+    /// This is the **equivalence oracle** for the streamed path — the two
     /// are byte-identical in ring state, statistics, clock and RNG
     /// stream (`tests/batch_equivalence.rs` pins it) — and the path for
     /// experiments that need to observe per-access latencies in the
