@@ -24,11 +24,13 @@
 //! * `testbed` — the bed ↔ hand-driven per-access reference trajectory
 //!   comparison from `crates/core/tests/fault_kill_rx.rs`, the rx-path
 //!   detector for `dropped-deferred-read`.
-//! * `monitor` — the attacker pool's eviction-set memo against the
-//!   memo-free oracle walk, mirroring
-//!   `crates/pc-probe/tests/fault_kill_probe.rs` — the only detector
-//!   that exercises `stale-eviction-memo`, whose mutation lives in the
-//!   memo lookup alone.
+//! * `monitor` — mirroring `crates/pc-probe/tests/fault_kill_probe.rs`:
+//!   the attacker pool's eviction-set memo against the memo-free oracle
+//!   walk (the only detector that exercises `stale-eviction-memo`,
+//!   whose mutation lives in the memo lookup alone), then a probe-walk
+//!   differential: the spy's decoded prime and probe walks
+//!   (`Hierarchy::run_walk`) against per-access `cpu_read` walks on a
+//!   cloned machine.
 //! * `golden` — the scenario registry at the blessed parameters
 //!   (`Scale::Quick`, seed 2020) byte-compared against the snapshots
 //!   in `tests/golden/` (`fingerprint` is excluded: it costs more than
@@ -50,7 +52,7 @@ use pc_cache::{
 use pc_core::{RxRecord, TestBed, TestBedConfig};
 use pc_net::{EthernetFrame, ScheduledFrame};
 use pc_nic::{DeferredReads, DriverConfig, IgbDriver, PageAllocator, RandomizeMode, RxEvent};
-use pc_probe::{oracle_eviction_sets, AddressPool};
+use pc_probe::{oracle_eviction_sets, AddressPool, EvictionSet, PrimeProbe};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -521,13 +523,14 @@ fn testbed_trajectory() -> Option<String> {
     None
 }
 
-// --- suite `monitor`: eviction-set memo vs walk --------------------
+// --- suite `monitor`: eviction-set memo vs walk, probe walks --------
 
 /// The pool's eviction-set memo against the memo-free walk: every slice
 /// of 16 set indices, asked twice (a fill, then all hits, so every
 /// neighbour a stale hit could serve is memoized). The walk never
 /// consults the memo hook, so it is the oracle for
-/// `stale-eviction-memo`.
+/// `stale-eviction-memo`. The walked sets then drive
+/// [`probe_walk_differential`].
 fn monitor_differential() -> Option<String> {
     let h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
     let pool = AddressPool::allocate(6, 16384);
@@ -540,7 +543,69 @@ fn monitor_differential() -> Option<String> {
             return Some(format!("memoized eviction sets diverged (call {call})"));
         }
     }
-    None
+    probe_walk_differential(h, &walked)
+}
+
+/// The spy's decoded walks against per-access reads: prime every set
+/// (`PrimeProbe::prime`), DMA-write one conflicting line into each, then
+/// reverse-probe every set (`PrimeProbe::probe`); a clone of the
+/// machine does the same with one `cpu_read` per line. The DMA line
+/// leaves each set one line short, so the probe's refill picks an LRU
+/// victim among lines the probe just touched — the order a stale
+/// recency update breaks. Compared: per-set misses and latency, clock,
+/// memory traffic, merged and per-slice statistics, and the residency
+/// of every line.
+fn probe_walk_differential(mut h: Hierarchy, sets: &[EvictionSet]) -> Option<String> {
+    let threshold = h.latencies().miss_threshold();
+    let mut oracle = h.clone();
+    let probes: Vec<PrimeProbe> = sets
+        .iter()
+        .map(|s| PrimeProbe::new(s.clone(), threshold))
+        .collect();
+    let dma: Vec<PhysAddr> = sets.iter().map(|s| conflicting_line(h.llc(), s)).collect();
+    for (p, set) in probes.iter().zip(sets) {
+        p.prime(&mut h);
+        for &a in set.addresses() {
+            oracle.cpu_read(a);
+        }
+    }
+    for &line in &dma {
+        h.io_write(line);
+        oracle.io_write(line);
+    }
+    for (i, (p, set)) in probes.iter().zip(sets).enumerate() {
+        let got = p.probe(&mut h);
+        let (mut misses, mut latency) = (0, 0);
+        for &a in set.addresses().iter().rev() {
+            let lat = oracle.cpu_read(a);
+            latency += lat;
+            misses += u32::from(lat >= threshold);
+        }
+        if (got.misses, got.total_latency) != (misses, latency) {
+            return Some(format!(
+                "probe of set {i}: {} misses / {} cycles != {misses} / {latency}",
+                got.misses, got.total_latency
+            ));
+        }
+    }
+    let lines: Vec<CacheOp> = sets
+        .iter()
+        .flat_map(|s| s.addresses().iter().copied())
+        .chain(dma)
+        .map(CacheOp::read)
+        .collect();
+    hierarchy_differs(&oracle, &h, &lines).map(|d| format!("probe walks vs per-access reads: {d}"))
+}
+
+/// A line outside `set` that maps to the same slice-set (ground truth:
+/// the detector's DMA traffic, not attacker code).
+fn conflicting_line(llc: &SlicedCache, set: &EvictionSet) -> PhysAddr {
+    let first = set.addresses()[0];
+    let stride = (llc.geometry().sets_per_slice() * pc_cache::LINE_SIZE) as u64;
+    (1u64..)
+        .map(|k| PhysAddr::new(first.raw() + k * stride))
+        .find(|&a| llc.locate(a) == llc.locate(first) && !set.addresses().contains(&a))
+        .expect("a conflicting line exists")
 }
 
 // --- suite `golden`: scenario snapshots -----------------------------

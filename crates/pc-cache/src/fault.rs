@@ -24,8 +24,9 @@
 //!   suites always have a clean engine to differ against. Sites whose
 //!   hook sits in the shard substrate, which the fast path shares with
 //!   the per-access oracle, additionally require the fast-path scope
-//!   ([`fast_path_scope`]), held by the hierarchy's one replay loop
-//!   and by the streaming applier; outside it the site never fires, so
+//!   ([`fast_path_scope`]), held by the hierarchy's op replay loop,
+//!   its decoded-walk replay and the streaming applier; outside it the
+//!   site never fires, so
 //!   the oracle stays clean. The one exception is
 //!   `dropped-deferred-read`: its counter fires once per arming, so of
 //!   two paths driven in lockstep through the shared queue exactly one
@@ -403,8 +404,8 @@ impl Drop for FastPathScope {
 
 /// Marks the current thread as inside the op-stream fast path until
 /// the returned guard drops, so the [`FaultSite::fast_path_only`]
-/// sites can fire. The hierarchy's replay loop and streaming applier
-/// hold one; the per-access oracle never does. When no fault is armed
+/// sites can fire. The hierarchy's op replay loop, decoded-walk replay
+/// and streaming applier hold one; the per-access oracle never does. When no fault is armed
 /// the guard is inert (one atomic load, no TLS write).
 pub fn fast_path_scope() -> FastPathScope {
     let prev = ARMED

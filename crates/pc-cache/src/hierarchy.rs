@@ -8,15 +8,16 @@
 //! shared clock, so interleaving (who runs when) falls out naturally.
 //!
 //! Op streams replay through one fast path — [`Hierarchy::run_trace`],
-//! [`Hierarchy::run_ops`] and the streaming [`OpApplier`] share one
-//! access + latency + clock step and hold the fault layer's fast-path
-//! scope — while the hierarchy itself, as an [`OpSink`], is the
-//! per-access oracle every fast-path result is checked against.
+//! [`Hierarchy::run_ops`], the streaming [`OpApplier`] and the decoded
+//! walks of [`Hierarchy::run_walk`] share one access + latency + clock
+//! step and hold the fault layer's fast-path scope — while the
+//! hierarchy itself, as an [`OpSink`], is the per-access oracle every
+//! fast-path result is checked against.
 
 use crate::addr::PhysAddr;
 use crate::fault;
 use crate::geometry::CacheGeometry;
-use crate::llc::{AccessKind, DdioMode, SlicedCache};
+use crate::llc::{AccessKind, DdioMode, DecodedWalk, Line, SlicedCache};
 use crate::memory::MemoryStats;
 use crate::ops::{CacheOp, OpBuffer, OpSink};
 use crate::Cycles;
@@ -222,9 +223,10 @@ impl Hierarchy {
     /// entry points do, and returns the aggregate.
     ///
     /// This is the batch entry point for producers that don't need
-    /// per-access latencies — `PrimeProbe::prime` (and through it every
-    /// monitor priming pass in the attack) replays its eviction set here
-    /// — saving a call and two stat read-modify-writes per line.
+    /// per-access latencies and replay a stream once (the timing-based
+    /// eviction-set builder's candidate walks), saving a call and two
+    /// stat read-modify-writes per line; walks replayed many times over
+    /// fixed lines decode once and go through [`Hierarchy::run_walk`].
     /// Per-access behaviour (RNG stream, adaptation timing, statistics)
     /// is identical to issuing the ops one at a time.
     ///
@@ -270,42 +272,106 @@ impl Hierarchy {
         sum
     }
 
-    /// The fast path's one loop, behind [`Hierarchy::run_trace`] and
+    /// Replays a decoded CPU-read walk, forward or reverse, and returns
+    /// the aggregate — byte-identical to issuing [`Hierarchy::cpu_read`]
+    /// for each of the walk's addresses in that order.
+    ///
+    /// This is the spy's prime and probe entry point: its eviction sets
+    /// are decoded once, where they are built
+    /// ([`SlicedCache::decode_walk`]), and every replay skips the slice
+    /// hash, set index and tag of each line.
+    ///
+    /// ```
+    /// use pc_cache::{CacheGeometry, DdioMode, Hierarchy, PhysAddr, WalkOrder};
+    /// let mut h = Hierarchy::new(CacheGeometry::tiny(), DdioMode::enabled());
+    /// let addrs: Vec<PhysAddr> = (0..4u64).map(|i| PhysAddr::new(i << 10)).collect();
+    /// let walk = h.llc().decode_walk(&addrs);
+    /// let primed = h.run_walk(&walk, WalkOrder::Forward);
+    /// assert_eq!(primed.hits, 0);
+    /// let probed = h.run_walk(&walk, WalkOrder::Reverse);
+    /// assert_eq!(probed.hits, 4, "nothing evicted the primed lines");
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `walk` was decoded for a different geometry.
+    pub fn run_walk(&mut self, walk: &DecodedWalk, order: WalkOrder) -> TraceSummary {
+        assert_eq!(
+            walk.geometry(),
+            self.llc.geometry(),
+            "walk decoded for another cache geometry"
+        );
+        let _scope = fault::fast_path_scope();
+        let allocates = self.llc.mode().allocates_in_llc();
+        let mut sum = TraceSummary::default();
+        match order {
+            WalkOrder::Forward => {
+                for line in walk.lines() {
+                    self.step(allocates, line, AccessKind::CpuRead, 0, &mut sum);
+                }
+            }
+            WalkOrder::Reverse => {
+                for line in walk.lines().rev() {
+                    self.step(allocates, line, AccessKind::CpuRead, 0, &mut sum);
+                }
+            }
+        }
+        self.absorb(&sum);
+        sum
+    }
+
+    /// The op replay behind [`Hierarchy::run_trace`] and
     /// [`Hierarchy::run_ops`]. `ahead(llc, i)` runs before op `i`
     /// replays — the `run_ops` prefetch; `run_trace` passes a no-op,
-    /// which compiles away. The summary is a local, so the per-op
-    /// accumulators stay in registers and fold into the hierarchy once.
+    /// which compiles away. Like [`Hierarchy::run_walk`], it holds the
+    /// fault layer's fast-path scope, hoists the latency rule's
+    /// loop-invariant mode input and keeps the summary a local, so the
+    /// per-op accumulators stay in registers and fold into the
+    /// hierarchy once.
     fn replay<I, F>(&mut self, ops: I, mut ahead: F) -> TraceSummary
     where
         I: Iterator<Item = CacheOp>,
         F: FnMut(&SlicedCache, usize),
     {
         let _scope = fault::fast_path_scope();
-        // The latency rule's mode input is loop-invariant; hoist it so
-        // the per-op work is the access and a few adds.
         let allocates = self.llc.mode().allocates_in_llc();
         let mut sum = TraceSummary::default();
         for (i, op) in ops.enumerate() {
             ahead(&self.llc, i);
-            self.step(allocates, op, &mut sum);
+            self.step_op(allocates, op, &mut sum);
         }
         self.absorb(&sum);
         sum
     }
 
-    /// The fast path's one step, shared by [`Hierarchy::replay`] and
-    /// [`OpApplier`]: `op`'s access, its DRAM traffic and its lead +
-    /// latency, accumulated into `sum` rather than the hierarchy.
-    /// Always inlined: left to the inliner it stayed out of line, and the
-    /// loop's accumulators went through memory on every op.
+    /// [`Hierarchy::step`] for an op: decodes its address first.
     #[inline(always)]
-    fn step(&mut self, allocates: bool, op: CacheOp, sum: &mut TraceSummary) {
-        let out = self.llc.access(op.addr, op.kind);
+    fn step_op(&mut self, allocates: bool, op: CacheOp, sum: &mut TraceSummary) {
+        let line = self.llc.decode(op.addr);
+        self.step(allocates, line, op.kind, op.lead, sum);
+    }
+
+    /// The fast path's one step, shared by every replay and by
+    /// [`OpApplier`]: the access to a decoded line, its DRAM traffic and
+    /// its lead + latency, accumulated into `sum` rather than the
+    /// hierarchy. Always inlined: left to the inliner it stayed out of
+    /// line, and the loop's accumulators went through memory on every
+    /// access.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        allocates: bool,
+        line: Line,
+        kind: AccessKind,
+        lead: Cycles,
+        sum: &mut TraceSummary,
+    ) {
+        let out = self.llc.access_at(line, kind);
         sum.accesses += 1;
         sum.hits += u64::from(out.hit);
         sum.dram_reads += u64::from(out.dram_reads);
         sum.dram_writes += u64::from(out.dram_writes);
-        sum.cycles += op.lead + self.lat.access_latency(out.hit, op.kind, allocates);
+        sum.cycles += lead + self.lat.access_latency(out.hit, kind, allocates);
     }
 
     /// Folds a fast-path summary's clock motion and DRAM traffic into
@@ -353,7 +419,7 @@ impl Hierarchy {
 impl OpSink for OpApplier<'_> {
     #[inline]
     fn op(&mut self, op: CacheOp) {
-        self.h.step(self.allocates, op, &mut self.sum);
+        self.h.step_op(self.allocates, op, &mut self.sum);
     }
 
     #[inline]
@@ -391,8 +457,18 @@ impl OpSink for Hierarchy {
     }
 }
 
+/// The order [`Hierarchy::run_walk`] replays a decoded walk in.
+#[derive(Copy, Clone, Eq, PartialEq, Debug)]
+pub enum WalkOrder {
+    /// First line to last: a prime.
+    Forward,
+    /// Last line to first: a probe, which re-primes as it goes (the
+    /// classic zig-zag).
+    Reverse,
+}
+
 /// Aggregate of a fast-path replay ([`Hierarchy::run_trace`],
-/// [`Hierarchy::run_ops`]).
+/// [`Hierarchy::run_ops`], [`Hierarchy::run_walk`]).
 #[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
 pub struct TraceSummary {
     /// Ops replayed.

@@ -24,11 +24,15 @@
 //!   `cpu_read` / `cpu_write` / `io_write` / `io_read` operations that
 //!   return latencies and maintain memory-traffic statistics.
 //! * [`CacheOp`] / [`OpSink`] / [`OpBuffer`] — the op-stream IR:
-//!   producers (the NIC driver, the spy's walks, workload loops) emit
-//!   ops once and replay them through one fast path
-//!   ([`Hierarchy::run_ops`], [`Hierarchy::run_trace`],
-//!   [`Hierarchy::applier`]), or point the same emit code at the
-//!   [`Hierarchy`] itself for the per-access equivalence oracle.
+//!   producers (the NIC driver, workload loops) emit ops once and
+//!   replay them through one fast path ([`Hierarchy::run_ops`],
+//!   [`Hierarchy::run_trace`], [`Hierarchy::applier`]), or point the
+//!   same emit code at the [`Hierarchy`] itself for the per-access
+//!   equivalence oracle.
+//! * [`DecodedWalk`] / [`WalkOrder`] — the spy's fixed prime and probe
+//!   walks, decoded once ([`SlicedCache::decode_walk`]) and replayed
+//!   forward or reverse through the same fast path
+//!   ([`Hierarchy::run_walk`]).
 //!
 //! The simulator is deterministic: all randomized behaviour (the `Random`
 //! replacement policy) draws from an RNG seeded at construction.
@@ -69,8 +73,8 @@ mod store;
 
 pub use addr::{PhysAddr, LINE_SIZE, LINE_SIZE_LOG2, PAGE_SIZE, PAGE_SIZE_LOG2};
 pub use geometry::CacheGeometry;
-pub use hierarchy::{Hierarchy, LatencyModel, OpApplier, TraceSummary};
-pub use llc::{AccessKind, AccessOutcome, DdioMode, SliceSet, SlicedCache};
+pub use hierarchy::{Hierarchy, LatencyModel, OpApplier, TraceSummary, WalkOrder};
+pub use llc::{AccessKind, AccessOutcome, DdioMode, DecodedWalk, SliceSet, SlicedCache};
 pub use memory::MemoryStats;
 pub use ops::{CacheOp, OpBuffer, OpSink};
 pub use partition::AdaptiveConfig;

@@ -133,8 +133,8 @@ pub struct AccessOutcome {
 /// A line's tag is packed into 29 bits, so addresses must stay below
 /// `2^(35 + sets_per_slice_log2)`: 2^46 on the paper's geometry, 2^39
 /// on [`CacheGeometry::tiny`]. Every address the simulator builds is
-/// below 2^36; [`SlicedCache::access`] and [`SlicedCache::contains`]
-/// panic on one past the bound.
+/// below 2^36; [`SlicedCache::access`], [`SlicedCache::contains`] and
+/// [`SlicedCache::decode_walk`] panic on one past the bound.
 ///
 /// ```
 /// use pc_cache::{AccessKind, CacheGeometry, DdioMode, PhysAddr, SlicedCache};
@@ -248,6 +248,40 @@ impl SlicedCache {
         self.shards[ss.slice].prefetch(ss.set);
     }
 
+    /// Where `addr`'s line lives: its slice, set and packed tag — the
+    /// decode half of [`SlicedCache::access`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is past the address bound (see the type docs).
+    #[inline]
+    pub(crate) fn decode(&self, addr: PhysAddr) -> Line {
+        let ss = self.locate(addr);
+        Line {
+            slice: ss.slice,
+            set: ss.set,
+            tag: self.line_tag(addr),
+        }
+    }
+
+    /// Decodes a CPU-read walk over `addrs`, in order, for replay by
+    /// [`crate::Hierarchy::run_walk`]: each line's slice hash, set index
+    /// and tag are computed once here instead of on every replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an address is past the address bound (see the type
+    /// docs).
+    pub fn decode_walk(&self, addrs: &[PhysAddr]) -> DecodedWalk {
+        DecodedWalk {
+            geom: self.geom,
+            lines: addrs
+                .iter()
+                .map(|&a| PackedLine::pack(self.decode(a)))
+                .collect(),
+        }
+    }
+
     /// `addr`'s tag as the line store packs it.
     ///
     /// # Panics
@@ -272,10 +306,8 @@ impl SlicedCache {
     ///
     /// Panics if `addr` is past the address bound (see the type docs).
     pub fn contains(&self, addr: PhysAddr) -> bool {
-        let ss = self.locate(addr);
-        self.shards[ss.slice]
-            .lookup(ss.set, self.line_tag(addr))
-            .is_some()
+        let line = self.decode(addr);
+        self.shards[line.slice].lookup(line.set, line.tag).is_some()
     }
 
     /// Number of valid lines of `domain` in a concrete set.
@@ -357,9 +389,86 @@ impl SlicedCache {
     /// Panics if `addr` is past the address bound (see the type docs).
     #[inline]
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> AccessOutcome {
-        let ss = self.locate(addr);
-        let tag = self.line_tag(addr);
-        self.shards[ss.slice].access(self.mode, ss.set, tag, kind)
+        self.access_at(self.decode(addr), kind)
+    }
+
+    /// The access half of [`SlicedCache::access`]: one access to an
+    /// already decoded line. Every entry point — the per-access oracle,
+    /// the op-stream fast path and decoded walks — reaches the shards
+    /// through here.
+    #[inline(always)]
+    pub(crate) fn access_at(&mut self, line: Line, kind: AccessKind) -> AccessOutcome {
+        self.shards[line.slice].access(self.mode, line.set, line.tag, kind)
+    }
+}
+
+/// One line's coordinates in the sliced cache: its slice, its set within
+/// the slice and its packed tag. Crate-private: attacker code holds
+/// [`DecodedWalk`]s, never coordinates.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Line {
+    slice: usize,
+    set: usize,
+    tag: u32,
+}
+
+/// A [`Line`] as a [`DecodedWalk`] stores it, in 8 bytes: the spy's
+/// chasing memo holds 51 200 of them. [`CacheGeometry::new`] caps a
+/// slice at 2^24 sets and the slice hash allows 8 slices, so slice and
+/// set share one word. Replays unpack each line into registers; the op
+/// path never packs.
+#[derive(Copy, Clone, Debug)]
+struct PackedLine {
+    tag: u32,
+    /// The set in the low [`PackedLine::SET_BITS`] bits, the slice above.
+    slice_set: u32,
+}
+
+impl PackedLine {
+    const SET_BITS: u32 = 24;
+
+    fn pack(line: Line) -> Self {
+        PackedLine {
+            tag: line.tag,
+            slice_set: (line.slice << PackedLine::SET_BITS | line.set) as u32,
+        }
+    }
+
+    #[inline(always)]
+    fn unpack(self) -> Line {
+        Line {
+            slice: (self.slice_set >> PackedLine::SET_BITS) as usize,
+            set: (self.slice_set & ((1 << PackedLine::SET_BITS) - 1)) as usize,
+            tag: self.tag,
+        }
+    }
+}
+
+/// A CPU-read walk over fixed lines, decoded once against one cache
+/// geometry by [`SlicedCache::decode_walk`] and replayed, forward or
+/// reverse, by [`crate::Hierarchy::run_walk`].
+///
+/// This is the spy's online phase: the eviction sets are built once
+/// and then primed and probed thousands of times, so their lines are
+/// located once too. The per-line coordinates stay private; a walk
+/// records the geometry it was decoded for (the geometry fixes the
+/// slice hash), and replaying it on another geometry panics.
+#[derive(Clone, Debug)]
+pub struct DecodedWalk {
+    geom: CacheGeometry,
+    lines: Box<[PackedLine]>,
+}
+
+impl DecodedWalk {
+    /// The geometry the walk was decoded for.
+    pub fn geometry(&self) -> CacheGeometry {
+        self.geom
+    }
+
+    /// The walk's lines, first to last.
+    #[inline]
+    pub(crate) fn lines(&self) -> impl DoubleEndedIterator<Item = Line> + '_ {
+        self.lines.iter().map(|p| p.unpack())
     }
 }
 

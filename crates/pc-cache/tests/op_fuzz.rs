@@ -18,10 +18,15 @@
 //! per-slice RNG streams are exercised), and a
 //! second round over the *same* hierarchies catches divergence that
 //! only shows up in carried state (LRU clocks, defense clocks, RNG).
+//!
+//! Decoded walks ([`Hierarchy::run_walk`], the spy's prime and probe
+//! entry point) get the same treatment: each walk replays forward and
+//! reverse against `run_trace` over the same reads and one
+//! [`Hierarchy::cpu_read`] per address.
 
 use pc_cache::{
     AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, CacheStats, DdioMode, Hierarchy, OpBuffer,
-    OpSink, PhysAddr, ReplacementPolicy, SlicedCache,
+    OpSink, PhysAddr, ReplacementPolicy, SlicedCache, TraceSummary, WalkOrder,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -221,6 +226,115 @@ proptest! {
             }
         }
     }
+}
+
+/// A walk over `len` lines drawn from the first `span` lines of memory:
+/// it spans several sets, and a small span makes its lines conflict.
+fn walk_addrs(seed: u64, len: usize, span: u64) -> Vec<PhysAddr> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| PhysAddr::new(rng.gen_range(0..span) * 64))
+        .collect()
+}
+
+/// The reference for a decoded walk: one `cpu_read` per address, in
+/// order, folded into the summary a replay reports.
+fn read_one_at_a_time(h: &mut Hierarchy, addrs: &[PhysAddr]) -> TraceSummary {
+    let before = h.memory_stats();
+    let mut sum = TraceSummary::default();
+    for &a in addrs {
+        let lat = h.cpu_read(a);
+        sum.accesses += 1;
+        sum.hits += u64::from(lat == h.latencies().llc_hit);
+        sum.cycles += lat;
+    }
+    sum.dram_reads = h.memory_stats().reads - before.reads;
+    sum.dram_writes = h.memory_stats().writes - before.writes;
+    sum
+}
+
+/// Four rounds over carried state: fuzzed traffic (issued per access on
+/// all three machines), then one walk replayed forward and reverse by
+/// `run_walk`, by `run_trace` over the same reads and by one `cpu_read`
+/// per address, compared after every replay.
+fn walk_engines_agree(
+    geom: CacheGeometry,
+    mode: DdioMode,
+    policy: ReplacementPolicy,
+    seed: u64,
+    len: usize,
+    span: u64,
+    io_pct: u32,
+) {
+    let mut walked = hierarchy(geom, mode, policy);
+    let mut traced = hierarchy(geom, mode, policy);
+    let mut oracle = hierarchy(geom, mode, policy);
+    for round in 0..4u64 {
+        let traffic = fuzz_stream(seed.wrapping_add(round), 64, io_pct, 50);
+        for h in [&mut walked, &mut traced, &mut oracle] {
+            for &op in &traffic {
+                h.op(op);
+            }
+        }
+        let addrs = walk_addrs(seed ^ round, len, span);
+        let walk = walked.llc().decode_walk(&addrs);
+        let touched: Vec<CacheOp> = traffic
+            .iter()
+            .copied()
+            .chain(addrs.iter().map(|&a| CacheOp::read(a)))
+            .collect();
+        for order in [WalkOrder::Forward, WalkOrder::Reverse] {
+            let mut seq = addrs.clone();
+            if order == WalkOrder::Reverse {
+                seq.reverse();
+            }
+            let what = format!("{mode:?} {policy:?} round {round} {order:?}");
+            let want = read_one_at_a_time(&mut oracle, &seq);
+            assert_eq!(walked.run_walk(&walk, order), want, "{what}: run_walk");
+            let trace = traced.run_trace(seq.iter().map(|&a| CacheOp::read(a)));
+            assert_eq!(trace, want, "{what}: run_trace");
+            assert_identical(&walked, &oracle, &touched, &format!("{what}: run_walk"));
+            assert_identical(&traced, &oracle, &touched, &format!("{what}: run_trace"));
+        }
+    }
+    if matches!(mode, DdioMode::Adaptive(_)) {
+        assert!(
+            oracle.llc().stats().defense_evals > 0,
+            "the walks must cross adaptive period boundaries"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Decoded walks on both geometries, every mode × policy: walks of
+    /// 1..200 lines cross the adaptive period (16 accesses per slice)
+    /// mid-walk, and the traffic between them evicts walked lines.
+    #[test]
+    fn decoded_walks_agree_with_run_trace_and_per_access_reads(
+        seed in 0u64..u64::MAX,
+        len in 1usize..200,
+        span in 8u64..4096,
+        io_pct in 10u32..60,
+    ) {
+        for geom in [CacheGeometry::tiny(), CacheGeometry::xeon_e5_2660()] {
+            for mode in modes() {
+                for policy in policies() {
+                    walk_engines_agree(geom, mode, policy, seed, len, span, io_pct);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "walk decoded for another cache geometry")]
+fn a_walk_replayed_on_another_geometry_panics() {
+    let paper = SlicedCache::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
+    let walk = paper.decode_walk(&[PhysAddr::new(0x1000)]);
+    let mut tiny = Hierarchy::new(CacheGeometry::tiny(), DdioMode::enabled());
+    tiny.run_walk(&walk, WalkOrder::Forward);
 }
 
 /// Empty streams and lead-only buffers: the degenerate windows the

@@ -9,39 +9,76 @@
 //! implements.
 
 use crate::pool::{AddressPool, LINES_PER_PAGE};
-use pc_cache::{CacheOp, Cycles, Hierarchy, PhysAddr, SliceSet, SlicedCache};
+use pc_cache::{CacheOp, Cycles, DecodedWalk, Hierarchy, PhysAddr, SliceSet, SlicedCache};
+use std::fmt;
+use std::sync::Arc;
 
 /// `ways` attacker addresses that all map to one (slice, set) pair —
 /// accessing all of them replaces the set's entire contents.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EvictionSet {
+///
+/// A set is built once and walked thousands of times (every prime and
+/// probe), so it also holds its addresses decoded against the cache
+/// ([`SlicedCache::decode_walk`]). The decode runs in `pc-cache`, which
+/// keeps each line's slice and set to itself: the attacker holds an
+/// opaque walk, not the ground truth. Addresses and walk sit behind one
+/// `Arc`, so clones are pointer bumps; equality compares addresses.
+#[derive(Clone)]
+pub struct EvictionSet(Arc<Decoded>);
+
+struct Decoded {
     addrs: Vec<PhysAddr>,
+    walk: DecodedWalk,
 }
 
 impl EvictionSet {
-    /// Wraps a list of conflicting addresses.
+    /// Wraps a list of conflicting addresses, decoding their walk
+    /// against `llc`.
     ///
     /// # Panics
     ///
-    /// Panics if `addrs` is empty.
-    pub fn new(addrs: Vec<PhysAddr>) -> Self {
+    /// Panics if `addrs` is empty or an address is past the cache
+    /// model's address bound.
+    pub fn new(llc: &SlicedCache, addrs: Vec<PhysAddr>) -> Self {
         assert!(!addrs.is_empty(), "eviction set must contain addresses");
-        EvictionSet { addrs }
+        let walk = llc.decode_walk(&addrs);
+        EvictionSet(Arc::new(Decoded { addrs, walk }))
     }
 
     /// The conflicting addresses.
     pub fn addresses(&self) -> &[PhysAddr] {
-        &self.addrs
+        &self.0.addrs
+    }
+
+    /// The addresses' CPU-read walk, decoded for the cache the set was
+    /// built against (replay it with [`Hierarchy::run_walk`]).
+    pub(crate) fn walk(&self) -> &DecodedWalk {
+        &self.0.walk
     }
 
     /// Number of addresses.
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.0.addrs.len()
     }
 
     /// `true` if empty (constructor forbids it).
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.0.addrs.is_empty()
+    }
+}
+
+impl PartialEq for EvictionSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.addresses() == other.addresses()
+    }
+}
+
+impl Eq for EvictionSet {}
+
+impl fmt::Debug for EvictionSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EvictionSet")
+            .field("addrs", &self.0.addrs)
+            .finish()
     }
 }
 
@@ -142,7 +179,7 @@ pub fn build_eviction_sets_for_index(
             .filter(|a| *a != pivot && !candidate.contains(a))
             .filter(|a| !evicts(h, *a, &candidate, threshold))
             .collect();
-        groups.push(EvictionSet::new(candidate));
+        groups.push(EvictionSet::new(h.llc(), candidate));
     }
     groups
 }
@@ -223,7 +260,7 @@ pub fn oracle_eviction_sets(
                 addrs.len(),
                 ways
             );
-            EvictionSet::new(addrs)
+            EvictionSet::new(llc, addrs)
         })
         .collect()
 }

@@ -210,12 +210,12 @@ impl Monitor {
         self.targets.iter().map(|t| t.label).collect()
     }
 
-    /// Primes every target (attack setup) as one op batch: the
-    /// targets' walks concatenate in target order, so the access stream
-    /// is identical to priming one target at a time, in one
-    /// [`Hierarchy::run_trace`] call.
+    /// Primes every target (attack setup), in target order, each with
+    /// its decoded walk ([`PrimeProbe::prime`]).
     pub fn prime_all(&self, h: &mut Hierarchy) {
-        h.run_trace(self.targets.iter().flat_map(|t| t.probe.prime_ops()));
+        for t in &self.targets {
+            t.probe.prime(h);
+        }
     }
 
     /// Probes every target once, in target order, returning per-target

@@ -45,13 +45,13 @@ pub struct AddressPool {
 }
 
 /// Complete oracle eviction sets per geometry, in a flat table indexed
-/// by `slice * sets_per_slice + set` (boxed, so an empty slot is one
-/// word). A hashed memo cost more than the lookups it served: on a
+/// by `slice * sets_per_slice + set` (an [`EvictionSet`] is one `Arc`,
+/// so an empty slot is one word and a hit is a pointer bump). A hashed memo cost more than the lookups it served: on a
 /// 2-vCPU x86-64 VM a warm 2 560-target spy took 0.7–0.9 ms through a
 /// `BTreeMap` against 0.15–0.2 ms here, and a second SipHash user in
 /// this crate stopped the compiler inlining the hash in `allocate`'s
 /// page loop (0.29 → 0.37 ms per 12 288-page pool).
-type OracleMemo = Vec<(CacheGeometry, Vec<Option<Box<EvictionSet>>>)>;
+type OracleMemo = Vec<(CacheGeometry, Vec<Option<EvictionSet>>)>;
 
 /// First page number of the attacker's region (far above the NIC
 /// allocator's default region to guarantee disjointness).
@@ -181,7 +181,7 @@ impl AddressPool {
         if !missing.is_empty() {
             let built = oracle_eviction_sets(llc, self, &missing);
             for (t, set) in missing.iter().zip(built) {
-                sets[slot(t)] = Some(Box::new(set));
+                sets[slot(t)] = Some(set);
             }
         }
         targets
@@ -198,10 +198,7 @@ impl AddressPool {
                         i = neighbour;
                     }
                 }
-                sets[i]
-                    .as_deref()
-                    .cloned()
-                    .expect("every target was filled above")
+                sets[i].clone().expect("every target was filled above")
             })
             .collect()
     }

@@ -1,7 +1,7 @@
 //! The PRIME+PROBE primitive over one eviction set.
 
 use crate::eviction::EvictionSet;
-use pc_cache::{CacheOp, Cycles, Hierarchy};
+use pc_cache::{Cycles, Hierarchy, WalkOrder};
 
 /// Result of probing one eviction set.
 #[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
@@ -45,20 +45,6 @@ impl PrimeProbe {
         &self.set
     }
 
-    /// The priming walk as an op stream (forward order) — **the** walk
-    /// definition, shared by [`PrimeProbe::prime`] and multi-target
-    /// primes (`Monitor::prime_all` concatenates every target's walk
-    /// into one batch).
-    pub fn prime_ops(&self) -> impl Iterator<Item = CacheOp> + '_ {
-        self.set.addresses().iter().map(|&a| CacheOp::read(a))
-    }
-
-    /// The probing walk: the same lines in reverse (re-priming as it
-    /// goes — the classic zig-zag).
-    fn probe_ops(&self) -> impl Iterator<Item = CacheOp> + '_ {
-        self.set.addresses().iter().rev().map(|&a| CacheOp::read(a))
-    }
-
     /// Whether the batch fast path can classify this instance's probe
     /// from aggregates alone under `lat`: the latency model separates
     /// hit from miss at the threshold (`llc_hit < threshold ≤ dram` —
@@ -68,37 +54,42 @@ impl PrimeProbe {
         lat.llc_hit < self.threshold && lat.dram >= self.threshold
     }
 
-    /// Fills the target set with the spy's lines.
+    /// Fills the target set with the spy's lines: the set's decoded
+    /// walk, forward ([`Hierarchy::run_walk`]) — identical cache and
+    /// clock behaviour to per-address `cpu_read`s.
     ///
-    /// Primes don't need per-access latencies, so the walk goes through
-    /// the batch trace API ([`Hierarchy::run_trace`]) — identical cache
-    /// and clock behaviour to per-address `cpu_read`s, less call
-    /// overhead.
+    /// # Panics
+    ///
+    /// Panics if the set was built against a cache of another geometry.
     pub fn prime(&self, h: &mut Hierarchy) {
-        h.run_trace(self.prime_ops());
+        h.run_walk(self.set.walk(), WalkOrder::Forward);
     }
 
     /// Times a pass over the set (in reverse, re-priming as it goes).
     ///
     /// When the hierarchy's latency model separates hit from miss at
     /// this instance's threshold (`llc_hit < threshold ≤ dram` — true
-    /// for every calibrated threshold), the pass is a batch replay:
-    /// the per-access classification is recovered exactly from the
-    /// aggregate (`misses = accesses − hits`), byte-identical to timing
-    /// each access. A threshold that splits the model ambiguously falls
-    /// back to the per-access oracle walk.
+    /// for every calibrated threshold), the pass replays the decoded
+    /// walk in reverse: the per-access classification is recovered
+    /// exactly from the aggregate (`misses = accesses − hits`),
+    /// byte-identical to timing each access. A threshold that splits
+    /// the model ambiguously falls back to the per-access oracle walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set was built against a cache of another geometry.
     pub fn probe(&self, h: &mut Hierarchy) -> ProbeResult {
         let lat = h.latencies();
         if self.batch_separable(lat) {
-            let sum = h.run_trace(self.probe_ops());
+            let sum = h.run_walk(self.set.walk(), WalkOrder::Reverse);
             return ProbeResult {
                 misses: (sum.accesses - sum.hits) as u32,
                 total_latency: sum.cycles,
             };
         }
         let mut result = ProbeResult::default();
-        for op in self.probe_ops() {
-            let lat = h.cpu_read(op.addr);
+        for &addr in self.set.addresses().iter().rev() {
+            let lat = h.cpu_read(addr);
             result.total_latency += lat;
             if lat >= self.threshold {
                 result.misses += 1;
