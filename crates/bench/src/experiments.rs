@@ -1,4 +1,13 @@
-//! One harness function per paper table/figure.
+//! The paper's experiments: one report function per table or figure,
+//! listed in the experiment [`table`] that `repro` runs.
+//!
+//! Each entry is an [`Experiment`]: its CLI name, its title line and a
+//! function from `(Scale, seed)` to a [`ScenarioReport`] of typed rows
+//! and `#` commentary — the same data-first shape as the scenario
+//! registry, rendered by the one renderer, [`ScenarioReport::render`].
+//! Derived numbers (Figure 6's empty-set share, Figure 14's gap to
+//! DDIO, Figure 16's p99 against the baseline) are computed once, in
+//! the report function, and appear as commentary.
 //!
 //! Every function takes a [`Scale`] so the default quick scale runs
 //! minutes-long experiments in seconds while `repro --full` runs
@@ -11,10 +20,11 @@
 //! derives its own seed and results are collected in input order, so
 //! output is byte-identical to a sequential run.
 
+use crate::scenario::{Metric, ScenarioReport};
 use pc_cache::{CacheGeometry, SliceSet};
 use pc_core::covert::{lfsr_symbols, run_channel, run_chased_channel, ChannelConfig, Encoding};
 use pc_core::fingerprint::{
-    evaluate_closed_world, login_trace_pair, CaptureConfig, FingerprintAccuracy, SizeTrace,
+    evaluate_closed_world, login_trace_pair, CaptureConfig, FingerprintAccuracy,
 };
 use pc_core::footprint::{
     block_row_targets, build_monitor, mapping_distribution, page_aligned_targets, ring_histogram,
@@ -22,10 +32,7 @@ use pc_core::footprint::{
 };
 use pc_core::sequencer::{ground_truth_sequence, recover_window, SequenceQuality, SequencerConfig};
 use pc_core::{TestBed, TestBedConfig};
-use pc_defense::eval::{
-    fig14_nginx_throughput, fig15_traffic, fig16_tail_latency, BaselineCore, Fig14Row, Fig15Row,
-    Fig16Row,
-};
+use pc_defense::eval::{fig14_nginx_throughput, fig15_traffic, fig16_tail_latency, BaselineCore};
 use pc_net::{ArrivalSchedule, ConstantSize, LineRate, LoginOutcome};
 use pc_probe::AddressPool;
 use rand::rngs::SmallRng;
@@ -51,40 +58,107 @@ impl Scale {
     }
 }
 
+/// One entry of the experiment [`table`]: what `repro <name>` runs.
+#[derive(Copy, Clone, Debug)]
+pub struct Experiment {
+    /// CLI name (`repro fig5`).
+    pub name: &'static str,
+    /// Title line printed above the report.
+    pub title: &'static str,
+    /// Runs the experiment. Deterministic for a fixed `(scale, seed)`
+    /// at any thread count.
+    pub report: fn(Scale, u64) -> ScenarioReport,
+}
+
+/// Every paper experiment, in the paper's order — the order `repro
+/// all` runs them in.
+pub fn table() -> &'static [Experiment] {
+    const fn e(
+        name: &'static str,
+        title: &'static str,
+        report: fn(Scale, u64) -> ScenarioReport,
+    ) -> Experiment {
+        Experiment {
+            name,
+            title,
+            report,
+        }
+    }
+    // One entry per line, so the table reads as the paper's list.
+    #[rustfmt::skip]
+    static TABLE: [Experiment; 15] = [
+        e("fig5", "Figure 5 — ring buffers per page-aligned cache set (one instance)", fig5),
+        e("fig6", "Figure 6 — distribution of buffers-per-set over many driver inits", fig6),
+        e("fig7", "Figure 7 — page-aligned set activity: idle / receiving / idle", fig7),
+        e("fig8", "Figure 8 — block-row activity vs packet size (events)", fig8),
+        e("table1", "Table I — ring-buffer sequence recovery", table1),
+        e("fig10", "Figure 10 — decoding the '2 0 1 2 0 1 …' ternary stream", fig10),
+        e("fig11", "Figure 11 — single-buffer covert channel", fig11),
+        e("fig12ab", "Figure 12a/b — bandwidth/error vs monitored buffers", fig12ab),
+        e("fig12cd", "Figure 12c/d — chasing all buffers: out-of-sync and error vs rate", fig12cd),
+        e("fig13", "Figure 13 — hotcrp login: original vs recovered packet sizes", fig13),
+        e("fingerprint", "§V — closed-world website fingerprinting (5 sites)", fingerprint_report),
+        e("table2", "Table II — baseline processor (constants, for reference)", table2),
+        e("fig14", "Figure 14 — Nginx throughput: adaptive partitioning vs DDIO", fig14),
+        e("fig15", "Figure 15 — memory traffic and LLC miss rate vs DDIO mode", fig15),
+        e("fig16", "Figure 16 — HTTP tail latency under each defense (140k req/s)", fig16),
+    ];
+    &TABLE
+}
+
+/// Looks an experiment up by CLI name.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    table().iter().find(|e| e.name == name)
+}
+
+fn count(n: usize) -> Metric {
+    Metric::Count(n as u64)
+}
+
+fn text(s: impl Into<String>) -> Metric {
+    Metric::Text(s.into())
+}
+
 /// Figure 5: one driver instance's buffers-per-page-aligned-set
 /// histogram (256 entries summing to the ring size).
-pub fn fig5(seed: u64) -> Vec<usize> {
+fn fig5(_: Scale, seed: u64) -> ScenarioReport {
     let tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(seed));
-    ring_histogram(tb.hierarchy().llc(), tb.driver())
+    let hist = ring_histogram(tb.hierarchy().llc(), tb.driver());
+    let mut r = ScenarioReport::new(vec!["set", "buffers"]);
+    for (set, &n) in hist.iter().enumerate() {
+        r.push_row(vec![count(set), count(n)]);
+    }
+    let empty = hist.iter().filter(|&&n| n == 0).count();
+    let max = hist.iter().max().copied().unwrap_or(0);
+    r.comment(format!(
+        "summary: {empty}/256 sets empty, max buffers on one set = {max}"
+    ));
+    r.comment("paper:   ~35% of sets empty; one set holds 5 in the example");
+    r
 }
 
 /// Figure 6: distribution of buffers-per-set over many driver
-/// initializations. `dist[k]` = (instance, set) pairs holding `k`
-/// buffers.
-pub fn fig6(scale: Scale, seed: u64) -> Vec<usize> {
+/// initializations: (instance, set) pairs holding `k` buffers.
+fn fig6(scale: Scale, seed: u64) -> ScenarioReport {
     let instances = scale.pick(100, 1000);
-    mapping_distribution(&CacheGeometry::xeon_e5_2660(), instances, seed)
-}
-
-/// Figure 7 result: the idle → receiving → idle activity sweep.
-#[derive(Clone, Debug)]
-pub struct Fig7Result {
-    /// Samples per phase (idle, receiving, idle).
-    pub phase_samples: [usize; 3],
-    /// Activity events per page-aligned set in each phase.
-    pub per_set: [Vec<usize>; 3],
-}
-
-impl Fig7Result {
-    /// Sets with any activity in phase `p`.
-    pub fn active_sets(&self, p: usize) -> usize {
-        self.per_set[p].iter().filter(|&&c| c > 0).count()
+    let dist = mapping_distribution(&CacheGeometry::xeon_e5_2660(), instances, seed);
+    let total: usize = dist.iter().sum();
+    let share = |n: usize| n as f64 / total as f64;
+    let mut r = ScenarioReport::new(vec!["buffers_mapped_to_set", "instances", "fraction"]);
+    for (k, &n) in dist.iter().enumerate() {
+        r.push_row(vec![count(k), count(n), Metric::Fixed(share(n), 4)]);
     }
+    r.comment(format!(
+        "summary: {:.1}% of sets empty (paper: ~35%); >4 buffers: {:.3}% (paper: rare)",
+        share(dist[0]) * 100.0,
+        share(dist.iter().skip(5).sum()) * 100.0
+    ));
+    r
 }
 
 /// Figure 7: monitor all 256 page-aligned sets through an idle phase, a
 /// broadcast-receiving phase, and a final idle phase.
-pub fn fig7(scale: Scale, seed: u64) -> Fig7Result {
+fn fig7(scale: Scale, seed: u64) -> ScenarioReport {
     let mut tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(seed));
     let geom = tb.hierarchy().llc().geometry();
     let targets = page_aligned_targets(&geom);
@@ -93,38 +167,37 @@ pub fn fig7(scale: Scale, seed: u64) -> Fig7Result {
 
     let per_phase = scale.pick(250, 2_500);
     let interval = 400_000u64; // ~8.25 kHz probe over 256 sets
-    let mut phases = Vec::new();
-    for phase in 0..3 {
+    let mut r = ScenarioReport::new(vec!["phase", "samples", "active_sets", "total_events"]);
+    for (phase, name) in ["idle", "receiving", "idle"].into_iter().enumerate() {
         if phase == 1 {
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xf19);
-            let count = scale.pick(30_000, 300_000);
+            let sent = scale.pick(30_000, 300_000);
             let frames = ArrivalSchedule::new(LineRate::gigabit())
                 .frames_per_second(200_000)
-                .generate(&mut ConstantSize::blocks(2), tb.now() + 1, count, &mut rng);
+                .generate(&mut ConstantSize::blocks(2), tb.now() + 1, sent, &mut rng);
             tb.enqueue(frames);
         }
-        let matrix = watch(&mut tb, &monitor, per_phase, interval);
+        let per_set = watch(&mut tb, &monitor, per_phase, interval).activity_counts();
         if phase == 1 {
             // Drop any leftover queued frames before the trailing idle
             // phase (the sender stopped).
             tb.drain();
         }
-        phases.push(matrix.activity_counts());
+        r.push_row(vec![
+            text(name),
+            count(per_phase),
+            count(per_set.iter().filter(|&&c| c > 0).count()),
+            count(per_set.iter().sum()),
+        ]);
     }
-    let mut it = phases.into_iter();
-    Fig7Result {
-        phase_samples: [per_phase; 3],
-        per_set: [
-            it.next().expect("3 phases"),
-            it.next().expect("3 phases"),
-            it.next().expect("3 phases"),
-        ],
-    }
+    r.comment("paper: white dots (activity) appear only while packets stream in,");
+    r.comment("       on the sets that host at least one ring buffer (~65% of 256)");
+    r
 }
 
 /// Figure 8: activity events per block row (0..3) for constant streams
-/// of 1..4-block packets. `matrix[row][size-1]` = events.
-pub fn fig8(scale: Scale, seed: u64) -> [[usize; 4]; 4] {
+/// of 1..4-block packets.
+fn fig8(scale: Scale, seed: u64) -> ScenarioReport {
     // One independent capture per packet size, fanned out over threads.
     let per_size = crate::par::parallel_map((1..=4u32).collect(), |size| {
         let mut tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(seed));
@@ -151,38 +224,31 @@ pub fn fig8(scale: Scale, seed: u64) -> [[usize; 4]; 4] {
         let matrix = watch(&mut tb, &monitor, samples, 1_500_000);
         matrix.activity_counts()
     });
-    let mut out = [[0usize; 4]; 4];
-    for (i, counts) in per_size.iter().enumerate() {
-        for row in 0..4 {
-            out[row][i] = counts[row * 256..(row + 1) * 256].iter().sum();
-        }
+    let mut r = ScenarioReport::new(vec![
+        "block_row",
+        "1_block_pkts",
+        "2_block_pkts",
+        "3_block_pkts",
+        "4_block_pkts",
+    ]);
+    for row in 0..4 {
+        let mut cells = vec![text(format!("block{row}"))];
+        cells.extend(
+            per_size
+                .iter()
+                .map(|counts| count(counts[row * 256..(row + 1) * 256].iter().sum())),
+        );
+        r.push_row(cells);
     }
-    out
-}
-
-/// Table I: sequence-recovery quality over several independent runs.
-#[derive(Clone, Debug)]
-pub struct Table1Result {
-    /// Per-run quality.
-    pub runs: Vec<SequenceQuality>,
-    /// Monitored sets per window.
-    pub monitored_sets: usize,
-    /// Samples per window.
-    pub samples: usize,
-    /// Packet rate during profiling (frames/second).
-    pub packet_rate: u64,
-}
-
-impl Table1Result {
-    /// Mean of a per-run metric.
-    pub fn mean<F: Fn(&SequenceQuality) -> f64>(&self, f: F) -> f64 {
-        self.runs.iter().map(f).sum::<f64>() / self.runs.len().max(1) as f64
-    }
+    r.comment("paper: activity on the diagonal and above; 1-block packets still");
+    r.comment("       light block 1 (the driver's unconditional prefetch)");
+    r
 }
 
 /// Table I: recover the ring order of 32 monitored page-aligned sets
-/// while a remote sender streams 2-block broadcast frames.
-pub fn table1(scale: Scale, seed: u64) -> Table1Result {
+/// while a remote sender streams 2-block broadcast frames, over several
+/// independent runs.
+fn table1(scale: Scale, seed: u64) -> ScenarioReport {
     let monitored = 32usize;
     let samples = scale.pick(12_000, 100_000);
     let packet_rate = 200_000u64;
@@ -224,27 +290,44 @@ pub fn table1(scale: Scale, seed: u64) -> Table1Result {
         let truth = ground_truth_sequence(tb.hierarchy().llc(), tb.driver(), &targets);
         SequenceQuality::evaluate(&recovered, &truth, elapsed)
     });
-    Table1Result {
-        runs: results,
-        monitored_sets: monitored,
-        samples,
-        packet_rate,
+    let mut r = ScenarioReport::new(vec![
+        "run",
+        "levenshtein",
+        "error_rate_pct",
+        "longest_mismatch",
+        "recovered_len",
+        "truth_len",
+        "minutes",
+    ]);
+    for (i, q) in results.iter().enumerate() {
+        r.push_row(vec![
+            count(i),
+            count(q.levenshtein),
+            Metric::Fixed(q.error_rate * 100.0, 1),
+            count(q.longest_mismatch),
+            count(q.recovered_len),
+            count(q.truth_len),
+            Metric::Fixed(q.minutes(), 1),
+        ]);
     }
-}
-
-/// Figure 10: a decoded "…2 0 1 2 0 1…" ternary stream sample.
-#[derive(Clone, Debug)]
-pub struct Fig10Result {
-    /// The repeating pattern the trojan sent.
-    pub sent: Vec<u8>,
-    /// What the spy decoded.
-    pub decoded: Vec<u8>,
-    /// Levenshtein error rate.
-    pub error_rate: f64,
+    let mean = |f: fn(&SequenceQuality) -> f64| {
+        results.iter().map(f).sum::<f64>() / results.len().max(1) as f64
+    };
+    r.comment(format!(
+        "mean: lev {:.1}, error {:.1}% (paper: 25.2, 9.8%), longest mismatch {:.1} (paper 5.2)",
+        mean(|q| q.levenshtein as f64),
+        mean(|q| q.error_rate * 100.0),
+        mean(|q| q.longest_mismatch as f64)
+    ));
+    r.comment(format!(
+        "params: {monitored} sets, {samples} samples, {packet_rate} pkt/s (paper: 32 sets, 100k samples, 0.2M pkt/s)"
+    ));
+    r
 }
 
 /// Figure 10: transmit the paper's "2012012012…" pattern and decode it.
-pub fn fig10(seed: u64) -> Fig10Result {
+/// A header-less report: one `sent:` and one `decoded:` line.
+fn fig10(_: Scale, seed: u64) -> ScenarioReport {
     let mut cfg_bed = TestBedConfig::paper_baseline().with_seed(seed);
     cfg_bed.driver.ring_size = 256;
     let mut tb = TestBed::new(cfg_bed);
@@ -259,29 +342,25 @@ pub fn fig10(seed: u64) -> Fig10Result {
         background_noise_aps: 10_000,
     };
     let report = run_channel(&mut tb, &pool, &sent, &cfg);
-    Fig10Result {
-        sent,
-        error_rate: report.error_rate,
-        decoded: report.received,
-    }
-}
-
-/// One point of Figure 11.
-#[derive(Copy, Clone, Debug)]
-pub struct Fig11Row {
-    /// "Binary" or "Ternary".
-    pub encoding: &'static str,
-    /// Probe rate in kHz (7 / 14 / 28).
-    pub probe_khz: u64,
-    /// Channel bandwidth in bits/second.
-    pub bandwidth_bps: f64,
-    /// Levenshtein error rate.
-    pub error_rate: f64,
+    let symbols = |v: &[u8]| {
+        v.iter()
+            .map(|s| s.to_string())
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let mut r = ScenarioReport::new(Vec::new());
+    r.push_row(vec![text(format!("sent:    {}", symbols(&sent)))]);
+    r.push_row(vec![text(format!(
+        "decoded: {}",
+        symbols(&report.received)
+    ))]);
+    r.comment(format!("error rate: {:.1}%", report.error_rate * 100.0));
+    r
 }
 
 /// Figure 11: single-buffer channel bandwidth and error rate across
 /// probe rates, for binary and ternary encodings.
-pub fn fig11(scale: Scale, seed: u64) -> Vec<Fig11Row> {
+fn fig11(scale: Scale, seed: u64) -> ScenarioReport {
     let symbols_n = scale.pick(60, 600);
     let mut combos = Vec::new();
     for (ename, enc) in [("Binary", Encoding::Binary), ("Ternary", Encoding::Ternary)] {
@@ -289,7 +368,7 @@ pub fn fig11(scale: Scale, seed: u64) -> Vec<Fig11Row> {
             combos.push((ename, enc, probe_khz));
         }
     }
-    crate::par::parallel_map(combos, |(ename, enc, probe_khz)| {
+    let rows = crate::par::parallel_map(combos, |(ename, enc, probe_khz)| {
         let mut tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(seed));
         let pool = AddressPool::allocate(seed ^ 0xf1611, 12288);
         let symbols = lfsr_symbols(enc, symbols_n, 0x2fd1);
@@ -302,30 +381,29 @@ pub fn fig11(scale: Scale, seed: u64) -> Vec<Fig11Row> {
             background_noise_aps: 100_000,
         };
         let report = run_channel(&mut tb, &pool, &symbols, &cfg);
-        Fig11Row {
-            encoding: ename,
-            probe_khz,
-            bandwidth_bps: report.bandwidth_bps,
-            error_rate: report.error_rate,
-        }
-    })
-}
-
-/// One point of Figure 12a/b.
-#[derive(Copy, Clone, Debug)]
-pub struct Fig12abRow {
-    /// Monitored buffers (1..16).
-    pub buffers: usize,
-    /// Channel bandwidth in kbit/s.
-    pub bandwidth_kbps: f64,
-    /// Levenshtein error rate.
-    pub error_rate: f64,
+        vec![
+            text(ename),
+            Metric::Count(probe_khz),
+            Metric::Fixed(report.bandwidth_bps, 0),
+            Metric::Fixed(report.error_rate * 100.0, 1),
+        ]
+    });
+    let mut r = ScenarioReport::new(vec![
+        "encoding",
+        "probe_khz",
+        "bandwidth_bps",
+        "error_rate_pct",
+    ]);
+    rows.into_iter().for_each(|row| r.push_row(row));
+    r.comment("paper: ~1953 bps binary / ~3095 bps ternary, error falls as probe");
+    r.comment("       rate rises 7→28 kHz, binary ≤ ternary error");
+    r
 }
 
 /// Figure 12a/b: bandwidth scales with the number of monitored buffers;
 /// error jumps at 16.
-pub fn fig12ab(scale: Scale, seed: u64) -> Vec<Fig12abRow> {
-    crate::par::parallel_map(vec![1usize, 2, 4, 8, 16], |buffers| {
+fn fig12ab(scale: Scale, seed: u64) -> ScenarioReport {
+    let rows = crate::par::parallel_map(vec![1usize, 2, 4, 8, 16], |buffers| {
         let symbols_n = scale.pick(40, 400) * buffers.min(4);
         let mut tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(seed));
         let pool = AddressPool::allocate(seed ^ 0xf1612, 12288);
@@ -339,30 +417,28 @@ pub fn fig12ab(scale: Scale, seed: u64) -> Vec<Fig12abRow> {
             background_noise_aps: 20_000,
         };
         let report = run_channel(&mut tb, &pool, &symbols, &cfg);
-        Fig12abRow {
-            buffers,
-            bandwidth_kbps: report.bandwidth_bps / 1_000.0,
-            error_rate: report.error_rate,
-        }
-    })
-}
-
-/// One point of Figure 12c/d.
-#[derive(Copy, Clone, Debug)]
-pub struct Fig12cdRow {
-    /// Offered bandwidth in kbit/s (80..640).
-    pub bandwidth_kbps: u64,
-    /// Out-of-sync events per sent packet.
-    pub out_of_sync_rate: f64,
-    /// Levenshtein error rate over the synchronized stream.
-    pub error_rate: f64,
+        vec![
+            count(buffers),
+            Metric::Fixed(report.bandwidth_bps / 1_000.0, 1),
+            Metric::Fixed(report.error_rate * 100.0, 1),
+        ]
+    });
+    let mut r = ScenarioReport::new(vec![
+        "monitored_buffers",
+        "bandwidth_kbps",
+        "error_rate_pct",
+    ]);
+    rows.into_iter().for_each(|row| r.push_row(row));
+    r.comment("paper: bandwidth ~doubles per doubling (to 24.5 kbps at 16);");
+    r.comment("       error roughly flat until a jump at 16 buffers");
+    r
 }
 
 /// Figure 12c/d: chase every buffer, one ternary symbol per packet, at
 /// increasing offered bandwidth.
-pub fn fig12cd(scale: Scale, seed: u64) -> Vec<Fig12cdRow> {
+fn fig12cd(scale: Scale, seed: u64) -> ScenarioReport {
     let symbols_n = scale.pick(1_500, 8_000);
-    crate::par::parallel_map(vec![80u64, 160, 320, 640], |bandwidth_kbps| {
+    let rows = crate::par::parallel_map(vec![80u64, 160, 320, 640], |bandwidth_kbps| {
         let packet_rate =
             (bandwidth_kbps as f64 * 1_000.0 / Encoding::Ternary.bits_per_symbol()) as u64;
         let mut cfg_bed = TestBedConfig::paper_baseline().with_seed(seed);
@@ -371,41 +447,45 @@ pub fn fig12cd(scale: Scale, seed: u64) -> Vec<Fig12cdRow> {
         let pool = AddressPool::allocate(seed ^ 0xf1613, 16384);
         let symbols = lfsr_symbols(Encoding::Ternary, symbols_n, 0x3c3c);
         let report = run_chased_channel(&mut tb, &pool, &symbols, packet_rate);
-        Fig12cdRow {
-            bandwidth_kbps,
-            out_of_sync_rate: report.out_of_sync_rate,
-            error_rate: report.error_rate,
-        }
-    })
+        vec![
+            Metric::Count(bandwidth_kbps),
+            Metric::Fixed(report.out_of_sync_rate * 100.0, 1),
+            Metric::Fixed(report.error_rate * 100.0, 1),
+        ]
+    });
+    let mut r = ScenarioReport::new(vec!["bandwidth_kbps", "out_of_sync_pct", "error_rate_pct"]);
+    rows.into_iter().for_each(|row| r.push_row(row));
+    r.comment("paper: out-of-sync ~constant with rate; error jumps at 640 kbps");
+    r.comment("       (packets begin arriving out of order)");
+    r
 }
 
-/// Figure 13: original vs recovered hotcrp login traces.
-#[derive(Clone, Debug)]
-pub struct Fig13Result {
-    /// Ground-truth successful-login sizes.
-    pub ok_original: SizeTrace,
-    /// Cache-recovered successful-login sizes.
-    pub ok_recovered: SizeTrace,
-    /// Ground-truth unsuccessful-login sizes.
-    pub fail_original: SizeTrace,
-    /// Cache-recovered unsuccessful-login sizes.
-    pub fail_recovered: SizeTrace,
-}
-
-/// Figure 13: capture both login outcomes through the cache.
-pub fn fig13(seed: u64) -> Fig13Result {
+/// Figure 13: capture both hotcrp login outcomes through the cache,
+/// original against recovered packet sizes.
+fn fig13(_: Scale, seed: u64) -> ScenarioReport {
     let capture = CaptureConfig::paper_defaults();
     let bed = TestBedConfig::paper_baseline();
     let (ok_original, ok_recovered) =
         login_trace_pair(bed, LoginOutcome::Successful, &capture, seed);
     let (fail_original, fail_recovered) =
         login_trace_pair(bed, LoginOutcome::Unsuccessful, &capture, seed + 1);
-    Fig13Result {
-        ok_original,
-        ok_recovered,
-        fail_original,
-        fail_recovered,
+    let mut r = ScenarioReport::new(vec![
+        "packet",
+        "ok_original",
+        "ok_recovered",
+        "fail_original",
+        "fail_recovered",
+    ]);
+    for i in 0..ok_original.len() {
+        let mut cells = vec![count(i)];
+        for trace in [&ok_original, &ok_recovered, &fail_original, &fail_recovered] {
+            cells.push(Metric::Count(u64::from(trace[i])));
+        }
+        r.push_row(cells);
     }
+    r.comment("paper: recovered traces preserve the size pattern that separates");
+    r.comment("       successful from unsuccessful logins");
+    r
 }
 
 /// §V closed-world fingerprinting accuracy, with and without DDIO.
@@ -447,24 +527,116 @@ pub fn fingerprint(scale: Scale, seed: u64) -> FingerprintResult {
     }
 }
 
-/// Table II: the baseline core description.
-pub fn table2() -> BaselineCore {
-    BaselineCore::paper()
+/// The `fingerprint` table entry: [`fingerprint`]'s accuracies, then
+/// the DDIO confusion matrix as commentary.
+fn fingerprint_report(scale: Scale, seed: u64) -> ScenarioReport {
+    let res = fingerprint(scale, seed);
+    let mut r = ScenarioReport::new(vec!["config", "accuracy_pct", "trials"]);
+    for (config, acc) in [("DDIO", &res.with_ddio), ("NoDDIO", &res.without_ddio)] {
+        r.push_row(vec![
+            text(config),
+            Metric::Fixed(acc.accuracy * 100.0, 1),
+            count(acc.trials),
+        ]);
+    }
+    r.comment("paper: 89.7% with DDIO, 86.5% without (1000 trials)");
+    r.comment("confusion (DDIO): rows=truth, cols=predicted");
+    for row in &res.with_ddio.confusion {
+        r.comment(format!("  {row:?}"));
+    }
+    r
 }
 
-/// Figure 14 rows (Nginx throughput, adaptive vs DDIO, 20/11/8 MiB).
-pub fn fig14(scale: Scale, seed: u64) -> Vec<Fig14Row> {
-    fig14_nginx_throughput(scale.pick(400, 4_000), seed)
+/// Table II: the baseline core description, a header-less report of
+/// one line per parameter.
+fn table2(_: Scale, _: u64) -> ScenarioReport {
+    let mut r = ScenarioReport::new(Vec::new());
+    for line in BaselineCore::paper().to_string().lines() {
+        r.push_row(vec![text(line)]);
+    }
+    r
 }
 
-/// Figure 15 rows (normalized memory traffic + miss rates).
-pub fn fig15(scale: Scale, seed: u64) -> Vec<Fig15Row> {
-    fig15_traffic(scale.pick(1, 10), seed)
+/// Figure 14: Nginx throughput of adaptive partitioning against DDIO
+/// at 20/11/8 MiB, with the adaptive gap per LLC size.
+fn fig14(scale: Scale, seed: u64) -> ScenarioReport {
+    let rows = fig14_nginx_throughput(scale.pick(400, 4_000), seed);
+    let mut r = ScenarioReport::new(vec!["llc_mib", "config", "krps"]);
+    // (adaptive, DDIO) krps per LLC size, reported smallest size first.
+    let mut by_size: std::collections::BTreeMap<u32, (f64, f64)> = Default::default();
+    for row in &rows {
+        r.push_row(vec![
+            Metric::Count(u64::from(row.llc_mib)),
+            text(row.config),
+            Metric::Fixed(row.krps, 1),
+        ]);
+        let e = by_size.entry(row.llc_mib).or_default();
+        if row.config == "DDIO" {
+            e.1 = row.krps;
+        } else {
+            e.0 = row.krps;
+        }
+    }
+    for (mib, (adaptive, ddio)) in by_size {
+        r.comment(format!(
+            "{mib} MiB: adaptive within {:.1}% of DDIO (paper: ≤2.7%)",
+            (1.0 - adaptive / ddio) * 100.0
+        ));
+    }
+    r
 }
 
-/// Figure 16 rows (tail latency per defense).
-pub fn fig16(scale: Scale, seed: u64) -> Vec<Fig16Row> {
-    fig16_tail_latency(scale.pick(8_000, 60_000), seed)
+/// Figure 15: normalized memory traffic and LLC miss rate per workload
+/// and DDIO mode.
+fn fig15(scale: Scale, seed: u64) -> ScenarioReport {
+    let mut r = ScenarioReport::new(vec![
+        "workload",
+        "config",
+        "norm_mem_read",
+        "norm_mem_write",
+        "llc_miss_rate",
+    ]);
+    for row in fig15_traffic(scale.pick(1, 10), seed) {
+        r.push_row(vec![
+            text(row.workload),
+            text(row.config),
+            Metric::Fixed(row.norm_read, 3),
+            Metric::Fixed(row.norm_write, 3),
+            Metric::Fixed(row.miss_rate, 3),
+        ]);
+    }
+    r.comment("paper: DDIO and adaptive partitioning both cut memory traffic vs");
+    r.comment("       No-DDIO; adaptive stays within ~2% of DDIO");
+    r
+}
+
+/// Figure 16: tail latency per defense, one row of percentiles each,
+/// with every defense's p99 against the vulnerable baseline.
+fn fig16(scale: Scale, seed: u64) -> ScenarioReport {
+    let rows = fig16_tail_latency(scale.pick(8_000, 60_000), seed);
+    let mut r = ScenarioReport::new(vec![
+        "defense", "p25_ms", "p50_ms", "p90_ms", "p99_ms", "p999_ms", "p9999_ms",
+    ]);
+    for defense in rows.chunk_by(|a, b| a.defense == b.defense) {
+        let mut cells = vec![text(defense[0].defense)];
+        cells.extend(defense.iter().map(|p| Metric::Fixed(p.latency_ms, 2)));
+        r.push_row(cells);
+    }
+    let p99: Vec<_> = rows
+        .iter()
+        .filter(|p| (p.percentile - 99.0).abs() < 1e-9)
+        .collect();
+    if let Some(base) = p99.iter().find(|p| p.defense.starts_with("Vulnerable")) {
+        for p in &p99 {
+            r.comment(format!(
+                "p99 vs baseline: {}: {:+.1}%",
+                p.defense,
+                (p.latency_ms / base.latency_ms - 1.0) * 100.0
+            ));
+        }
+        r.comment("paper: adaptive +3.1% p99; fully randomized +41.8% p99");
+    }
+    r
 }
 
 #[cfg(test)]
@@ -473,8 +645,17 @@ mod tests {
 
     #[test]
     fn fig5_sums_to_ring() {
-        let h = fig5(3);
-        assert_eq!(h.iter().sum::<usize>(), 256);
+        let r = fig5(Scale::Quick, 3);
+        assert_eq!(r.rows.len(), 256, "one row per page-aligned set");
+        let buffers: u64 = r
+            .rows
+            .iter()
+            .map(|row| match row[1] {
+                Metric::Count(n) => n,
+                ref other => panic!("buffers cell {other:?}"),
+            })
+            .sum();
+        assert_eq!(buffers, 256);
     }
 
     #[test]

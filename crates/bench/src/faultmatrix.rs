@@ -20,7 +20,10 @@
 //!   merged and per-slice statistics, and residency.
 //! * `driver` — a compact `pc-nic` batch-equivalence pass: batched
 //!   receive against the per-access scalar path over a mixed
-//!   frame-size cycle, per DDIO mode × randomization defense.
+//!   frame-size cycle, per DDIO mode × randomization defense, with a
+//!   CPU re-read of the older buffers' blocks (fast path against
+//!   per-access reads) between two receive rounds — the receive-path
+//!   detector for `stale-lru`.
 //! * `testbed` — the bed ↔ hand-driven per-access reference trajectory
 //!   comparison from `crates/core/tests/fault_kill_rx.rs`, the rx-path
 //!   detector for `dropped-deferred-read`.
@@ -269,7 +272,7 @@ fn machine(mode: DdioMode, randomize: RandomizeMode) -> (Hierarchy, IgbDriver, S
     let mut rng = SmallRng::seed_from_u64(0x19b);
     let h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), mode);
     let cfg = DriverConfig {
-        ring_size: 32,
+        ring_size: DRIVER_RING,
         randomize,
         ..DriverConfig::paper_defaults()
     };
@@ -316,11 +319,13 @@ fn driver_state_differs(
     None
 }
 
+/// Ring size of the `driver` suite's machines.
+const DRIVER_RING: usize = 32;
+
 /// Batched receive against the per-access scalar path: every per-frame
 /// event, the clock after every frame, and the end state per DDIO mode
 /// × randomization defense.
 fn driver_batch_equivalence() -> Option<String> {
-    let frames = frame_mix(300);
     let modes = [
         DdioMode::Disabled,
         DdioMode::enabled(),
@@ -328,33 +333,70 @@ fn driver_batch_equivalence() -> Option<String> {
     ];
     for mode in modes {
         for randomize in [RandomizeMode::Off, RandomizeMode::EveryNPackets(7)] {
-            let (mut h_b, mut drv_b, mut rng_b) = machine(mode, randomize);
-            let (mut h_s, mut drv_s, mut rng_s) = machine(mode, randomize);
-            let mut touched = Vec::new();
-            for (i, &frame) in frames.iter().enumerate() {
-                let ev_b: RxEvent = drv_b.receive(&mut h_b, frame, &mut rng_b);
-                let ev_s: RxEvent = drv_s.receive_scalar(&mut h_s, frame, &mut rng_s);
-                if ev_b != ev_s {
-                    return Some(format!("event diverged: frame {i} {mode:?} {randomize:?}"));
-                }
-                if h_b.now() != h_s.now() {
-                    return Some(format!("clock diverged: frame {i} {mode:?} {randomize:?}"));
-                }
-                for b in 0..u64::from(ev_b.blocks) {
-                    touched.push(ev_b.buffer_addr.add_blocks(b));
-                }
-            }
-            if let Some(d) = driver_state_differs(&h_b, &h_s, &drv_b, &drv_s) {
-                return Some(format!("receive: {d}: {mode:?} {randomize:?}"));
-            }
-            for addr in touched {
-                if h_b.llc().contains(addr) != h_s.llc().contains(addr) {
-                    return Some(format!("residency at {addr}: {mode:?} {randomize:?}"));
-                }
+            if let Err(d) = driver_pass(mode, randomize) {
+                return Some(format!("{d}: {mode:?} {randomize:?}"));
             }
         }
     }
     None
+}
+
+/// One `driver` pass: a 300-frame receive, a CPU re-read of the older
+/// buffers' blocks, and a second receive round.
+///
+/// The driver's own CPU reads hit lines its DMA just stamped, so they
+/// never test recency order. The re-read does: later frames pushed the
+/// older buffers' lines down their sets, the batched machine re-reads
+/// them through the fast path (`run_trace`) and the scalar one through
+/// per-access `cpu_read`, and the second round's allocations then
+/// evict by the recency those hits left behind.
+fn driver_pass(mode: DdioMode, randomize: RandomizeMode) -> Result<(), String> {
+    let frames = frame_mix(300);
+    let (mut h_b, mut drv_b, mut rng_b) = machine(mode, randomize);
+    let (mut h_s, mut drv_s, mut rng_s) = machine(mode, randomize);
+    // (buffer, blocks) of every received frame, in arrival order.
+    let mut received: Vec<(PhysAddr, u64)> = Vec::new();
+    let blocks = |frames: &[(PhysAddr, u64)]| -> Vec<PhysAddr> {
+        frames
+            .iter()
+            .flat_map(|&(buf, n)| (0..n).map(move |b| buf.add_blocks(b)))
+            .collect()
+    };
+    for round in ["receive", "second receive"] {
+        for (i, &frame) in frames.iter().enumerate() {
+            let ev_b: RxEvent = drv_b.receive(&mut h_b, frame, &mut rng_b);
+            let ev_s: RxEvent = drv_s.receive_scalar(&mut h_s, frame, &mut rng_s);
+            if ev_b != ev_s {
+                return Err(format!("{round}: event diverged at frame {i}"));
+            }
+            if h_b.now() != h_s.now() {
+                return Err(format!("{round}: clock diverged at frame {i}"));
+            }
+            received.push((ev_b.buffer_addr, u64::from(ev_b.blocks)));
+        }
+        if let Some(d) = driver_state_differs(&h_b, &h_s, &drv_b, &drv_s) {
+            return Err(format!("{round}: {d}"));
+        }
+        for addr in blocks(&received) {
+            if h_b.llc().contains(addr) != h_s.llc().contains(addr) {
+                return Err(format!("{round}: residency at {addr}"));
+            }
+        }
+        if round == "receive" {
+            // Every block received before the newest half ring, in
+            // arrival order: lines later frames pushed down their sets.
+            let oldest = blocks(&received[..received.len() - DRIVER_RING / 2]);
+            h_b.run_trace(
+                oldest
+                    .iter()
+                    .map(|&addr| CacheOp::new(addr, AccessKind::CpuRead)),
+            );
+            for &addr in &oldest {
+                h_s.cpu_read(addr);
+            }
+        }
+    }
+    Ok(())
 }
 
 // --- suite `testbed`: the bed ↔ a per-access reference -------------

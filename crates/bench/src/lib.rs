@@ -1,8 +1,11 @@
 //! # pc-bench — reproduction harness
 //!
-//! [`experiments`] hosts one function per paper table/figure, called by
-//! the `repro` binary (full printouts) and `perfbench`. Each function
-//! returns plain row structs so callers decide how to render them.
+//! [`experiments`] holds the paper's experiment table: one entry per
+//! table/figure, each a name, a title line and a report function
+//! returning a [`scenario::ScenarioReport`] — the type the scenario
+//! registry and the fleet report in, rendered by one renderer. The
+//! `repro` binary only looks names up and prints; `perfbench` times
+//! the same code.
 //!
 //! * [`faultmatrix`] — the fault-injection kill matrix behind
 //!   `repro fault-matrix`: every `pc_cache::fault` catalog site ×

@@ -16,8 +16,9 @@
 //! [`ScenarioReport`] of typed metric rows plus `#` commentary, and
 //! [`ScenarioReport::render`] is the *single* place that turns it into
 //! text. `repro scenario <name>` prints the rendering; the fleet
-//! merges the data. The [`Scenario`] trait survives as a thin adapter
-//! over the spec so older call sites keep compiling.
+//! merges the data. The paper experiments
+//! ([`crate::experiments::table`]) return the same report type, so
+//! every line `repro` prints under a title comes from this renderer.
 //!
 //! Scenario reports obey the same output discipline as the figure
 //! experiments: deterministic for a fixed `(scale, seed)` at any
@@ -41,21 +42,6 @@ use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
-
-/// One registered end-to-end workload — kept as a thin adapter over
-/// [`ScenarioSpec`] (which implements it) so call sites written
-/// against the trait keep compiling.
-pub trait Scenario: Sync {
-    /// CLI name (`repro scenario <name>`).
-    fn name(&self) -> &'static str;
-
-    /// One-line description for `repro scenario list`.
-    fn summary(&self) -> &'static str;
-
-    /// Runs the scenario and returns its rendered report. Must be
-    /// deterministic for a fixed `(scale, seed)` at any thread count.
-    fn run(&self, scale: Scale, seed: u64) -> String;
-}
 
 /// One typed cell of a scenario report row.
 ///
@@ -83,15 +69,19 @@ impl fmt::Display for Metric {
     }
 }
 
-/// A scenario's result as data: a CSV header, typed rows, and trailing
-/// `#` commentary. Fleet merging aggregates the rows; the CLI prints
-/// [`ScenarioReport::render`]. One rendering function for the whole
-/// workspace keeps the golden-snapshot contract in a single place.
+/// A scenario's or experiment's result as data: a CSV header, typed
+/// rows, and trailing `#` commentary. Fleet merging aggregates the
+/// rows; the CLI prints [`ScenarioReport::render`]. One rendering
+/// function for the whole workspace keeps the golden-snapshot contract
+/// in a single place.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct ScenarioReport {
-    /// Column names, rendered as one comma-joined header line.
+    /// Column names, rendered as one comma-joined header line. Empty
+    /// for a header-less report, whose rows are free-form lines (one
+    /// [`Metric::Text`] cell each).
     pub columns: Vec<&'static str>,
-    /// Data rows; each must have `columns.len()` cells.
+    /// Data rows; each must have `columns.len()` cells (any number in a
+    /// header-less report).
     pub rows: Vec<Vec<Metric>>,
     /// Commentary lines, rendered after the rows with a `# ` prefix
     /// (without the prefix here).
@@ -110,7 +100,10 @@ impl ScenarioReport {
 
     /// Appends one data row.
     pub fn push_row(&mut self, row: Vec<Metric>) {
-        debug_assert_eq!(row.len(), self.columns.len(), "row width matches header");
+        debug_assert!(
+            self.columns.is_empty() || row.len() == self.columns.len(),
+            "row width matches header"
+        );
         self.rows.push(row);
     }
 
@@ -846,20 +839,6 @@ impl ScenarioSpec {
     }
 }
 
-impl Scenario for ScenarioSpec {
-    fn name(&self) -> &'static str {
-        ScenarioSpec::name(self)
-    }
-
-    fn summary(&self) -> &'static str {
-        ScenarioSpec::summary(self)
-    }
-
-    fn run(&self, scale: Scale, seed: u64) -> String {
-        ScenarioSpec::run(self, scale, seed)
-    }
-}
-
 /// What one fleet tenant measured: the typed equivalent of one
 /// workload report row, plus the unit label the merge groups by.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -1251,6 +1230,11 @@ mod tests {
         r.push_row(vec![Metric::Text("x".into()), Metric::Count(2)]);
         r.comment("trailing note");
         assert_eq!(r.render(), "a,b\n1,0.5\nx,2\n# trailing note\n");
+        // Header-less: no header line, each row one free-form cell.
+        let mut r = ScenarioReport::new(Vec::new());
+        r.push_row(vec![Metric::Text("sent:    2 0 1".into())]);
+        r.comment("error rate: 0.0%");
+        assert_eq!(r.render(), "sent:    2 0 1\n# error rate: 0.0%\n");
     }
 
     #[test]

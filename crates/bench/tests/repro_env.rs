@@ -2,8 +2,9 @@
 //! `PC_BENCH_THREADS`, `PC_RSS_QUEUES` or `PC_FAULT`, a `--tenants`
 //! count above the fleet cap, a count flag outside its command, an
 //! unknown option or an unknown experiment or scenario name anywhere
-//! in the list exits 2 with one `repro:` line on stderr, before any
-//! output and without a panic or an allocation abort.
+//! in the list, or a scenario name next to `scenario list`, exits 2
+//! with one `repro:` line on stderr, before any output and without a
+//! panic or an allocation abort.
 
 use std::process::{Command, Output};
 
@@ -83,16 +84,18 @@ fn unknown_options_exit_2_with_one_line() {
 fn unknown_experiments_exit_2_before_any_report() {
     // Names are checked up front: a typo after a valid experiment or
     // scenario must not print its report first, and one next to
-    // `scenario list` must not be ignored.
-    for args in [
-        &["fig5", "bogus"][..],
-        &["bogus"],
-        &["all", "bogus"],
-        &["scenario", "tcp-recv", "bogus"],
-        &["scenario", "bogus", "list"],
+    // `scenario list` must not be ignored. `list` stands alone: a valid
+    // name next to it is refused, not silently dropped.
+    for (args, needle) in [
+        (&["fig5", "bogus"][..], "`bogus`"),
+        (&["bogus"], "`bogus`"),
+        (&["all", "bogus"], "`bogus`"),
+        (&["scenario", "tcp-recv", "bogus"], "`bogus`"),
+        (&["scenario", "bogus", "list"], "`bogus`"),
+        (&["scenario", "list", "chasing"], "`scenario list`"),
     ] {
         let out = repro(&[], args);
-        assert_one_line_exit_2(&out, &args.join(" "), "`bogus`");
+        assert_one_line_exit_2(&out, &args.join(" "), needle);
     }
 }
 
