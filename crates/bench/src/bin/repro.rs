@@ -57,7 +57,7 @@ fn main() {
     // and what PC_BLESS refuses. A malformed value exits 2 here, before
     // any work; the parser quotes the spec, and escaping keeps it one
     // line.
-    if let Err(e) = pc_cache::fault::arm_from_env() {
+    if let Err(e) = arm_fault_from_env() {
         die(&e.escape_debug().to_string());
     }
     let mut scale = Scale::Quick;
@@ -250,6 +250,20 @@ fn validate_env() {
             ));
         }
     }
+}
+
+/// Arms the fault `PC_FAULT` names, if it is set. A malformed value —
+/// non-UTF-8 included — is an `Err` with a one-line `PC_FAULT: …`
+/// message and arms nothing; the caller must not carry on, since a
+/// fault that silently fails to arm would fake a surviving mutant.
+fn arm_fault_from_env() -> Result<(), String> {
+    let Some(v) = std::env::var_os("PC_FAULT") else {
+        return Ok(());
+    };
+    let spec = pc_cache::fault::FaultSpec::parse(&v.to_string_lossy())
+        .map_err(|e| format!("PC_FAULT: {e}"))?;
+    pc_cache::fault::arm(spec);
+    Ok(())
 }
 
 /// Looks every name up before the first report runs, so a typo late in

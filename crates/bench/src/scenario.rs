@@ -2,8 +2,8 @@
 //! spec layer.
 //!
 //! A [`ScenarioSpec`] is a named, seeded, scale-aware end-to-end
-//! workload description — mix weights, arrival process, duration, DDIO
-//! mode sweep — driven through the op-stream pipeline (streaming driver
+//! workload description — arrival process, duration, DDIO mode
+//! sweep — driven through the op-stream pipeline (streaming driver
 //! receive, batched monitor primes, the sequential trace replay). The
 //! registry unifies what used to be two separate worlds — the `pc-net`
 //! traffic generators (web traces, line-rate models, covert symbol
@@ -215,9 +215,9 @@ impl ModeSweep {
 /// Registry specs carry the historical parameters exactly, so their
 /// rendered reports are byte-identical to the pre-spec scenario
 /// structs (the golden snapshots pin this). The builder methods
-/// ([`ScenarioSpec::with_units`], [`ScenarioSpec::with_mode`],
-/// [`ScenarioSpec::with_mix`]) derive variants for fleet tenant
-/// templates without touching the registry's copies.
+/// ([`ScenarioSpec::with_units`], [`ScenarioSpec::with_mode`]) derive
+/// variants for fleet tenant templates without touching the registry's
+/// copies.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ScenarioSpec {
     name: &'static str,
@@ -225,9 +225,6 @@ pub struct ScenarioSpec {
     kind: SpecKind,
     duration: Duration,
     arrival: Arrival,
-    /// Per-site weights for the web-mix trace (empty = every site
-    /// weight 1, the historical behaviour).
-    mix: Vec<u32>,
     modes: ModeSweep,
     /// Default rx queue count for the spec's TestBeds (overridable at
     /// run time via `PC_RSS_QUEUES` / `repro --queues`). The pre-RSS
@@ -286,18 +283,6 @@ impl ScenarioSpec {
     pub fn with_mode(mut self, name: &'static str, mode: DdioMode) -> Self {
         self.modes = ModeSweep::One(name, mode);
         self
-    }
-
-    /// Replaces the web-mix per-site weights (builder style). Sites
-    /// beyond the slice keep weight 1; ignored by other scenarios.
-    pub fn with_mix(mut self, weights: &[u32]) -> Self {
-        self.mix = weights.to_vec();
-        self
-    }
-
-    /// Weight of site `i` in the web-mix trace.
-    fn site_weight(&self, i: usize) -> u32 {
-        self.mix.get(i).copied().unwrap_or(1)
     }
 
     /// Runs the scenario and renders its report — the CLI entry point.
@@ -404,20 +389,18 @@ impl ScenarioSpec {
     }
 
     /// The flattened web-mix size trace for `rounds` rounds over the
-    /// closed-world sites at this spec's mix weights. One definition
-    /// shared by the report sweep and the tenant run.
-    fn web_mix_sizes(&self, rounds: u64, seed: u64) -> Vec<u32> {
+    /// closed-world sites, one page load per site per round. One
+    /// definition shared by the report sweep and the tenant run.
+    fn web_mix_sizes(rounds: u64, seed: u64) -> Vec<u32> {
         let sites = ClosedWorld::paper_five_sites();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x3eb);
         // Round-robin page loads over the sites, flattened to one size
         // trace; noise keeps the loads realistically unequal.
         let mut sizes = Vec::new();
         for _round in 0..rounds {
-            for (i, profile) in sites.sites().iter().enumerate() {
-                for _ in 0..self.site_weight(i) {
-                    for frame in profile.page_load(0.1, &mut rng) {
-                        sizes.push(frame.bytes());
-                    }
+            for profile in sites.sites() {
+                for frame in profile.page_load(0.1, &mut rng) {
+                    sizes.push(frame.bytes());
                 }
             }
         }
@@ -454,7 +437,7 @@ impl ScenarioSpec {
     fn report_web_mix(&self, scale: Scale, seed: u64) -> ScenarioReport {
         let rounds = self.duration.pick(scale);
         let sites = ClosedWorld::paper_five_sites();
-        let sizes = self.web_mix_sizes(rounds, seed);
+        let sizes = Self::web_mix_sizes(rounds, seed);
         let mut report = ScenarioReport::new(vec![
             "config",
             "frames",
@@ -802,7 +785,7 @@ impl ScenarioSpec {
                 })
             }
             SpecKind::WebMix => {
-                let sizes = self.web_mix_sizes(units, seed);
+                let sizes = Self::web_mix_sizes(units, seed);
                 let tb = scratch.bed(TestBedConfig {
                     ddio: mode,
                     ..TestBedConfig::paper_baseline().with_seed(seed)
@@ -931,7 +914,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 200_000,
                     jitter: 0.02,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 1,
             },
@@ -947,7 +929,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 200_000,
                     jitter: 0.02,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 4,
             },
@@ -963,7 +944,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 0,
                     jitter: 0.0,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 1,
             },
@@ -979,7 +959,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 450_000,
                     jitter: 0.01,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 4,
             },
@@ -992,7 +971,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 0,
                     jitter: 0.0,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 1,
             },
@@ -1005,7 +983,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 0,
                     jitter: 0.0,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 1,
             },
@@ -1021,7 +998,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 300_000,
                     jitter: 0.03,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 4,
             },
@@ -1037,7 +1013,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 80_000,
                     jitter: 0.0,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 4,
             },
@@ -1053,7 +1028,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 0,
                     jitter: 0.0,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 1,
             },
@@ -1069,7 +1043,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 0,
                     jitter: 0.0,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 1,
             },
@@ -1085,7 +1058,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 0,
                     jitter: 0.0,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 1,
             },
@@ -1100,7 +1072,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
                     fps: 250_000,
                     jitter: 0.05,
                 },
-                mix: Vec::new(),
                 modes: ModeSweep::All,
                 queues: 1,
             },

@@ -182,11 +182,6 @@ impl ChasingSpy {
         self.primed = true;
     }
 
-    /// Ring length being chased.
-    pub fn ring_len(&self) -> usize {
-        self.buffers.len()
-    }
-
     /// Current position in the ring sequence.
     pub fn position(&self) -> usize {
         self.pos

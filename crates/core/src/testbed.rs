@@ -314,11 +314,6 @@ impl TestBed {
         &self.records
     }
 
-    /// Clears the receive log.
-    pub fn clear_records(&mut self) {
-        self.records.clear();
-    }
-
     /// Frames still waiting to arrive.
     pub fn pending_frames(&self) -> usize {
         self.pending.len()

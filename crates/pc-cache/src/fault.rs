@@ -8,7 +8,8 @@
 //! nothing; this module gives it something to catch. Each
 //! [`FaultSite`] names one single-point mutation of one engine (an
 //! off-by-one, a dropped flush, a skipped update), armed globally via
-//! [`arm`] or the `PC_FAULT` environment variable and consulted by a
+//! [`arm`] (`repro` arms the `PC_FAULT` spec it parses with
+//! [`FaultSpec::parse`]) and consulted by a
 //! hook at the mutation site. The kill-matrix harness
 //! (`repro fault-matrix`, `fault_kill` tests) arms every site in turn
 //! and asserts at least one suite kills each mutant.
@@ -110,7 +111,7 @@ pub enum FaultSite {
     SkippedEpochBump,
     /// The RSS steer routes a keyed flow to the *next* queue index —
     /// frames land in the wrong ring, so per-queue ring order, page
-    /// placement and RNG streams all diverge from the steering
+    /// placement and driver RNG streams all diverge from the steering
     /// contract. Keyed on the flow tuple's digest; lexically
     /// steer-only (`pc-nic`'s `rss.rs`), and inert at queue count 1
     /// (`(q+1) % 1 == q`), so armed single-queue runs stay byte-exact.
@@ -350,36 +351,15 @@ pub fn consultations() -> u64 {
     EVENTS.load(Ordering::SeqCst)
 }
 
-/// Arms from the `PC_FAULT` environment variable if set, returning the
-/// armed spec (`Ok(None)` when unset). A malformed value — non-UTF-8
-/// included — is an `Err` with a one-line `PC_FAULT: …` message and
-/// arms nothing; callers must not carry on, since a fault that
-/// silently fails to arm would fake a surviving mutant.
-pub fn arm_from_env() -> Result<Option<FaultSpec>, String> {
-    let Some(v) = std::env::var_os("PC_FAULT") else {
-        return Ok(None);
-    };
-    let spec = FaultSpec::parse(&v.to_string_lossy()).map_err(|e| format!("PC_FAULT: {e}"))?;
-    arm(spec);
-    Ok(Some(spec))
-}
-
-/// Guard for golden refreshes: `Err` when a fault is armed (in-process
-/// or via `PC_FAULT`), so `PC_BLESS=1` refuses to bless mutated
-/// snapshots.
+/// Guard for golden refreshes: `Err` when a fault is armed, so
+/// `PC_BLESS=1` refuses to bless mutated snapshots.
 pub fn bless_guard() -> Result<(), String> {
-    if let Some(spec) = current() {
-        return Err(format!(
+    match current() {
+        Some(spec) => Err(format!(
             "refusing to bless goldens while fault `{spec}` is armed"
-        ));
+        )),
+        None => Ok(()),
     }
-    if let Some(v) = std::env::var_os("PC_FAULT") {
-        return Err(format!(
-            "refusing to bless goldens while PC_FAULT={} is set",
-            v.to_string_lossy()
-        ));
-    }
-    Ok(())
 }
 
 thread_local! {

@@ -227,8 +227,8 @@ impl Hierarchy {
     /// eviction-set builder's candidate walks), saving a call and two
     /// stat read-modify-writes per line; walks replayed many times over
     /// fixed lines decode once and go through [`Hierarchy::run_walk`].
-    /// Per-access behaviour (RNG stream, adaptation timing, statistics)
-    /// is identical to issuing the ops one at a time.
+    /// Per-access behaviour (replacement, adaptation timing,
+    /// statistics) is identical to issuing the ops one at a time.
     ///
     /// ```
     /// use pc_cache::{CacheGeometry, CacheOp, DdioMode, Hierarchy, PhysAddr};
@@ -258,8 +258,7 @@ impl Hierarchy {
     /// The walk prefetches: before op *i* it hints op *i* + 8's
     /// `(slice, set)` row — line words, LRU stamps, set record — into
     /// the host's L1. The hint touches no simulated state, so accesses,
-    /// their order, statistics and RNG draws are exactly the unhinted
-    /// walk's.
+    /// their order and statistics are exactly the unhinted walk's.
     pub fn run_ops(&mut self, buf: &OpBuffer) -> TraceSummary {
         let ops = buf.ops();
         let mut sum = self.replay(ops.iter().copied(), |llc, i| {

@@ -34,8 +34,9 @@
 //!   forward or reverse through the same fast path
 //!   ([`Hierarchy::run_walk`]).
 //!
-//! The simulator is deterministic: all randomized behaviour (the `Random`
-//! replacement policy) draws from an RNG seeded at construction.
+//! The simulator is deterministic and draws no random numbers: LRU
+//! replacement and every DDIO and defense decision are pure functions
+//! of the access stream.
 //!
 //! ## Example
 //!
@@ -78,7 +79,6 @@ pub use llc::{AccessKind, AccessOutcome, DdioMode, DecodedWalk, SliceSet, Sliced
 pub use memory::MemoryStats;
 pub use ops::{CacheOp, OpBuffer, OpSink};
 pub use partition::AdaptiveConfig;
-pub use replacement::ReplacementPolicy;
 pub use set::Domain;
 pub use slicehash::SliceHash;
 pub use stats::CacheStats;

@@ -3,7 +3,7 @@
 //!
 //! Storage and simulation state are kept per slice
 //! ([`crate::shard::Shard`]): each slice owns its cut of the SoA line
-//! store, its RNG stream, its statistics, its defense clock and its
+//! store, its LRU state, its statistics, its defense clock and its
 //! adaptive-partition worklists, as the paper's DDIO quotas, PRIME+PROBE
 //! sets and adaptive partitions are per-slice state. Every access routes
 //! to the owning shard; statistics merge in slice order.
@@ -11,7 +11,6 @@
 use crate::addr::{PhysAddr, LINE_SIZE_LOG2};
 use crate::geometry::CacheGeometry;
 use crate::partition::AdaptiveConfig;
-use crate::replacement::ReplacementPolicy;
 use crate::set::Domain;
 use crate::shard::Shard;
 use crate::slicehash::SliceHash;
@@ -152,7 +151,7 @@ pub struct SlicedCache {
 }
 
 impl SlicedCache {
-    /// Creates a cache with LRU replacement and a deterministic seed.
+    /// Creates an empty LRU cache.
     ///
     /// # Panics
     ///
@@ -160,25 +159,6 @@ impl SlicedCache {
     /// hash (must be 1/2/4/8) or if an [`AdaptiveConfig`] is invalid for
     /// the geometry.
     pub fn new(geom: CacheGeometry, mode: DdioMode) -> Self {
-        SlicedCache::with_policy_and_seed(geom, mode, ReplacementPolicy::Lru, 0x9e37_79b9)
-    }
-
-    /// Creates a cache with an explicit replacement policy and RNG seed.
-    ///
-    /// Each slice's shard derives its own RNG stream from
-    /// `pc_par::stream_seed(seed, SeedDomain::Slice, slice)`, so a
-    /// slice's randomized decisions depend only on the accesses that
-    /// slice receives.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`SlicedCache::new`].
-    pub fn with_policy_and_seed(
-        geom: CacheGeometry,
-        mode: DdioMode,
-        policy: ReplacementPolicy,
-        seed: u64,
-    ) -> Self {
         let hash = SliceHash::for_slices(geom.slices() as u32);
         let initial_io_limit = match mode {
             DdioMode::Disabled => 0,
@@ -200,16 +180,7 @@ impl SlicedCache {
             hash,
             mode,
             shards: (0..geom.slices())
-                .map(|slice| {
-                    Shard::new(
-                        geom.sets_per_slice(),
-                        geom.ways(),
-                        policy,
-                        initial_io_limit,
-                        seed,
-                        slice,
-                    )
-                })
+                .map(|_| Shard::new(geom.sets_per_slice(), geom.ways(), initial_io_limit))
                 .collect(),
         }
     }
@@ -240,8 +211,7 @@ impl SlicedCache {
 
     /// Hints the host cache with the `(slice, set)` row `addr` maps
     /// to, so a replay loop can fetch it a few ops before it accesses
-    /// it. No simulated state changes: no access, no statistic, no RNG
-    /// draw.
+    /// it. No simulated state changes: no access, no statistic.
     #[inline]
     pub(crate) fn prefetch(&self, addr: PhysAddr) {
         let ss = self.locate(addr);

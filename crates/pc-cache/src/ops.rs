@@ -19,8 +19,8 @@
 //!
 //! ## Determinism contract
 //!
-//! A [`CacheOp::lead`] never changes cache behaviour — hits, evictions,
-//! RNG draws and the adaptive defense's per-slice access-count clock
+//! A [`CacheOp::lead`] never changes cache behaviour — hits, evictions
+//! and the adaptive defense's per-slice access-count clock
 //! all depend only on the `(addr, kind)` stream. Leads only move the
 //! cycle clock, and the clock moved over a replay is
 //! `sum(leads) + sum(latencies) + trailing advance`, so a replayed

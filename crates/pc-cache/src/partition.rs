@@ -43,8 +43,8 @@
 //!    stamped for O(1) dedup) plus the still-active elevated sets,
 //!    *parking* any elevated set whose just-finished evaluation proves
 //!    the next one is a pure no-op. Skipped evaluations are exactly the
-//!    no-ops — they move no boundary, evict nothing, draw no RNG and
-//!    change no statistics — so the schedule of *observable* boundary
+//!    no-ops — they move no boundary, evict nothing and change no
+//!    statistics — so the schedule of *observable* boundary
 //!    moves is identical to the full sweep's, byte for byte. The
 //!    [`crate::ReferenceCache`] oracle deliberately keeps the full scan
 //!    (`reference.rs::adapt`), and `tests/incremental_eval.rs` pins the

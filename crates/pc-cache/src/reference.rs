@@ -6,8 +6,8 @@
 //! replacement-state object *per set*, with O(ways) rescans for every
 //! domain-occupancy check. It exists for equivalence testing: the SoA
 //! store must be observably indistinguishable from this model — same
-//! [`AccessOutcome`] per access, same statistics, same residency — for
-//! every mode, policy and seed. The property tests in
+//! [`AccessOutcome`] per access, same statistics, same residency — in
+//! every mode. The property tests in
 //! `tests/soa_equivalence.rs` (and the `adaptive_replay` and
 //! `incremental_eval` suites) drive both implementations with identical
 //! random traces and assert exactly that.
@@ -16,25 +16,19 @@
 //! the real cache (the adaptation-list deduplication, see
 //! `src/partition.rs`) are mirrored here, because the reference defines
 //! intended semantics, not historical accidents. Likewise the real
-//! cache's per-slice contract — one RNG stream per slice (seeded with
-//! [`pc_par::stream_seed`] in the `Slice` domain) and per-slice
-//! adaptation timing/worklists — is
-//! part of the intended semantics and is mirrored here, so the
-//! equivalence tests hold the real cache to this model for every
-//! policy, `Random` (RNG-consuming) included. Do not use this type
-//! outside tests — it is an order of magnitude slower on large
-//! geometries.
+//! cache's per-slice adaptation timing and worklists are part of the
+//! intended semantics and are mirrored here. Its LRU is its own: per-set
+//! `u64` stamps that never wrap, an independent oracle for the real
+//! cache's re-ranked `u8` stamps. Do not use this type outside tests —
+//! it is an order of magnitude slower on large geometries.
 
 use crate::addr::PhysAddr;
 use crate::geometry::CacheGeometry;
 use crate::llc::{AccessKind, AccessOutcome, DdioMode, SliceSet};
 use crate::partition::AdaptiveConfig;
-use crate::replacement::ReplacementPolicy;
 use crate::set::Domain;
 use crate::slicehash::SliceHash;
 use crate::stats::CacheStats;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 #[derive(Copy, Clone, Debug)]
 struct Line {
@@ -43,107 +37,13 @@ struct Line {
     domain: Domain,
 }
 
-/// Per-set replacement state, exactly as the original implementation
-/// kept it (separate per-set clocks included).
-#[derive(Clone, Debug)]
-enum ReplacementState {
-    Lru { stamps: Vec<u64>, clock: u64 },
-    TreePlru { bits: Vec<bool>, ways: usize },
-    Random,
-}
-
-impl ReplacementState {
-    fn new(policy: ReplacementPolicy, ways: usize) -> Self {
-        match policy {
-            ReplacementPolicy::Lru => ReplacementState::Lru {
-                stamps: vec![0; ways],
-                clock: 0,
-            },
-            ReplacementPolicy::TreePlru => {
-                let leaves = ways.next_power_of_two();
-                ReplacementState::TreePlru {
-                    bits: vec![false; leaves.max(2)],
-                    ways,
-                }
-            }
-            ReplacementPolicy::Random => ReplacementState::Random,
-        }
-    }
-
-    fn touch(&mut self, way: usize) {
-        match self {
-            ReplacementState::Lru { stamps, clock } => {
-                *clock += 1;
-                stamps[way] = *clock;
-            }
-            ReplacementState::TreePlru { bits, ways } => {
-                let leaves = (*ways).next_power_of_two();
-                let mut node = 1usize;
-                let mut lo = 0usize;
-                let mut hi = leaves;
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    if way < mid {
-                        bits[node] = false;
-                        hi = mid;
-                        node *= 2;
-                    } else {
-                        bits[node] = true;
-                        lo = mid;
-                        node = node * 2 + 1;
-                    }
-                }
-            }
-            ReplacementState::Random => {}
-        }
-    }
-
-    fn victim<F>(&self, ways: usize, rng: &mut SmallRng, eligible: F) -> Option<usize>
-    where
-        F: Fn(usize) -> bool,
-    {
-        match self {
-            ReplacementState::Lru { stamps, .. } => (0..ways)
-                .filter(|&w| eligible(w))
-                .min_by_key(|&w| stamps[w]),
-            ReplacementState::TreePlru { bits, .. } => {
-                let leaves = ways.next_power_of_two();
-                let mut node = 1usize;
-                let mut lo = 0usize;
-                let mut hi = leaves;
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    if bits[node] {
-                        hi = mid;
-                        node *= 2;
-                    } else {
-                        lo = mid;
-                        node = node * 2 + 1;
-                    }
-                }
-                let leaf = lo.min(ways - 1);
-                if eligible(leaf) {
-                    Some(leaf)
-                } else {
-                    (0..ways).find(|&w| eligible(w))
-                }
-            }
-            ReplacementState::Random => {
-                let candidates: Vec<usize> = (0..ways).filter(|&w| eligible(w)).collect();
-                if candidates.is_empty() {
-                    None
-                } else {
-                    Some(candidates[rng.gen_range(0..candidates.len())])
-                }
-            }
-        }
-    }
-}
-
 #[derive(Clone, Debug)]
 struct CacheSet {
     lines: Vec<Option<Line>>,
-    repl: ReplacementState,
+    /// `stamps[way]` = the set's clock at the way's last touch.
+    stamps: Vec<u64>,
+    /// The set's LRU clock: its latest stamp.
+    clock: u64,
     io_limit: u8,
     io_activity: u32,
     in_touched: bool,
@@ -156,10 +56,11 @@ struct Evicted {
 }
 
 impl CacheSet {
-    fn new(ways: usize, policy: ReplacementPolicy, io_limit: u8) -> Self {
+    fn new(ways: usize, io_limit: u8) -> Self {
         CacheSet {
             lines: vec![None; ways],
-            repl: ReplacementState::new(policy, ways),
+            stamps: vec![0; ways],
+            clock: 0,
             io_limit,
             io_activity: 0,
             in_touched: false,
@@ -169,6 +70,19 @@ impl CacheSet {
 
     fn ways(&self) -> usize {
         self.lines.len()
+    }
+
+    fn touch(&mut self, way: usize) {
+        self.clock += 1;
+        self.stamps[way] = self.clock;
+    }
+
+    /// The least-recently-touched valid way whose domain `eligible`
+    /// accepts.
+    fn victim(&self, eligible: impl Fn(Domain) -> bool) -> Option<usize> {
+        (0..self.ways())
+            .filter(|&w| matches!(&self.lines[w], Some(line) if eligible(line.domain)))
+            .min_by_key(|&w| self.stamps[w])
     }
 
     fn lookup(&self, tag: u64) -> Option<usize> {
@@ -203,12 +117,8 @@ impl CacheSet {
         dirty
     }
 
-    fn evict_lru_of_domain(&mut self, domain: Domain, rng: &mut SmallRng) -> Option<bool> {
-        let way = self.repl.victim(
-            self.lines.len(),
-            rng,
-            |w| matches!(&self.lines[w], Some(line) if line.domain == domain),
-        )?;
+    fn evict_lru_of_domain(&mut self, domain: Domain) -> Option<bool> {
+        let way = self.victim(|d| d == domain)?;
         let dirty = self.lines[way].map(|l| l.dirty).unwrap_or(false);
         self.lines[way] = None;
         Some(dirty)
@@ -219,7 +129,6 @@ impl CacheSet {
         tag: u64,
         domain: Domain,
         dirty: bool,
-        rng: &mut SmallRng,
         eligible: F,
     ) -> Option<(usize, Option<Evicted>)>
     where
@@ -227,10 +136,10 @@ impl CacheSet {
     {
         if let Some(way) = self.lines.iter().position(|l| l.is_none()) {
             self.lines[way] = Some(Line { tag, dirty, domain });
-            self.repl.touch(way);
+            self.touch(way);
             return Some((way, None));
         }
-        self.fill_no_invalid(tag, domain, dirty, rng, eligible)
+        self.fill_no_invalid(tag, domain, dirty, eligible)
     }
 
     fn fill_no_invalid<F>(
@@ -238,20 +147,15 @@ impl CacheSet {
         tag: u64,
         domain: Domain,
         dirty: bool,
-        rng: &mut SmallRng,
         eligible: F,
     ) -> Option<(usize, Option<Evicted>)>
     where
         F: Fn(Domain) -> bool,
     {
-        let way = self.repl.victim(
-            self.lines.len(),
-            rng,
-            |w| matches!(&self.lines[w], Some(line) if eligible(line.domain)),
-        )?;
+        let way = self.victim(eligible)?;
         let old = self.lines[way].expect("victim must be valid");
         self.lines[way] = Some(Line { tag, dirty, domain });
-        self.repl.touch(way);
+        self.touch(way);
         Some((
             way,
             Some(Evicted {
@@ -262,13 +166,11 @@ impl CacheSet {
     }
 }
 
-/// Per-slice control state: the slice's RNG stream, its access-count
-/// defense clock and its adaptive defense bookkeeping (mirrors the
+/// Per-slice control state: the slice's access-count defense clock and its adaptive defense bookkeeping (mirrors the
 /// real cache's per-slice shards; worklists hold flat set
 /// indices).
 #[derive(Clone, Debug)]
 struct SliceCtl {
-    rng: SmallRng,
     clock: u64,
     adapt_last: u64,
     /// Period re-evaluations this slice ran.
@@ -292,23 +194,12 @@ pub struct ReferenceCache {
 }
 
 impl ReferenceCache {
-    /// Creates a reference cache with LRU replacement and the same
-    /// default seed as [`crate::SlicedCache::new`].
-    pub fn new(geom: CacheGeometry, mode: DdioMode) -> Self {
-        ReferenceCache::with_policy_and_seed(geom, mode, ReplacementPolicy::Lru, 0x9e37_79b9)
-    }
-
-    /// Creates a reference cache with an explicit policy and seed.
+    /// Creates an empty reference cache.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`crate::SlicedCache::with_policy_and_seed`].
-    pub fn with_policy_and_seed(
-        geom: CacheGeometry,
-        mode: DdioMode,
-        policy: ReplacementPolicy,
-        seed: u64,
-    ) -> Self {
+    /// Same conditions as [`crate::SlicedCache::new`].
+    pub fn new(geom: CacheGeometry, mode: DdioMode) -> Self {
         let hash = SliceHash::for_slices(geom.slices() as u32);
         let initial_io_limit = match mode {
             DdioMode::Disabled => 0,
@@ -326,15 +217,10 @@ impl ReferenceCache {
             }
         };
         let sets = (0..geom.total_sets())
-            .map(|_| CacheSet::new(geom.ways(), policy, initial_io_limit))
+            .map(|_| CacheSet::new(geom.ways(), initial_io_limit))
             .collect();
         let ctl = (0..geom.slices())
-            .map(|slice| SliceCtl {
-                rng: SmallRng::seed_from_u64(pc_par::stream_seed(
-                    seed,
-                    pc_par::SeedDomain::Slice,
-                    slice as u64,
-                )),
+            .map(|_| SliceCtl {
                 clock: 0,
                 adapt_last: 0,
                 defense_evals: 0,
@@ -432,10 +318,9 @@ impl ReferenceCache {
     }
 
     fn cpu_access(&mut self, idx: usize, tag: u64, kind: AccessKind) -> AccessOutcome {
-        let slice = idx / self.geom.sets_per_slice();
         let write = kind == AccessKind::CpuWrite;
         if let Some(way) = self.sets[idx].lookup(tag) {
-            self.sets[idx].repl.touch(way);
+            self.sets[idx].touch(way);
             if write {
                 if let Some(line) = self.sets[idx].lines[way].as_mut() {
                     line.dirty = true;
@@ -459,20 +344,16 @@ impl ReferenceCache {
         let filled = if adaptive {
             let cpu_quota = set.ways() - set.io_limit as usize;
             if set.count_domain(Domain::Cpu) < cpu_quota {
-                set.fill(tag, Domain::Cpu, write, &mut self.ctl[slice].rng, |d| {
-                    d == Domain::Cpu
-                })
+                set.fill(tag, Domain::Cpu, write, |d| d == Domain::Cpu)
             } else {
-                set.fill_no_invalid(tag, Domain::Cpu, write, &mut self.ctl[slice].rng, |d| {
-                    d == Domain::Cpu
-                })
+                set.fill_no_invalid(tag, Domain::Cpu, write, |d| d == Domain::Cpu)
             }
         } else {
-            set.fill(tag, Domain::Cpu, write, &mut self.ctl[slice].rng, |_| true)
+            set.fill(tag, Domain::Cpu, write, |_| true)
         };
         let filled = filled.or_else(|| {
             debug_assert!(false, "CPU fill found no victim");
-            self.sets[idx].fill(tag, Domain::Cpu, write, &mut self.ctl[slice].rng, |_| true)
+            self.sets[idx].fill(tag, Domain::Cpu, write, |_| true)
         });
         if let Some((_, Some(ev))) = filled {
             self.stats.evictions += 1;
@@ -485,7 +366,6 @@ impl ReferenceCache {
     }
 
     fn io_write(&mut self, idx: usize, tag: u64) -> AccessOutcome {
-        let slice = idx / self.geom.sets_per_slice();
         match self.mode {
             DdioMode::Disabled => {
                 let _ = self.sets[idx].invalidate(tag);
@@ -498,7 +378,7 @@ impl ReferenceCache {
             }
             DdioMode::Enabled { io_way_limit } => {
                 if let Some(way) = self.sets[idx].lookup(tag) {
-                    self.sets[idx].repl.touch(way);
+                    self.sets[idx].touch(way);
                     if let Some(line) = self.sets[idx].lines[way].as_mut() {
                         line.dirty = true;
                     }
@@ -513,11 +393,9 @@ impl ReferenceCache {
                 let set = &mut self.sets[idx];
                 let io_count = set.count_domain(Domain::Io);
                 let filled = if io_count >= io_way_limit as usize {
-                    set.fill_no_invalid(tag, Domain::Io, true, &mut self.ctl[slice].rng, |d| {
-                        d == Domain::Io
-                    })
+                    set.fill_no_invalid(tag, Domain::Io, true, |d| d == Domain::Io)
                 } else {
-                    set.fill(tag, Domain::Io, true, &mut self.ctl[slice].rng, |_| true)
+                    set.fill(tag, Domain::Io, true, |_| true)
                 };
                 if let Some((_, Some(ev))) = filled {
                     self.stats.evictions += 1;
@@ -534,7 +412,7 @@ impl ReferenceCache {
             }
             DdioMode::Adaptive(_) => {
                 if let Some(way) = self.sets[idx].lookup(tag) {
-                    self.sets[idx].repl.touch(way);
+                    self.sets[idx].touch(way);
                     if let Some(line) = self.sets[idx].lines[way].as_mut() {
                         line.dirty = true;
                     }
@@ -550,19 +428,12 @@ impl ReferenceCache {
                 let io_limit = set.io_limit as usize;
                 let io_count = set.count_domain(Domain::Io);
                 let filled = if io_count < io_limit {
-                    set.fill(tag, Domain::Io, true, &mut self.ctl[slice].rng, |d| {
-                        d == Domain::Io
-                    })
+                    set.fill(tag, Domain::Io, true, |d| d == Domain::Io)
                 } else {
-                    set.fill_no_invalid(tag, Domain::Io, true, &mut self.ctl[slice].rng, |d| {
-                        d == Domain::Io
-                    })
+                    set.fill_no_invalid(tag, Domain::Io, true, |d| d == Domain::Io)
                 };
-                let filled = filled.or_else(|| {
-                    self.sets[idx].fill(tag, Domain::Io, true, &mut self.ctl[slice].rng, |d| {
-                        d == Domain::Io
-                    })
-                });
+                let filled = filled
+                    .or_else(|| self.sets[idx].fill(tag, Domain::Io, true, |d| d == Domain::Io));
                 if let Some((_, Some(ev))) = filled {
                     self.stats.evictions += 1;
                     if ev.dirty {
@@ -582,7 +453,7 @@ impl ReferenceCache {
     fn io_read(&mut self, idx: usize, tag: u64) -> AccessOutcome {
         if self.mode.allocates_in_llc() {
             if let Some(way) = self.sets[idx].lookup(tag) {
-                self.sets[idx].repl.touch(way);
+                self.sets[idx].touch(way);
                 self.stats.io_hits += 1;
                 return AccessOutcome {
                     hit: true,
@@ -675,8 +546,7 @@ impl ReferenceCache {
             if new > old {
                 let cpu_quota = self.sets[idx].ways() - new as usize;
                 while self.sets[idx].count_domain(Domain::Cpu) > cpu_quota {
-                    match self.sets[idx].evict_lru_of_domain(Domain::Cpu, &mut self.ctl[slice].rng)
-                    {
+                    match self.sets[idx].evict_lru_of_domain(Domain::Cpu) {
                         Some(dirty) => {
                             self.stats.partition_invalidations += 1;
                             if dirty {
@@ -688,7 +558,7 @@ impl ReferenceCache {
                 }
             } else if new < old {
                 while self.sets[idx].count_domain(Domain::Io) > new as usize {
-                    match self.sets[idx].evict_lru_of_domain(Domain::Io, &mut self.ctl[slice].rng) {
+                    match self.sets[idx].evict_lru_of_domain(Domain::Io) {
                         Some(dirty) => {
                             self.stats.partition_invalidations += 1;
                             if dirty {

@@ -1,8 +1,8 @@
 //! One LLC slice's simulation state.
 //!
 //! A [`Shard`] owns everything needed to simulate the sets of one cache
-//! slice: the slice's cut of the SoA line store, its replacement state,
-//! its statistics, its RNG stream and its adaptive-defense bookkeeping.
+//! slice: the slice's cut of the SoA line store, its LRU state, its
+//! statistics and its adaptive-defense bookkeeping.
 //! Nothing in a shard references another slice, because the Packet
 //! Chasing threat model is per-slice: DDIO ways, prime+probe sets and
 //! adaptive partitions are all sliced state. Replay itself is one
@@ -11,9 +11,6 @@
 //!
 //! The per-slice contract, concretely:
 //!
-//! * **RNG.** Each shard draws from its own `SmallRng` seeded with
-//!   [`pc_par::stream_seed`]`(cache_seed, SeedDomain::Slice, slice)`. A
-//!   slice's stream depends only on the accesses *that slice* receives.
 //! * **Replacement clock.** The LRU stamp clock is per set, one `u8`
 //!   beside the set's stamps that re-ranks them when it wraps.
 //!   Only the relative stamp order within one set matters for victim
@@ -35,20 +32,17 @@
 
 use crate::llc::{AccessKind, AccessOutcome, DdioMode};
 use crate::partition::AdaptiveConfig;
-use crate::replacement::{ReplacementPolicy, Victims};
+use crate::replacement::Victims;
 use crate::set::Domain;
 use crate::stats::CacheStats;
 use crate::store::{LineStore, FLAG_ELEVATED, FLAG_PARKED, NEVER_TOUCHED};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
-/// The simulation engine for one slice: line store, RNG, statistics and
+/// The simulation engine for one slice: line store, statistics and
 /// adaptive-partition state. Set indices are slice-local
 /// (`0..sets_per_slice`).
 #[derive(Clone, Debug)]
 pub(crate) struct Shard {
     store: LineStore,
-    rng: SmallRng,
     stats: CacheStats,
     /// The defense clock: accesses this shard has processed. Drives the
     /// adaptive period; pure function of the slice's own access stream.
@@ -72,23 +66,11 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Creates the shard for slice `slice` of a cache constructed with
-    /// `seed`. The RNG stream is a pure function of `(seed, slice)`.
-    pub(crate) fn new(
-        sets: usize,
-        ways: usize,
-        policy: ReplacementPolicy,
-        io_limit: u8,
-        seed: u64,
-        slice: usize,
-    ) -> Self {
+    /// Creates the shard for one slice of `sets` sets of `ways` ways,
+    /// each starting at I/O partition `io_limit`.
+    pub(crate) fn new(sets: usize, ways: usize, io_limit: u8) -> Self {
         Shard {
-            store: LineStore::new(sets, ways, policy, io_limit),
-            rng: SmallRng::seed_from_u64(pc_par::stream_seed(
-                seed,
-                pc_par::SeedDomain::Slice,
-                slice as u64,
-            )),
+            store: LineStore::new(sets, ways, io_limit),
             stats: CacheStats::new(),
             clock: 0,
             adapt_last: 0,
@@ -139,9 +121,9 @@ impl Shard {
         // resident I/O lines are gone, so its next evaluation shrinks
         // the boundary instead of no-opping): re-engage them all. Index
         // order is sound here because a parked set's post-flush
-        // evaluation is RNG-free and stats-free until it is touched
-        // again — and a touched set re-enters through `dirty` at
-        // exactly the position the full-scan walk would evaluate it.
+        // evaluation is stats-free until it is touched again — and a
+        // touched set re-enters through `dirty` at exactly the position
+        // the full-scan walk would evaluate it.
         for set in 0..self.store.sets.len() {
             let meta = &mut self.store.sets[set];
             if meta.flags & FLAG_PARKED != 0 {
@@ -235,35 +217,21 @@ impl Shard {
             // only displace CPU lines.
             let cpu_quota = self.store.ways() - self.store.sets[set].io_limit as usize;
             if self.store.count_domain(set, Domain::Cpu) < cpu_quota {
-                self.store.fill(
-                    set,
-                    tag,
-                    Domain::Cpu,
-                    write,
-                    &mut self.rng,
-                    Victims::Only(Domain::Cpu),
-                )
+                self.store
+                    .fill(set, tag, Domain::Cpu, write, Victims::Only(Domain::Cpu))
             } else {
-                self.store.fill_no_invalid(
-                    set,
-                    tag,
-                    Domain::Cpu,
-                    write,
-                    &mut self.rng,
-                    Victims::Only(Domain::Cpu),
-                )
+                self.store
+                    .fill_no_invalid(set, tag, Domain::Cpu, write, Victims::Only(Domain::Cpu))
             }
         } else {
-            self.store
-                .fill(set, tag, Domain::Cpu, write, &mut self.rng, Victims::Any)
+            self.store.fill(set, tag, Domain::Cpu, write, Victims::Any)
         };
         let filled = filled.or_else(|| {
             // Quota accounting should always leave a CPU victim available;
             // fall back to an unrestricted fill rather than dropping the
             // line if an edge case slips through.
             debug_assert!(false, "CPU fill found no victim");
-            self.store
-                .fill(set, tag, Domain::Cpu, write, &mut self.rng, Victims::Any)
+            self.store.fill(set, tag, Domain::Cpu, write, Victims::Any)
         });
         if let Some((_, Some(ev))) = filled {
             self.stats.evictions += 1;
@@ -309,14 +277,12 @@ impl Shard {
                         tag,
                         Domain::Io,
                         true,
-                        &mut self.rng,
                         Victims::Only(Domain::Io),
                     )
                 } else {
                     // Within the limit: free choice — this is the fill
                     // that can displace a primed spy line.
-                    self.store
-                        .fill(set, tag, Domain::Io, true, &mut self.rng, Victims::Any)
+                    self.store.fill(set, tag, Domain::Io, true, Victims::Any)
                 };
                 if let Some((_, Some(ev))) = filled {
                     self.stats.evictions += 1;
@@ -349,21 +315,14 @@ impl Shard {
                     // Room in the I/O partition: quota accounting
                     // guarantees an invalid way exists or an I/O line can
                     // be recycled; never touch CPU lines.
-                    self.store.fill(
-                        set,
-                        tag,
-                        Domain::Io,
-                        true,
-                        &mut self.rng,
-                        Victims::Only(Domain::Io),
-                    )
+                    self.store
+                        .fill(set, tag, Domain::Io, true, Victims::Only(Domain::Io))
                 } else {
                     self.store.fill_no_invalid(
                         set,
                         tag,
                         Domain::Io,
                         true,
-                        &mut self.rng,
                         Victims::Only(Domain::Io),
                     )
                 };
@@ -371,14 +330,8 @@ impl Shard {
                     // Partition was starved (e.g. right after a boundary
                     // shrink): make room by displacing the LRU I/O line,
                     // or as a last resort take an invalid way.
-                    self.store.fill(
-                        set,
-                        tag,
-                        Domain::Io,
-                        true,
-                        &mut self.rng,
-                        Victims::Only(Domain::Io),
-                    )
+                    self.store
+                        .fill(set, tag, Domain::Io, true, Victims::Only(Domain::Io))
                 });
                 if let Some((_, Some(ev))) = filled {
                     self.stats.evictions += 1;
@@ -477,17 +430,17 @@ impl Shard {
     ///   period evaluation computes `activity = max(0, p) = p`, which
     ///   is a no-op iff `p >= t_low && (p < t_high || io_limit ==
     ///   max_io_lines)`. Such an evaluation moves no boundary, evicts
-    ///   nothing, draws no RNG and changes no statistics, so skipping
-    ///   it is unobservable — and the condition is self-perpetuating
+    ///   nothing and changes no statistics, so skipping it is
+    ///   unobservable — and the condition is self-perpetuating
     ///   (in adaptive mode a set's I/O occupancy and activity can only
     ///   change through an I/O write, which stamps the set into
     ///   `dirty`, or through a flush, which re-engages all parked
     ///   sets).
     ///
-    /// Because skipped evaluations draw no RNG, the RNG consumption
-    /// sequence of the evaluated sets is identical to the full scan's,
-    /// which is what keeps the incremental engine byte-identical to the
-    /// oracle (pinned by `tests/incremental_eval.rs`).
+    /// An evaluation reads and writes only its own set and adds to the
+    /// shard's counters, so skipping the no-ops keeps the incremental
+    /// engine byte-identical to the oracle (pinned by
+    /// `tests/incremental_eval.rs`).
     ///
     /// Displacement semantics when the boundary moves are **eager**: the
     /// losing side's surplus lines are invalidated (with writeback if
@@ -557,10 +510,7 @@ impl Shard {
                 // quota holds.
                 let cpu_quota = self.store.ways() - new as usize;
                 while self.store.count_domain(set, Domain::Cpu) > cpu_quota {
-                    match self
-                        .store
-                        .evict_lru_of_domain(set, Domain::Cpu, &mut self.rng)
-                    {
+                    match self.store.evict_lru_of_domain(set, Domain::Cpu) {
                         Some(dirty) => {
                             self.stats.partition_invalidations += 1;
                             if dirty {
@@ -574,10 +524,7 @@ impl Shard {
                 // Shrinking: push surplus I/O lines out so occupancy never
                 // exceeds the clamped boundary.
                 while self.store.count_domain(set, Domain::Io) > new as usize {
-                    match self
-                        .store
-                        .evict_lru_of_domain(set, Domain::Io, &mut self.rng)
-                    {
+                    match self.store.evict_lru_of_domain(set, Domain::Io) {
                         Some(dirty) => {
                             self.stats.partition_invalidations += 1;
                             if dirty {

@@ -15,8 +15,7 @@
 //!   below 2^36, and [`crate::SlicedCache`] asserts the bound where it
 //!   forms a tag.
 //! * replacement state — flat per-line `u8` LRU stamps plus one `u8`
-//!   LRU clock per set / per-set PLRU bit blocks
-//!   ([`crate::replacement::FlatReplacement`]).
+//!   LRU clock per set ([`crate::replacement::Lru`]).
 //! * per-set bookkeeping — one packed 16-byte [`SetMeta`] record (valid
 //!   count, I/O count, partition limit, activity, flags, dirty-epoch
 //!   stamp) per set.
@@ -30,9 +29,8 @@
 //! O(ways) rescans per access) into O(1) loads; lookups and victim
 //! scans walk a single cache-line-friendly slice.
 
-use crate::replacement::{FlatReplacement, ReplacementPolicy, Stamp, Victims};
+use crate::replacement::{Lru, Stamp, Victims};
 use crate::set::{Domain, EvictedLine};
-use rand::rngs::SmallRng;
 
 /// One line's packed word: `tag << TAG_SHIFT | IO | DIRTY | VALID`.
 type Word = u32;
@@ -52,9 +50,9 @@ pub(crate) const MAX_TAG: u32 = Word::MAX >> TAG_SHIFT;
 pub(crate) const FLAG_ELEVATED: u8 = 1 << 1;
 /// Scratch flag: set is elevated *and stable* — its last evaluation
 /// proved the next one would be a pure no-op (no boundary move, no
-/// eviction, no RNG draw), so the adaptive defense parks it off the
-/// active worklist until new I/O activity or a flush re-engages it.
-/// See `Shard::adapt` for the exact soundness condition.
+/// eviction), so the adaptive defense parks it off the active worklist
+/// until new I/O activity or a flush re-engages it. See `Shard::adapt`
+/// for the exact soundness condition.
 pub(crate) const FLAG_PARKED: u8 = 1 << 2;
 
 /// [`SetMeta::touch_epoch`] sentinel: "not touched in any epoch". The
@@ -159,20 +157,16 @@ const _: () = assert!(std::mem::size_of::<SetMeta>() == 16);
 pub(crate) struct LineStore {
     ways: usize,
     lines: Vec<Word>,
-    repl: FlatReplacement,
+    repl: Lru,
     /// One packed record per set.
     pub(crate) sets: Vec<SetMeta>,
 }
 
 impl LineStore {
-    pub(crate) fn new(
-        total_sets: usize,
-        ways: usize,
-        policy: ReplacementPolicy,
-        io_limit: u8,
-    ) -> Self {
-        // 64 ways bounds the victim eligibility mask to one u64; real
-        // LLCs top out well below that (the paper's part has 20).
+    pub(crate) fn new(total_sets: usize, ways: usize, io_limit: u8) -> Self {
+        // `Lru::renormalize` ranks a set's ways in a 64-entry buffer and
+        // stores each rank in a `u8` stamp; real LLCs top out well below
+        // that (the paper's part has 20).
         assert!(
             ways > 0 && ways <= 64,
             "unsupported associativity (1..=64 ways)"
@@ -180,7 +174,7 @@ impl LineStore {
         LineStore {
             ways,
             lines: vec![0; total_sets * ways],
-            repl: FlatReplacement::new(policy, ways, total_sets),
+            repl: Lru::new(ways, total_sets),
             sets: vec![
                 SetMeta {
                     io_limit,
@@ -202,15 +196,13 @@ impl LineStore {
     }
 
     /// Hints set `set`'s row into the host's L1 ahead of an access to
-    /// it: every host line of its packed words, its LRU stamps (the
-    /// other policies keep no per-line array) and its [`SetMeta`].
-    /// Reads nothing and changes nothing the simulation observes.
+    /// it: every host line of its packed words, its LRU stamps and its
+    /// [`SetMeta`]. Reads nothing and changes nothing the simulation
+    /// observes.
     #[inline]
     pub(crate) fn prefetch(&self, set: usize) {
         hint_span(self.set_lines(set));
-        if let FlatReplacement::Lru { stamps, .. } = &self.repl {
-            hint_span(&stamps[set * self.ways..(set + 1) * self.ways]);
-        }
+        hint_span(self.repl.set_stamps(set, self.ways));
         hint_line(&self.sets[set]);
     }
 
@@ -324,21 +316,24 @@ impl LineStore {
     ///
     /// Used by the adaptive defense when the I/O/CPU boundary moves and a
     /// line on the losing side must be invalidated (with writeback).
-    pub(crate) fn evict_lru_of_domain(
-        &mut self,
-        set: usize,
-        domain: Domain,
-        rng: &mut SmallRng,
-    ) -> Option<bool> {
-        let mask = eligibility_mask(self.set_lines(set), Victims::Only(domain));
-        let way = self.repl.victim(set, self.ways, rng, mask)?;
+    pub(crate) fn evict_lru_of_domain(&mut self, set: usize, domain: Domain) -> Option<bool> {
+        let way = self.victim(set, Victims::Only(domain))?;
         let w = self.retire(set, way);
         Some(w & DIRTY != 0)
     }
 
+    /// The LRU way of `set` among the valid lines `victims` allows, if
+    /// any: the one victim scan behind both eviction paths.
+    #[inline]
+    fn victim(&self, set: usize, victims: Victims) -> Option<usize> {
+        let lines = self.set_lines(set);
+        self.repl
+            .victim(set, self.ways, |w| eligible(lines[w], victims))
+    }
+
     /// Inserts `tag` into `set`. Invalid ways are always preferred;
-    /// otherwise the replacement policy picks a victim among valid ways
-    /// whose current domain satisfies `victims`.
+    /// otherwise the LRU line among valid ways whose current domain
+    /// satisfies `victims` is displaced.
     ///
     /// Returns the filled way and the displaced line (if a valid line was
     /// displaced), or `None` when the set is full and no way is eligible
@@ -350,7 +345,6 @@ impl LineStore {
         tag: u32,
         domain: Domain,
         dirty: bool,
-        rng: &mut SmallRng,
         victims: Victims,
     ) -> Option<(usize, Option<EvictedLine>)> {
         if (self.sets[set].valid as usize) < self.ways {
@@ -362,7 +356,7 @@ impl LineStore {
             self.install(set, way, tag, domain, dirty);
             return Some((way, None));
         }
-        self.fill_no_invalid(set, tag, domain, dirty, rng, victims)
+        self.fill_no_invalid(set, tag, domain, dirty, victims)
     }
 
     /// Like [`LineStore::fill`] but never takes an invalid way: a victim
@@ -378,29 +372,9 @@ impl LineStore {
         tag: u32,
         domain: Domain,
         dirty: bool,
-        rng: &mut SmallRng,
         victims: Victims,
     ) -> Option<(usize, Option<EvictedLine>)> {
-        let way = {
-            let lines = self.set_lines(set);
-            if let FlatReplacement::Lru { stamps, .. } = &self.repl {
-                // Fast path for the default policy: one fused pass over
-                // lines + stamps (eligibility and min-stamp together), no
-                // intermediate mask. Ties keep the lowest way, matching
-                // the mask walk and the original first-minimum scan.
-                let stamps = &stamps[set * self.ways..(set + 1) * self.ways];
-                let mut best: Option<usize> = None;
-                for (w, &word) in lines.iter().enumerate() {
-                    if eligible(word, victims) && best.is_none_or(|b| stamps[w] < stamps[b]) {
-                        best = Some(w);
-                    }
-                }
-                best
-            } else {
-                let mask = eligibility_mask(lines, victims);
-                self.repl.victim(set, self.ways, rng, mask)
-            }
-        }?;
+        let way = self.victim(set, victims)?;
         let old = self.retire(set, way);
         self.install(set, way, tag, domain, dirty);
         Some((
@@ -413,7 +387,7 @@ impl LineStore {
     }
 }
 
-/// Whether a packed word is a valid line the policy may displace.
+/// Whether a packed word is a valid line `victims` allows displacing.
 #[inline]
 fn eligible(word: Word, victims: Victims) -> bool {
     match victims {
@@ -423,30 +397,13 @@ fn eligible(word: Word, victims: Victims) -> bool {
     }
 }
 
-/// One branch-free pass over a set's packed words, producing the victim
-/// eligibility mask the replacement scan consumes (bit `w` set = way `w`
-/// is a valid line the policy may displace).
-#[inline]
-fn eligibility_mask(lines: &[Word], victims: Victims) -> u64 {
-    let mut mask = 0u64;
-    for (w, &word) in lines.iter().enumerate() {
-        mask |= u64::from(eligible(word, victims)) << w;
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    fn rng() -> SmallRng {
-        SmallRng::seed_from_u64(1)
-    }
 
     fn store(ways: usize) -> LineStore {
         // Two sets so cross-set independence is exercised; tests use set 1.
-        LineStore::new(2, ways, ReplacementPolicy::Lru, 2)
+        LineStore::new(2, ways, 2)
     }
 
     const S: usize = 1;
@@ -454,11 +411,8 @@ mod tests {
     #[test]
     fn fill_prefers_invalid_ways() {
         let mut st = store(4);
-        let mut r = rng();
         for t in 0..4 {
-            let (_, ev) = st
-                .fill(S, t, Domain::Cpu, false, &mut r, Victims::Any)
-                .unwrap();
+            let (_, ev) = st.fill(S, t, Domain::Cpu, false, Victims::Any).unwrap();
             assert!(ev.is_none());
         }
         assert_eq!(st.valid_count(S), 4);
@@ -468,14 +422,9 @@ mod tests {
     #[test]
     fn full_set_evicts_lru() {
         let mut st = store(2);
-        let mut r = rng();
-        st.fill(S, 10, Domain::Cpu, false, &mut r, Victims::Any)
-            .unwrap();
-        st.fill(S, 11, Domain::Cpu, false, &mut r, Victims::Any)
-            .unwrap();
-        let (_, ev) = st
-            .fill(S, 12, Domain::Cpu, false, &mut r, Victims::Any)
-            .unwrap();
+        st.fill(S, 10, Domain::Cpu, false, Victims::Any).unwrap();
+        st.fill(S, 11, Domain::Cpu, false, Victims::Any).unwrap();
+        let (_, ev) = st.fill(S, 12, Domain::Cpu, false, Victims::Any).unwrap();
         assert!(ev.is_some());
         assert!(
             st.lookup(S, 10).is_none(),
@@ -488,14 +437,11 @@ mod tests {
     #[test]
     fn eligibility_restricts_victims() {
         let mut st = store(2);
-        let mut r = rng();
-        st.fill(S, 1, Domain::Cpu, false, &mut r, Victims::Any)
-            .unwrap();
-        st.fill(S, 2, Domain::Io, false, &mut r, Victims::Any)
-            .unwrap();
+        st.fill(S, 1, Domain::Cpu, false, Victims::Any).unwrap();
+        st.fill(S, 2, Domain::Io, false, Victims::Any).unwrap();
         // Only Io lines may be displaced:
         let (_, ev) = st
-            .fill(S, 3, Domain::Io, true, &mut r, Victims::Only(Domain::Io))
+            .fill(S, 3, Domain::Io, true, Victims::Only(Domain::Io))
             .unwrap();
         let ev = ev.expect("must displace the Io line");
         assert!(!ev.was_cpu);
@@ -505,25 +451,18 @@ mod tests {
     #[test]
     fn fill_with_nothing_eligible_returns_none() {
         let mut st = store(2);
-        let mut r = rng();
-        st.fill(S, 1, Domain::Cpu, false, &mut r, Victims::Any)
-            .unwrap();
-        st.fill(S, 2, Domain::Cpu, false, &mut r, Victims::Any)
-            .unwrap();
+        st.fill(S, 1, Domain::Cpu, false, Victims::Any).unwrap();
+        st.fill(S, 2, Domain::Cpu, false, Victims::Any).unwrap();
         assert!(st
-            .fill(S, 3, Domain::Io, false, &mut r, Victims::Only(Domain::Io))
+            .fill(S, 3, Domain::Io, false, Victims::Only(Domain::Io))
             .is_none());
     }
 
     #[test]
     fn dirty_eviction_reported() {
         let mut st = store(1);
-        let mut r = rng();
-        st.fill(S, 1, Domain::Cpu, true, &mut r, Victims::Any)
-            .unwrap();
-        let (_, ev) = st
-            .fill(S, 2, Domain::Cpu, false, &mut r, Victims::Any)
-            .unwrap();
+        st.fill(S, 1, Domain::Cpu, true, Victims::Any).unwrap();
+        let (_, ev) = st.fill(S, 2, Domain::Cpu, false, Victims::Any).unwrap();
         let ev = ev.unwrap();
         assert!(ev.dirty);
         assert!(ev.was_cpu);
@@ -532,9 +471,7 @@ mod tests {
     #[test]
     fn invalidate_reports_dirtiness() {
         let mut st = store(2);
-        let mut r = rng();
-        st.fill(S, 5, Domain::Io, true, &mut r, Victims::Any)
-            .unwrap();
+        st.fill(S, 5, Domain::Io, true, Victims::Any).unwrap();
         assert_eq!(st.invalidate(S, 5), Some(true));
         assert_eq!(st.invalidate(S, 5), None);
         assert_eq!(
@@ -547,36 +484,114 @@ mod tests {
     #[test]
     fn evict_lru_of_domain_targets_domain() {
         let mut st = store(3);
-        let mut r = rng();
-        st.fill(S, 1, Domain::Cpu, false, &mut r, Victims::Any)
-            .unwrap();
-        st.fill(S, 2, Domain::Io, true, &mut r, Victims::Any)
-            .unwrap();
-        st.fill(S, 3, Domain::Cpu, false, &mut r, Victims::Any)
-            .unwrap();
-        assert_eq!(st.evict_lru_of_domain(S, Domain::Io, &mut r), Some(true));
+        st.fill(S, 1, Domain::Cpu, false, Victims::Any).unwrap();
+        st.fill(S, 2, Domain::Io, true, Victims::Any).unwrap();
+        st.fill(S, 3, Domain::Cpu, false, Victims::Any).unwrap();
+        assert_eq!(st.evict_lru_of_domain(S, Domain::Io), Some(true));
         assert_eq!(st.count_domain(S, Domain::Io), 0);
         assert_eq!(st.count_domain(S, Domain::Cpu), 2);
-        assert_eq!(st.evict_lru_of_domain(S, Domain::Io, &mut r), None);
+        assert_eq!(st.evict_lru_of_domain(S, Domain::Io), None);
+    }
+
+    /// Both eviction paths share one victim scan. On one 20-way set,
+    /// random CPU and I/O fills and hits run the set's `u8` clock
+    /// through dozens of wraps; at every step, `fill`,
+    /// `fill_no_invalid(.., Victims::Only(d))` and
+    /// `evict_lru_of_domain(d)` must each take the way a `u64`-stamp
+    /// model that never wraps names.
+    #[test]
+    fn eviction_paths_pick_the_model_lru_across_clock_wraps() {
+        const WAYS: usize = 20;
+        type Model = [Option<(u32, Domain, u64)>; WAYS];
+        // The LRU way of `domain` (of any domain when `None`).
+        fn model_lru(model: &Model, domain: Option<Domain>) -> Option<usize> {
+            (0..WAYS)
+                .filter_map(|w| model[w].map(|(_, d, stamp)| (w, d, stamp)))
+                .filter(|&(_, d, _)| domain.is_none_or(|want| want == d))
+                .min_by_key(|&(w, _, stamp)| (stamp, w))
+                .map(|(w, ..)| w)
+        }
+        let mut st = LineStore::new(1, WAYS, 2);
+        // model[way] = (tag, domain, u64 stamp) of a valid line.
+        let mut model: Model = [None; WAYS];
+        let mut clock = 0u64;
+        let mut next_tag = 0u32;
+        let mut draws = 0u64;
+        let mut draw = |bound: u64| {
+            draws += 1;
+            pc_par::mix_seed(29, draws) % bound
+        };
+        for step in 0..30_000 {
+            let domain = if draw(2) == 0 {
+                Domain::Io
+            } else {
+                Domain::Cpu
+            };
+            match draw(10) {
+                0..=3 => {
+                    let way = draw(WAYS as u64) as usize;
+                    if let Some((tag, _, stamp)) = &mut model[way] {
+                        assert_eq!(st.lookup(0, *tag), Some(way), "step {step}");
+                        st.touch(0, way);
+                        clock += 1;
+                        *stamp = clock;
+                    }
+                }
+                4..=7 => {
+                    let want = model
+                        .iter()
+                        .position(Option::is_none)
+                        .or_else(|| model_lru(&model, None));
+                    let (way, _) = st.fill(0, next_tag, domain, false, Victims::Any).unwrap();
+                    assert_eq!(Some(way), want, "step {step}: fill");
+                    clock += 1;
+                    model[way] = Some((next_tag, domain, clock));
+                    next_tag += 1;
+                }
+                8 => {
+                    let want = model_lru(&model, Some(domain));
+                    let got = st
+                        .fill_no_invalid(0, next_tag, domain, false, Victims::Only(domain))
+                        .map(|(way, _)| way);
+                    assert_eq!(got, want, "step {step}: fill_no_invalid({domain:?})");
+                    if let Some(way) = got {
+                        clock += 1;
+                        model[way] = Some((next_tag, domain, clock));
+                        next_tag += 1;
+                    }
+                }
+                _ => {
+                    let want = model_lru(&model, Some(domain));
+                    let evicted = st.evict_lru_of_domain(0, domain);
+                    assert_eq!(evicted.is_some(), want.is_some(), "step {step}");
+                    if let Some(way) = want {
+                        assert_eq!(
+                            st.lines[way], 0,
+                            "step {step}: evict_lru_of_domain({domain:?})"
+                        );
+                        model[way] = None;
+                    }
+                }
+            }
+        }
+        // Any 255 consecutive touches of a set wrap its clock at least
+        // once.
+        let wraps = clock / 255;
+        assert!(wraps >= 50, "only {wraps} clock wraps exercised");
     }
 
     #[test]
     fn domain_counts_are_incremental() {
         let mut st = store(4);
-        let mut r = rng();
-        st.fill(S, 1, Domain::Cpu, false, &mut r, Victims::Any)
-            .unwrap();
-        st.fill(S, 2, Domain::Io, false, &mut r, Victims::Any)
-            .unwrap();
-        st.fill(S, 3, Domain::Io, false, &mut r, Victims::Any)
-            .unwrap();
+        st.fill(S, 1, Domain::Cpu, false, Victims::Any).unwrap();
+        st.fill(S, 2, Domain::Io, false, Victims::Any).unwrap();
+        st.fill(S, 3, Domain::Io, false, Victims::Any).unwrap();
         assert_eq!(st.count_domain(S, Domain::Cpu), 1);
         assert_eq!(st.count_domain(S, Domain::Io), 2);
         // Cross-domain displacement updates both counters.
-        st.fill(S, 4, Domain::Cpu, false, &mut r, Victims::Any)
-            .unwrap(); // takes way 3
+        st.fill(S, 4, Domain::Cpu, false, Victims::Any).unwrap(); // takes way 3
         let (_, ev) = st
-            .fill(S, 5, Domain::Cpu, false, &mut r, Victims::Only(Domain::Io))
+            .fill(S, 5, Domain::Cpu, false, Victims::Only(Domain::Io))
             .unwrap();
         assert!(!ev.unwrap().was_cpu);
         assert_eq!(st.count_domain(S, Domain::Cpu), 3);
@@ -586,13 +601,9 @@ mod tests {
     #[test]
     fn invalidate_all_counts_dirty_writebacks() {
         let mut st = store(4);
-        let mut r = rng();
-        st.fill(S, 1, Domain::Cpu, true, &mut r, Victims::Any)
-            .unwrap();
-        st.fill(S, 2, Domain::Io, true, &mut r, Victims::Any)
-            .unwrap();
-        st.fill(S, 3, Domain::Io, false, &mut r, Victims::Any)
-            .unwrap();
+        st.fill(S, 1, Domain::Cpu, true, Victims::Any).unwrap();
+        st.fill(S, 2, Domain::Io, true, Victims::Any).unwrap();
+        st.fill(S, 3, Domain::Io, false, Victims::Any).unwrap();
         assert_eq!(st.invalidate_all(), 2);
         assert_eq!(st.valid_count(S), 0);
         assert_eq!(st.count_domain(S, Domain::Io), 0);
@@ -601,10 +612,7 @@ mod tests {
     #[test]
     fn clean_clears_dirty_once() {
         let mut st = store(2);
-        let mut r = rng();
-        let (way, _) = st
-            .fill(S, 9, Domain::Cpu, true, &mut r, Victims::Any)
-            .unwrap();
+        let (way, _) = st.fill(S, 9, Domain::Cpu, true, Victims::Any).unwrap();
         assert!(st.clean(S, way));
         assert!(!st.clean(S, way));
     }
@@ -614,10 +622,8 @@ mod tests {
         // The largest tag a line word holds and its neighbour pack,
         // look up and invalidate independently.
         let mut st = store(2);
-        let mut r = rng();
-        st.fill(S, MAX_TAG, Domain::Io, true, &mut r, Victims::Any)
-            .unwrap();
-        st.fill(S, MAX_TAG - 1, Domain::Cpu, false, &mut r, Victims::Any)
+        st.fill(S, MAX_TAG, Domain::Io, true, Victims::Any).unwrap();
+        st.fill(S, MAX_TAG - 1, Domain::Cpu, false, Victims::Any)
             .unwrap();
         assert!(st.lookup(S, MAX_TAG).is_some());
         assert!(st.lookup(S, MAX_TAG - 1).is_some());

@@ -9,8 +9,8 @@
 //! if the worklist ever skips an evaluation that was *not* a provable
 //! no-op — wrong park condition, stale dirty entry, missed flush
 //! re-engagement — these tests see a partition boundary, a
-//! `defense_evals` count, a displaced-line writeback or an RNG-driven
-//! victim choice drift.
+//! `defense_evals` count, a displaced-line writeback or an LRU victim
+//! choice drift.
 //!
 //! Pinned observables, per the suite's contract:
 //!
@@ -22,9 +22,7 @@
 //!   the merged total (merged stats are compared too);
 //! * **displaced-line writebacks** — `writebacks` and
 //!   `partition_invalidations` ride along in every stats comparison;
-//! * **all [`DdioMode`]s × [`ReplacementPolicy`]s**
-//!   — `Random` replacement included, because parked-set skipping is
-//!   only sound if skipped evaluations draw no RNG;
+//! * **all [`DdioMode`]s**;
 //! * **adversarial oscillation** — streams that push a target band of
 //!   sets' per-period I/O activity right around `t_low`/`t_high`, so
 //!   partitions grow, shrink and park/unpark continuously instead of
@@ -33,8 +31,7 @@
 
 use pc_cache::reference::ReferenceCache;
 use pc_cache::{
-    AccessKind, AdaptiveConfig, CacheGeometry, DdioMode, Domain, PhysAddr, ReplacementPolicy,
-    SliceSet, SlicedCache,
+    AccessKind, AdaptiveConfig, CacheGeometry, DdioMode, Domain, PhysAddr, SliceSet, SlicedCache,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -59,14 +56,6 @@ fn modes() -> Vec<DdioMode> {
             min_io_lines: 1,
             max_io_lines: 3,
         }),
-    ]
-}
-
-fn policies() -> [ReplacementPolicy; 3] {
-    [
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::TreePlru,
-        ReplacementPolicy::Random,
     ]
 }
 
@@ -172,33 +161,27 @@ fn mixed_stream(seed: u64, len: usize) -> Vec<(PhysAddr, AccessKind)> {
 /// partition map swept after **every** access (which subsumes "at every
 /// period boundary"), merged stats (defense evals, displaced-line
 /// writebacks, partition invalidations) at the end.
-fn assert_lockstep(
-    mode: DdioMode,
-    policy: ReplacementPolicy,
-    seed: u64,
-    ops: &[(PhysAddr, AccessKind)],
-    flush_at: Option<usize>,
-) {
+fn assert_lockstep(mode: DdioMode, ops: &[(PhysAddr, AccessKind)], flush_at: Option<usize>) {
     let geom = CacheGeometry::tiny();
-    let mut soa = SlicedCache::with_policy_and_seed(geom, mode, policy, seed);
-    let mut reference = ReferenceCache::with_policy_and_seed(geom, mode, policy, seed);
+    let mut soa = SlicedCache::new(geom, mode);
+    let mut reference = ReferenceCache::new(geom, mode);
     for (i, &(a, k)) in ops.iter().enumerate() {
         if flush_at == Some(i) {
             assert_eq!(
                 soa.flush_all(),
                 reference.flush_all(),
-                "flush writebacks diverged at op {i}: {mode:?} {policy:?}"
+                "flush writebacks diverged at op {i}: {mode:?}"
             );
         }
         let got = soa.access(a, k);
         let want = reference.access(a, k);
-        assert_eq!(got, want, "outcome diverged at op {i}: {mode:?} {policy:?}");
-        assert_partition_map(&soa, &reference, &format!("op {i} {mode:?} {policy:?}"));
+        assert_eq!(got, want, "outcome diverged at op {i}: {mode:?}");
+        assert_partition_map(&soa, &reference, &format!("op {i} {mode:?}"));
     }
     assert_eq!(
         soa.stats(),
         reference.stats(),
-        "merged stats diverged: {mode:?} {policy:?}"
+        "merged stats diverged: {mode:?}"
     );
 }
 
@@ -206,15 +189,10 @@ fn assert_lockstep(
 /// the oracle. Each slice's `defense_evals` must match the oracle's
 /// per-slice count; merged stats, the partition map and residency must
 /// match at the end.
-fn assert_per_slice_evals(
-    mode: DdioMode,
-    policy: ReplacementPolicy,
-    seed: u64,
-    ops: &[(PhysAddr, AccessKind)],
-) {
+fn assert_per_slice_evals(mode: DdioMode, ops: &[(PhysAddr, AccessKind)]) {
     let geom = CacheGeometry::tiny();
-    let mut soa = SlicedCache::with_policy_and_seed(geom, mode, policy, seed);
-    let mut reference = ReferenceCache::with_policy_and_seed(geom, mode, policy, seed);
+    let mut soa = SlicedCache::new(geom, mode);
+    let mut reference = ReferenceCache::new(geom, mode);
     for &(a, k) in ops {
         soa.access(a, k);
         reference.access(a, k);
@@ -223,20 +201,20 @@ fn assert_per_slice_evals(
         assert_eq!(
             soa.slice_stats(slice).defense_evals,
             reference.slice_defense_evals(slice),
-            "per-slice defense_evals diverged: {mode:?} {policy:?} slice={slice}"
+            "per-slice defense_evals diverged: {mode:?} slice={slice}"
         );
     }
     assert_eq!(
         soa.stats(),
         reference.stats(),
-        "merged stats diverged: {mode:?} {policy:?}"
+        "merged stats diverged: {mode:?}"
     );
-    assert_partition_map(&soa, &reference, &format!("end state {mode:?} {policy:?}"));
+    assert_partition_map(&soa, &reference, &format!("end state {mode:?}"));
     for &(a, _) in ops {
         assert_eq!(
             soa.contains(a),
             reference.contains(a),
-            "residency diverged for {a}: {mode:?} {policy:?}"
+            "residency diverged for {a}: {mode:?}"
         );
     }
 }
@@ -244,7 +222,7 @@ fn assert_per_slice_evals(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Mixed random traces, scalar lockstep: every mode × policy, with
+    /// Mixed random traces, scalar lockstep: every mode, with
     /// a mid-stream flush (which must re-engage every parked set).
     #[test]
     fn lockstep_on_mixed_streams(
@@ -255,9 +233,7 @@ proptest! {
         let ops = mixed_stream(seed, len);
         let flush_at = (flush_frac > 0).then(|| len as usize * flush_frac as usize / 4);
         for mode in modes() {
-            for policy in policies() {
-                assert_lockstep(mode, policy, seed % 1000, &ops, flush_at);
-            }
+            assert_lockstep(mode, &ops, flush_at);
         }
     }
 
@@ -271,9 +247,7 @@ proptest! {
         for mode in modes() {
             let DdioMode::Adaptive(cfg) = mode else { continue };
             let ops = oscillating_stream(seed, phases, cfg);
-            for policy in policies() {
-                assert_lockstep(mode, policy, seed % 1000, &ops, None);
-            }
+            assert_lockstep(mode, &ops, None);
         }
     }
 
@@ -289,9 +263,7 @@ proptest! {
                 DdioMode::Adaptive(cfg) => oscillating_stream(seed, len / 16 + 4, cfg),
                 _ => mixed_stream(seed, len),
             };
-            for policy in policies() {
-                assert_per_slice_evals(mode, policy, seed % 1000, &ops);
-            }
+            assert_per_slice_evals(mode, &ops);
         }
     }
 }
@@ -309,24 +281,18 @@ fn long_oscillation_with_flushes_stays_pinned() {
         max_io_lines: 3,
     };
     let mode = DdioMode::Adaptive(cfg);
-    for policy in policies() {
-        let geom = CacheGeometry::tiny();
-        let mut soa = SlicedCache::with_policy_and_seed(geom, mode, policy, 0x1c4);
-        let mut reference = ReferenceCache::with_policy_and_seed(geom, mode, policy, 0x1c4);
-        let ops = oscillating_stream(0xadaf, 400, cfg);
-        for (i, &(a, k)) in ops.iter().enumerate() {
-            if i % 997 == 500 {
-                assert_eq!(soa.flush_all(), reference.flush_all(), "flush at op {i}");
-            }
-            assert_eq!(
-                soa.access(a, k),
-                reference.access(a, k),
-                "op {i} {policy:?}"
-            );
-            if i % cfg.period as usize == 0 {
-                assert_partition_map(&soa, &reference, &format!("op {i} {policy:?}"));
-            }
+    let geom = CacheGeometry::tiny();
+    let mut soa = SlicedCache::new(geom, mode);
+    let mut reference = ReferenceCache::new(geom, mode);
+    let ops = oscillating_stream(0xadaf, 400, cfg);
+    for (i, &(a, k)) in ops.iter().enumerate() {
+        if i % 997 == 500 {
+            assert_eq!(soa.flush_all(), reference.flush_all(), "flush at op {i}");
         }
-        assert_eq!(soa.stats(), reference.stats(), "{policy:?}");
+        assert_eq!(soa.access(a, k), reference.access(a, k), "op {i}");
+        if i % cfg.period as usize == 0 {
+            assert_partition_map(&soa, &reference, &format!("op {i}"));
+        }
     }
+    assert_eq!(soa.stats(), reference.stats());
 }

@@ -13,11 +13,10 @@
 //! * **oracle** — the per-access path (the hierarchy is itself an
 //!   [`OpSink`]).
 //!
-//! Each stream also replays through [`Hierarchy::run_trace`], across
-//! every [`DdioMode`] × [`ReplacementPolicy`] (`Random` included, so
-//! per-slice RNG streams are exercised), and a
-//! second round over the *same* hierarchies catches divergence that
-//! only shows up in carried state (LRU clocks, defense clocks, RNG).
+//! Each stream also replays through [`Hierarchy::run_trace`], in every
+//! [`DdioMode`], and a second round over the *same* hierarchies catches
+//! divergence that only shows up in carried state (LRU clocks, defense
+//! clocks).
 //!
 //! Decoded walks ([`Hierarchy::run_walk`], the spy's prime and probe
 //! entry point) get the same treatment: each walk replays forward and
@@ -26,7 +25,7 @@
 
 use pc_cache::{
     AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, CacheStats, DdioMode, Hierarchy, OpBuffer,
-    OpSink, PhysAddr, ReplacementPolicy, SlicedCache, TraceSummary, WalkOrder,
+    OpSink, PhysAddr, SlicedCache, TraceSummary, WalkOrder,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -72,18 +71,6 @@ fn modes() -> [DdioMode; 3] {
     ]
 }
 
-fn policies() -> [ReplacementPolicy; 3] {
-    [
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::TreePlru,
-        ReplacementPolicy::Random,
-    ]
-}
-
-fn hierarchy(geom: CacheGeometry, mode: DdioMode, policy: ReplacementPolicy) -> Hierarchy {
-    Hierarchy::with_llc(SlicedCache::with_policy_and_seed(geom, mode, policy, 0xf22))
-}
-
 /// Per-slice statistics — the strictest observable aggregate (pins
 /// adaptation period boundaries and hit/miss placement per shard).
 fn slice_stats(h: &Hierarchy) -> Vec<CacheStats> {
@@ -113,17 +100,11 @@ fn assert_identical(a: &Hierarchy, b: &Hierarchy, ops: &[CacheOp], what: &str) {
 /// the applier, `run_trace` and the per-access oracle, asserting
 /// byte-identity after each; later rounds run over the carried state
 /// of earlier ones.
-fn run_all_engines(
-    geom: CacheGeometry,
-    mode: DdioMode,
-    policy: ReplacementPolicy,
-    rounds: &[Vec<CacheOp>],
-    trailing: u64,
-) {
-    let mut batch = hierarchy(geom, mode, policy);
-    let mut streaming = hierarchy(geom, mode, policy);
-    let mut oracle = hierarchy(geom, mode, policy);
-    let mut traced = hierarchy(geom, mode, policy);
+fn run_all_engines(geom: CacheGeometry, mode: DdioMode, rounds: &[Vec<CacheOp>], trailing: u64) {
+    let mut batch = Hierarchy::new(geom, mode);
+    let mut streaming = Hierarchy::new(geom, mode);
+    let mut oracle = Hierarchy::new(geom, mode);
+    let mut traced = Hierarchy::new(geom, mode);
     for ops in rounds {
         // Batch: one OpBuffer replay.
         let mut buf = OpBuffer::new();
@@ -162,8 +143,8 @@ fn run_all_engines(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Randomized streams on the tiny geometry: every mode × policy,
-    /// two rounds over carried state.
+    /// Randomized streams on the tiny geometry: every mode, two rounds
+    /// over carried state.
     #[test]
     fn engines_agree_on_fuzzed_streams(
         seed in 0u64..u64::MAX,
@@ -172,13 +153,11 @@ proptest! {
         len in 64usize..1500,
     ) {
         for mode in modes() {
-            for policy in policies() {
-                let rounds = [
-                    fuzz_stream(seed, len, io_pct, skew_pct),
-                    fuzz_stream(seed ^ 0x9e37, len / 2 + 1, io_pct, 100 - skew_pct),
-                ];
-                run_all_engines(CacheGeometry::tiny(), mode, policy, &rounds, seed % 701);
-            }
+            let rounds = [
+                fuzz_stream(seed, len, io_pct, skew_pct),
+                fuzz_stream(seed ^ 0x9e37, len / 2 + 1, io_pct, 100 - skew_pct),
+            ];
+            run_all_engines(CacheGeometry::tiny(), mode, &rounds, seed % 701);
         }
     }
 
@@ -191,13 +170,7 @@ proptest! {
     ) {
         let rounds = [fuzz_stream(seed, 6000, 25, skew_pct)];
         for mode in modes() {
-            run_all_engines(
-                CacheGeometry::xeon_e5_2660(),
-                mode,
-                ReplacementPolicy::Lru,
-                &rounds,
-                17,
-            );
+            run_all_engines(CacheGeometry::xeon_e5_2660(), mode, &rounds, 17);
         }
     }
 
@@ -206,8 +179,7 @@ proptest! {
     /// rows it hints. The lengths straddle the lookahead distance — a stream
     /// shorter than it never prefetches, one just past it prefetches
     /// once — and random lengths sweep the rest of the inline range, in
-    /// every mode × policy (`TreePlru` and `Random` keep no stamp
-    /// array, so the hint must skip it).
+    /// every mode.
     #[test]
     fn inline_replay_agrees_on_the_paper_geometry(
         seed in 0u64..u64::MAX,
@@ -216,14 +188,12 @@ proptest! {
         long in 10usize..4096,
     ) {
         for mode in modes() {
-            for policy in policies() {
-                let rounds: Vec<Vec<CacheOp>> = [1usize, 7, 8, 9, long]
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &len)| fuzz_stream(seed ^ k as u64, len, io_pct, skew_pct))
-                    .collect();
-                run_all_engines(CacheGeometry::xeon_e5_2660(), mode, policy, &rounds, 5);
-            }
+            let rounds: Vec<Vec<CacheOp>> = [1usize, 7, 8, 9, long]
+                .iter()
+                .enumerate()
+                .map(|(k, &len)| fuzz_stream(seed ^ k as u64, len, io_pct, skew_pct))
+                .collect();
+            run_all_engines(CacheGeometry::xeon_e5_2660(), mode, &rounds, 5);
         }
     }
 }
@@ -260,15 +230,14 @@ fn read_one_at_a_time(h: &mut Hierarchy, addrs: &[PhysAddr]) -> TraceSummary {
 fn walk_engines_agree(
     geom: CacheGeometry,
     mode: DdioMode,
-    policy: ReplacementPolicy,
     seed: u64,
     len: usize,
     span: u64,
     io_pct: u32,
 ) {
-    let mut walked = hierarchy(geom, mode, policy);
-    let mut traced = hierarchy(geom, mode, policy);
-    let mut oracle = hierarchy(geom, mode, policy);
+    let mut walked = Hierarchy::new(geom, mode);
+    let mut traced = Hierarchy::new(geom, mode);
+    let mut oracle = Hierarchy::new(geom, mode);
     for round in 0..4u64 {
         let traffic = fuzz_stream(seed.wrapping_add(round), 64, io_pct, 50);
         for h in [&mut walked, &mut traced, &mut oracle] {
@@ -288,7 +257,7 @@ fn walk_engines_agree(
             if order == WalkOrder::Reverse {
                 seq.reverse();
             }
-            let what = format!("{mode:?} {policy:?} round {round} {order:?}");
+            let what = format!("{mode:?} round {round} {order:?}");
             let want = read_one_at_a_time(&mut oracle, &seq);
             assert_eq!(walked.run_walk(&walk, order), want, "{what}: run_walk");
             let trace = traced.run_trace(seq.iter().map(|&a| CacheOp::read(a)));
@@ -308,7 +277,7 @@ fn walk_engines_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Decoded walks on both geometries, every mode × policy: walks of
+    /// Decoded walks on both geometries, every mode: walks of
     /// 1..200 lines cross the adaptive period (16 accesses per slice)
     /// mid-walk, and the traffic between them evicts walked lines.
     #[test]
@@ -320,9 +289,7 @@ proptest! {
     ) {
         for geom in [CacheGeometry::tiny(), CacheGeometry::xeon_e5_2660()] {
             for mode in modes() {
-                for policy in policies() {
-                    walk_engines_agree(geom, mode, policy, seed, len, span, io_pct);
-                }
+                walk_engines_agree(geom, mode, seed, len, span, io_pct);
             }
         }
     }
@@ -342,8 +309,8 @@ fn a_walk_replayed_on_another_geometry_panics() {
 #[test]
 fn degenerate_streams_are_identical() {
     for mode in modes() {
-        let mut batch = hierarchy(CacheGeometry::tiny(), mode, ReplacementPolicy::Lru);
-        let mut oracle = hierarchy(CacheGeometry::tiny(), mode, ReplacementPolicy::Lru);
+        let mut batch = Hierarchy::new(CacheGeometry::tiny(), mode);
+        let mut oracle = Hierarchy::new(CacheGeometry::tiny(), mode);
         let mut buf = OpBuffer::new();
         buf.advance(123); // trailing advance, no ops at all
         let sum = batch.run_ops(&buf);

@@ -1,8 +1,7 @@
 //! Property-based tests for the cache substrate's invariants.
 
 use pc_cache::{
-    AccessKind, AdaptiveConfig, CacheGeometry, DdioMode, Domain, PhysAddr, ReplacementPolicy,
-    SlicedCache,
+    AccessKind, AdaptiveConfig, CacheGeometry, DdioMode, Domain, PhysAddr, SlicedCache,
 };
 use proptest::prelude::*;
 
@@ -32,14 +31,6 @@ fn mode_strategy() -> impl Strategy<Value = DdioMode> {
     ]
 }
 
-fn policy_strategy() -> impl Strategy<Value = ReplacementPolicy> {
-    prop_oneof![
-        Just(ReplacementPolicy::Lru),
-        Just(ReplacementPolicy::TreePlru),
-        Just(ReplacementPolicy::Random),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -60,11 +51,10 @@ proptest! {
     #[test]
     fn cpu_access_installs_line(
         mode in mode_strategy(),
-        policy in policy_strategy(),
         warmup in proptest::collection::vec((addr_strategy(), kind_strategy()), 0..200),
         target in addr_strategy(),
     ) {
-        let mut llc = SlicedCache::with_policy_and_seed(CacheGeometry::tiny(), mode, policy, 42);
+        let mut llc = SlicedCache::new(CacheGeometry::tiny(), mode);
         for (a, k) in warmup {
             llc.access(a, k);
         }

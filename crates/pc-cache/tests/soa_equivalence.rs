@@ -4,9 +4,9 @@
 //! identical to the per-set reference implementation
 //! ([`pc_cache::reference::ReferenceCache`]): same [`AccessOutcome`] for
 //! every access of any random trace, same statistics, same residency,
-//! same partition boundaries — across all three DDIO modes and all
-//! replacement policies (`Random` included, which exercises identical
-//! per-slice RNG consumption on both sides).
+//! same partition boundaries — across all three DDIO modes. The two
+//! keep independent LRUs (re-ranked `u8` stamps here, never-wrapping
+//! `u64` stamps in the reference), so every eviction is cross-checked.
 //!
 //! On top of the scalar equivalence, the batch trace walk
 //! (`Hierarchy::run_trace`), fed the same trace in chunks, must land in
@@ -15,7 +15,7 @@
 use pc_cache::reference::ReferenceCache;
 use pc_cache::{
     AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, DdioMode, Domain, Hierarchy, PhysAddr,
-    ReplacementPolicy, SlicedCache,
+    SlicedCache,
 };
 use proptest::prelude::*;
 
@@ -51,25 +51,12 @@ fn mode_strategy() -> impl Strategy<Value = DdioMode> {
     ]
 }
 
-fn policy_strategy() -> impl Strategy<Value = ReplacementPolicy> {
-    prop_oneof![
-        Just(ReplacementPolicy::Lru),
-        Just(ReplacementPolicy::TreePlru),
-        Just(ReplacementPolicy::Random),
-    ]
-}
-
 /// Drives both implementations through `ops` and asserts identical
 /// observable behaviour at every step.
-fn assert_equivalent(
-    mode: DdioMode,
-    policy: ReplacementPolicy,
-    seed: u64,
-    ops: &[(PhysAddr, AccessKind)],
-) {
+fn assert_equivalent(mode: DdioMode, ops: &[(PhysAddr, AccessKind)]) {
     let geom = CacheGeometry::tiny();
-    let mut soa = SlicedCache::with_policy_and_seed(geom, mode, policy, seed);
-    let mut reference = ReferenceCache::with_policy_and_seed(geom, mode, policy, seed);
+    let mut soa = SlicedCache::new(geom, mode);
+    let mut reference = ReferenceCache::new(geom, mode);
     for (i, &(a, k)) in ops.iter().enumerate() {
         let got = soa.access(a, k);
         let want = reference.access(a, k);
@@ -106,35 +93,26 @@ fn assert_equivalent(
 /// observable. Adaptive modes adapt *inside* the batches here, so
 /// per-slice period reconstruction is compared against the reference
 /// on every run.
-fn assert_chunked_equivalent(
-    mode: DdioMode,
-    policy: ReplacementPolicy,
-    seed: u64,
-    ops: &[(PhysAddr, AccessKind)],
-) {
+fn assert_chunked_equivalent(mode: DdioMode, ops: &[(PhysAddr, AccessKind)]) {
     const CHUNK: usize = 96;
     let geom = CacheGeometry::tiny();
-    let mut reference = ReferenceCache::with_policy_and_seed(geom, mode, policy, seed);
+    let mut reference = ReferenceCache::new(geom, mode);
     for &(a, k) in ops {
         reference.access(a, k);
     }
-    let mut h = Hierarchy::with_llc(SlicedCache::with_policy_and_seed(geom, mode, policy, seed));
+    let mut h = Hierarchy::new(geom, mode);
     for chunk in ops.chunks(CHUNK) {
         // Tuples lift into the op-stream IR (leads zero).
         h.run_trace(chunk.iter().map(|&t| CacheOp::from(t)));
     }
     let llc = h.llc();
-    assert_eq!(
-        llc.stats(),
-        reference.stats(),
-        "stats diverged: {mode:?} {policy:?}"
-    );
+    assert_eq!(llc.stats(), reference.stats(), "stats diverged: {mode:?}");
     for &(a, _) in ops {
         let ss = llc.locate(a);
         assert_eq!(
             llc.contains(a),
             reference.contains(a),
-            "residency diverged for {a}: {mode:?} {policy:?}"
+            "residency diverged for {a}: {mode:?}"
         );
         assert_eq!(
             llc.domain_count(ss, Domain::Io),
@@ -152,28 +130,24 @@ fn assert_chunked_equivalent(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Full random traces: every mode × every policy × random seeds.
+    /// Full random traces in every mode.
     #[test]
     fn random_traces_are_equivalent(
         mode in mode_strategy(),
-        policy in policy_strategy(),
-        seed in 0u64..1000,
         ops in proptest::collection::vec((addr_strategy(), kind_strategy()), 1..600),
     ) {
-        assert_equivalent(mode, policy, seed, &ops);
+        assert_equivalent(mode, &ops);
     }
 
     /// The chunked batch trace walk against the reference model:
-    /// identical stats, partition boundaries and residency for every
-    /// mode × policy.
+    /// identical stats, partition boundaries and residency in every
+    /// mode.
     #[test]
     fn chunked_batches_are_equivalent(
         mode in mode_strategy(),
-        policy in policy_strategy(),
-        seed in 0u64..1000,
         ops in proptest::collection::vec((addr_strategy(), kind_strategy()), 1..600),
     ) {
-        assert_chunked_equivalent(mode, policy, seed, &ops);
+        assert_chunked_equivalent(mode, &ops);
     }
 
     /// Flush in the middle of a trace: writeback counts and the emptied
@@ -181,13 +155,12 @@ proptest! {
     #[test]
     fn flush_is_equivalent(
         mode in mode_strategy(),
-        policy in policy_strategy(),
         before in proptest::collection::vec((addr_strategy(), kind_strategy()), 1..200),
         after in proptest::collection::vec((addr_strategy(), kind_strategy()), 1..200),
     ) {
         let geom = CacheGeometry::tiny();
-        let mut soa = SlicedCache::with_policy_and_seed(geom, mode, policy, 7);
-        let mut reference = ReferenceCache::with_policy_and_seed(geom, mode, policy, 7);
+        let mut soa = SlicedCache::new(geom, mode);
+        let mut reference = ReferenceCache::new(geom, mode);
         for &(a, k) in &before {
             assert_eq!(soa.access(a, k), reference.access(a, k));
         }

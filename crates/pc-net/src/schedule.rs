@@ -35,12 +35,6 @@ impl ScheduledFrame {
             flow: FlowTuple::default(),
         }
     }
-
-    /// Replaces the flow (builder style).
-    pub fn with_flow(mut self, flow: FlowTuple) -> Self {
-        self.flow = flow;
-        self
-    }
 }
 
 /// Builds time-stamped arrival streams.

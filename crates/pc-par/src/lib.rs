@@ -18,7 +18,7 @@
 //! * [`mix_seed`] — the shared seed-derivation mix. Work that runs on
 //!   another thread must *never* consume a caller's RNG stream; it gets
 //!   its own `SmallRng` seeded with `mix_seed(base, salt)` where `salt`
-//!   identifies the item (slice number, trial index, …). Sequential and
+//!   identifies the item (tenant number, trial index, …). Sequential and
 //!   parallel schedules then draw identical streams by construction.
 //! * [`stream_seed`] — the *one* per-item seed-derivation helper: every
 //!   fan-out in the workspace names its family with a [`SeedDomain`]
@@ -30,8 +30,9 @@
 //!   thousands of small work items doesn't pay a fresh allocation
 //!   curve per item.
 //!
-//! This crate sits below `pc-cache` (which seeds each LLC slice's RNG
-//! stream with [`stream_seed`]) and is re-exported as `pc_bench::par` for the harness. The
+//! This crate sits below `pc-cache` (whose fault sites key their
+//! firing decisions with [`mix_seed`]) and is re-exported as
+//! `pc_bench::par` for the harness. The
 //! README next to this crate maps each primitive to its users; the
 //! workspace-wide determinism contract is spelled out in the top-level
 //! `ARCHITECTURE.md`.
@@ -87,18 +88,15 @@ pub fn mix_seed(seed: u64, salt: u64) -> u64 {
 ///
 /// Two different fan-outs running from the same base seed must never
 /// reuse each other's RNG streams just because they happen to use the
-/// same item indices; the domain is what separates them. The `Slice`
-/// and `Capture` domains predate this enum and keep their original
-/// derivation — plain `mix_seed(base, index)` — because golden outputs
-/// across the workspace pin the streams they produce; domains added
-/// since (`Tenant`, `Repetition`) fold a domain tag into the base
+/// same item indices; the domain is what separates them. The `Capture`
+/// domain predates this enum and keeps its original derivation — plain
+/// `mix_seed(base, index)` — because golden outputs across the
+/// workspace pin the streams it produces; domains added since
+/// (`Tenant`, `Repetition`, `Queue`) fold a domain tag into the base
 /// first, so their streams cannot collide with each other or with the
-/// legacy domains even at equal indices.
+/// legacy domain even at equal indices.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
 pub enum SeedDomain {
-    /// Per-slice shard RNGs of the sharded LLC (`pc-cache`'s
-    /// `SlicedCache` and its reference model). Legacy derivation.
-    Slice,
     /// Per-capture page-load streams of the fingerprint grid
     /// (`pc-core`'s site × trial fan-out). Legacy derivation.
     Capture,
@@ -118,10 +116,10 @@ pub enum SeedDomain {
 
 impl SeedDomain {
     /// Domain tag folded into the base seed, or `None` for the legacy
-    /// domains whose streams are pinned to plain `mix_seed`.
+    /// domain whose streams are pinned to plain `mix_seed`.
     fn tag(self) -> Option<u64> {
         match self {
-            SeedDomain::Slice | SeedDomain::Capture => None,
+            SeedDomain::Capture => None,
             SeedDomain::Tenant => Some(0xF1EE_7000),
             SeedDomain::Repetition => Some(0x2E9E_A700),
             SeedDomain::Queue => Some(0xA55E_0E00),
@@ -344,15 +342,11 @@ mod tests {
 
     #[test]
     fn legacy_domains_preserve_their_pinned_streams() {
-        // Slice and Capture predate SeedDomain; golden outputs across
-        // the workspace pin their streams to plain mix_seed. Changing
-        // this mapping silently reseeds every shard RNG.
+        // Capture predates SeedDomain; golden outputs across the
+        // workspace pin its streams to plain mix_seed. Changing this
+        // mapping silently reseeds every fingerprint capture.
         for base in [0u64, 1, 2020, u64::MAX] {
             for index in [0u64, 1, 7, 1 << 40] {
-                assert_eq!(
-                    stream_seed(base, SeedDomain::Slice, index),
-                    mix_seed(base, index)
-                );
                 assert_eq!(
                     stream_seed(base, SeedDomain::Capture, index),
                     mix_seed(base, index)
@@ -382,14 +376,14 @@ mod tests {
         // Two fan-outs at the same (base, index) must not share a
         // stream just because their indices coincide.
         let base = 2020;
-        let slice = stream_seed(base, SeedDomain::Slice, 3);
+        let capture = stream_seed(base, SeedDomain::Capture, 3);
         let tenant = stream_seed(base, SeedDomain::Tenant, 3);
         let rep = stream_seed(base, SeedDomain::Repetition, 3);
         let queue = stream_seed(base, SeedDomain::Queue, 3);
-        assert_ne!(slice, tenant);
-        assert_ne!(slice, rep);
+        assert_ne!(capture, tenant);
+        assert_ne!(capture, rep);
         assert_ne!(tenant, rep);
-        assert_ne!(queue, slice);
+        assert_ne!(queue, capture);
         assert_ne!(queue, tenant);
         assert_ne!(queue, rep);
     }

@@ -84,11 +84,6 @@ impl RowBits<'_> {
             .map(move |m| wi * 64 + m.trailing_zeros() as usize)
         })
     }
-
-    /// Number of active columns (popcount).
-    pub fn count_active(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
 }
 
 impl SampleMatrix {

@@ -23,7 +23,7 @@
 #[path = "support/golden.rs"]
 mod golden;
 
-use golden::parse_bless;
+use golden::{check_fault_unset, parse_bless};
 use pc_bench::experiments::Scale;
 use pc_bench::scenario;
 use std::ffi::OsStr;
@@ -95,9 +95,9 @@ fn fleet_64_matches_its_golden_snapshot() {
 /// `PC_BLESS=1` must refuse to rewrite snapshots while a fault is
 /// armed: a golden blessed from a mutated simulator would silently
 /// become the reference every later run is compared against. (The env
-/// half of the guard — a set `PC_FAULT` variable — is unit-tested in
-/// `pc_cache::fault`; mutating the process environment here would race
-/// the other tests.)
+/// half of the guard — a set `PC_FAULT` variable — is
+/// `bless_refuses_any_set_pc_fault`, on the pure check; mutating the
+/// process environment here would race the other tests.)
 #[test]
 fn blessing_refuses_while_a_fault_is_armed() {
     let _g = serialized();
@@ -110,6 +110,20 @@ fn blessing_refuses_while_a_fault_is_armed() {
     pc_cache::fault::disarm();
     let err = guard.expect_err("an armed fault must block blessing");
     assert!(err.contains("stat-off-by-one"), "names the culprit: {err}");
+}
+
+/// Any set `PC_FAULT`, well-formed or not, blocks blessing, and the
+/// message quotes the value; unset lets it through.
+#[test]
+fn bless_refuses_any_set_pc_fault() {
+    assert_eq!(check_fault_unset(None), Ok(()));
+    for set in ["stale-lru:1", "bogus", ""] {
+        let err = check_fault_unset(Some(OsStr::new(set))).expect_err(set);
+        assert!(
+            err.contains(&format!("PC_FAULT={set} is set")),
+            "names the value: {err}"
+        );
+    }
 }
 
 /// `PC_BLESS` takes unset, `0` or `1`; any other value (`true`, `yes`,

@@ -24,6 +24,18 @@ pub fn parse_bless(value: Option<&OsStr>) -> Result<bool, String> {
     }
 }
 
+/// Checks a `PC_FAULT` value before a bless: any set value is an
+/// error, because `repro` would run that fault armed.
+pub fn check_fault_unset(value: Option<&OsStr>) -> Result<(), String> {
+    match value {
+        None => Ok(()),
+        Some(v) => Err(format!(
+            "refusing to bless goldens while PC_FAULT={} is set",
+            v.to_string_lossy()
+        )),
+    }
+}
+
 /// Whether this run blesses. Panics on a malformed `PC_BLESS`, and on
 /// `PC_BLESS=1` while a fault is armed or `PC_FAULT` is set: a snapshot
 /// taken from a mutated simulator would enshrine the mutation as truth.
@@ -31,7 +43,9 @@ pub fn blessing() -> bool {
     let bless =
         parse_bless(std::env::var_os("PC_BLESS").as_deref()).unwrap_or_else(|e| panic!("{e}"));
     if bless {
-        if let Err(e) = pc_cache::fault::bless_guard() {
+        let guard = pc_cache::fault::bless_guard()
+            .and_then(|()| check_fault_unset(std::env::var_os("PC_FAULT").as_deref()));
+        if let Err(e) = guard {
             panic!("refusing to bless goldens: {e}");
         }
     }
