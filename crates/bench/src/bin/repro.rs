@@ -2,9 +2,9 @@
 //! registered end-to-end scenarios.
 //!
 //! ```text
-//! repro [--full|--quick] [--seed N] [--queues N] <experiment...|all>
+//! repro [--full|--quick] [--seed N] <experiment...|all>
 //! repro [--full|--quick] [--seed N] [--queues N] scenario <name>... | list
-//! repro [--full|--quick] [--seed N] [--tenants N] fleet
+//! repro [--full|--quick] [--seed N] [--queues N] [--tenants N] fleet
 //! repro [--seeds N] fault-matrix
 //! ```
 //!
@@ -41,153 +41,246 @@
 //! full runs to enforce it.
 //! Timing chatter goes to stderr so it never perturbs the comparison.
 //!
-//! `--tenants` applies only to `fleet` and `--seeds` only to
-//! `fault-matrix`; either one with any other command exits 2 rather
-//! than being silently ignored. `fault-matrix` picks its own seeds and
-//! scale, so `--seed`, `--full` or `--quick` with it exits 2 too.
+//! All configuration — argv and the `PC_BENCH_THREADS` and `PC_FAULT`
+//! variables — is read once, by [`RunConfig::parse`], before any work.
+//! A bad value exits 2 with one `repro:` line on stderr. `--queues N`
+//! sets the rx queue count of every scenario and fleet template it
+//! runs (`ScenarioSpec::with_queues`); the paper experiments run the
+//! paper's single ring. `--queues` and `--tenants` apply only to the
+//! commands above, `--seeds` only to `fault-matrix`; with any other
+//! command they exit 2 rather than being silently ignored.
+//! `fault-matrix` picks its own seeds and scale, so `--seed`, `--full`
+//! or `--quick` with it exits 2 too.
 
-use pc_bench::experiments::{self as exp, Scale};
-use pc_bench::{fleet, scenario};
+use pc_bench::experiments::{self as exp, Experiment, Scale};
+use pc_bench::fleet;
+use pc_bench::scenario::{self, ScenarioSpec};
+use pc_cache::fault::FaultSpec;
+use std::ffi::OsString;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 use std::time::Instant;
 
 fn main() {
-    validate_env();
-    // Honor PC_FAULT for any subcommand: an armed run is an explicitly
-    // broken simulator, which is exactly what `fault-matrix` quantifies
-    // and what PC_BLESS refuses. A malformed value exits 2 here, before
-    // any work; the parser quotes the spec, and escaping keeps it one
-    // line.
-    if let Err(e) = arm_fault_from_env() {
-        die(&e.escape_debug().to_string());
+    let cfg = RunConfig::parse(std::env::args_os().skip(1), |name| std::env::var_os(name))
+        .unwrap_or_else(|e| die(&e));
+    // An armed run is an explicitly broken simulator, which is exactly
+    // what `fault-matrix` quantifies and what PC_BLESS refuses.
+    if let Some(spec) = cfg.fault {
+        pc_cache::fault::arm(spec);
     }
-    let mut scale = Scale::Quick;
-    let mut seed = 2020u64;
-    let mut fault_seeds: Option<u64> = None;
-    let mut tenants: Option<usize> = None;
-    // The first of `--seed`/`--full`/`--quick` given: they shape every
-    // run except `fault-matrix`, which picks its own seeds and scale.
-    let mut run_flag: Option<&'static str> = None;
-    let mut cmds: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--full" => {
-                scale = Scale::Full;
-                run_flag = run_flag.or(Some("--full"));
+    let (scale, seed) = (cfg.scale, cfg.seed);
+    let with_queues = |spec: ScenarioSpec| match cfg.queues {
+        Some(n) => spec.with_queues(n),
+        None => spec,
+    };
+    match cfg.command {
+        Command::Help => print!("{}", help()),
+        Command::Experiments(selected) => {
+            for e in selected {
+                emit(e.name, e.title, || (e.report)(scale, seed).render());
             }
-            "--quick" => {
-                scale = Scale::Quick;
-                run_flag = run_flag.or(Some("--quick"));
+        }
+        Command::List => {
+            println!("registered scenarios:");
+            print!("{}", scenario::render_list());
+        }
+        Command::Scenarios(selected) => {
+            for s in selected {
+                let s = with_queues(s.clone());
+                let title = format!("Scenario {} — {}", s.name(), s.summary());
+                emit(&format!("scenario {}", s.name()), &title, || {
+                    s.run(scale, seed)
+                });
             }
-            "--seeds" => {
-                fault_seeds = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| die("--seeds needs a positive number")),
-                );
+        }
+        Command::Fleet { tenants } => {
+            let mut cfg = fleet::FleetConfig::standard(tenants, seed, scale);
+            for t in &mut cfg.templates {
+                t.spec = with_queues(t.spec.clone());
             }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs a number"));
-                run_flag = run_flag.or(Some("--seed"));
+            let title = format!("Fleet — {tenants} tenants from the standard templates");
+            emit("fleet", &title, || fleet::run_fleet(&cfg).render());
+        }
+        Command::FaultMatrix { seeds } => {
+            if !pc_bench::faultmatrix::run(seeds) {
+                std::process::exit(2);
             }
-            "--tenants" => {
-                tenants = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|n| (1..=pc_bench::fleet::MAX_TENANTS).contains(n))
-                        .unwrap_or_else(|| {
-                            die(&format!(
-                                "--tenants needs 1..={} tenants",
-                                pc_bench::fleet::MAX_TENANTS
-                            ))
-                        }),
-                );
+        }
+    }
+}
+
+/// One `repro` invocation, parsed and checked in full before any work.
+struct RunConfig {
+    command: Command,
+    scale: Scale,
+    seed: u64,
+    /// `--queues N`: the rx queue count for every scenario and fleet
+    /// template the command runs; `None` keeps each spec's own.
+    queues: Option<usize>,
+    /// The fault `PC_FAULT` names, armed before dispatch.
+    fault: Option<FaultSpec>,
+}
+
+/// What a [`RunConfig`] runs. Every name is resolved at parse time, so
+/// a typo late in the list cannot follow a full report with exit 2.
+enum Command {
+    Help,
+    Experiments(Vec<&'static Experiment>),
+    Scenarios(Vec<&'static ScenarioSpec>),
+    List,
+    Fleet { tenants: usize },
+    FaultMatrix { seeds: u64 },
+}
+
+impl RunConfig {
+    /// Parses `args` (argv without the program name) and the variables
+    /// `env` returns. Pure: it reads nothing else and arms nothing. Every
+    /// problem — a non-UTF-8 argument or value included — is an `Err`
+    /// holding one line, without the `repro:` prefix.
+    fn parse(
+        args: impl IntoIterator<Item = OsString>,
+        env: impl Fn(&str) -> Option<OsString>,
+    ) -> Result<RunConfig, String> {
+        // `pc_par::max_threads` keeps its first read for the rest of the
+        // process and falls back silently on a bad value, so the
+        // variable is checked here, before anything reads it. Lossy, so
+        // a non-UTF-8 value fails its parse instead of reading as unset;
+        // `{v:?}` keeps a value with a newline on one line.
+        let var = |name: &str| env(name).map(|v| v.to_string_lossy().into_owned());
+        if let Some(v) = var("PC_BENCH_THREADS") {
+            if !v.parse::<usize>().is_ok_and(|n| n > 0) {
+                return Err(format!(
+                    "PC_BENCH_THREADS must be a positive integer, got {v:?}"
+                ));
             }
-            // Queue-count selection for every TestBed the run
-            // constructs: validated here, routed through PC_RSS_QUEUES
-            // so nested TestBedConfig construction sites (and scenario
-            // spec defaults) pick it up.
-            "--queues" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| die("--queues needs a queue count"));
-                match v.parse::<usize>() {
-                    Ok(n) if (1..=pc_nic::MAX_RSS_QUEUES).contains(&n) => {
-                        std::env::set_var("PC_RSS_QUEUES", v);
-                    }
-                    _ => die(&format!(
-                        "--queues needs 1..={} rx queues",
-                        pc_nic::MAX_RSS_QUEUES
-                    )),
+        }
+        // A fault that silently fails to arm would fake a surviving
+        // mutant. The parser quotes the spec; escaping keeps it one line.
+        let fault = var("PC_FAULT")
+            .map(|v| FaultSpec::parse(&v))
+            .transpose()
+            .map_err(|e| format!("PC_FAULT: {e}").escape_debug().to_string())?;
+
+        let mut cfg = RunConfig {
+            // Kept only when `--help` ends the parse early.
+            command: Command::Help,
+            scale: Scale::Quick,
+            seed: 2020,
+            queues: None,
+            fault,
+        };
+        let mut fault_seeds: Option<u64> = None;
+        let mut tenants: Option<usize> = None;
+        // The first of `--seed`/`--full`/`--quick` given: they shape every
+        // run except `fault-matrix`, which picks its own seeds and scale.
+        let mut run_flag: Option<&'static str> = None;
+        let mut cmds: Vec<String> = Vec::new();
+        let mut args = args.into_iter().map(|a| {
+            a.into_string()
+                .map_err(|a| format!("argument {a:?} is not valid UTF-8"))
+        });
+        while let Some(a) = args.next().transpose()? {
+            let mut value = || args.next().transpose();
+            match a.as_str() {
+                "--full" => {
+                    cfg.scale = Scale::Full;
+                    run_flag = run_flag.or(Some("--full"));
+                }
+                "--quick" => {
+                    cfg.scale = Scale::Quick;
+                    run_flag = run_flag.or(Some("--quick"));
+                }
+                "--seeds" => {
+                    let need = "--seeds needs a positive number".into();
+                    fault_seeds = Some(number(value()?, 1..=u64::MAX, need)?);
+                }
+                "--seed" => {
+                    cfg.seed = number(value()?, 0..=u64::MAX, "--seed needs a number".into())?;
+                    run_flag = run_flag.or(Some("--seed"));
+                }
+                "--tenants" => {
+                    let need = format!("--tenants needs 1..={} tenants", fleet::MAX_TENANTS);
+                    tenants = Some(number(value()?, 1..=fleet::MAX_TENANTS, need)?);
+                }
+                "--queues" => {
+                    let need = format!("--queues needs 1..={} rx queues", pc_nic::MAX_RSS_QUEUES);
+                    cfg.queues = Some(number(value()?, 1..=pc_nic::MAX_RSS_QUEUES, need)?);
+                }
+                "-h" | "--help" => return Ok(cfg),
+                flag if flag.starts_with('-') => {
+                    return Err(format!("unknown option `{flag}` (try --help)"))
+                }
+                _ => cmds.push(a),
+            }
+        }
+        if cmds.is_empty() {
+            cmds.push("all".to_owned());
+        }
+        let (first, rest) = (cmds[0].as_str(), &cmds[1..]);
+        // A flag outside the commands it shapes would otherwise be
+        // ignored, and so would a run flag on the one command that
+        // ignores them.
+        if tenants.is_some() && first != "fleet" {
+            return Err("--tenants only applies to fleet".into());
+        }
+        if cfg.queues.is_some() && !["scenario", "fleet"].contains(&first) {
+            return Err("--queues only applies to scenario and fleet".into());
+        }
+        if fault_seeds.is_some() && first != "fault-matrix" {
+            return Err("--seeds only applies to fault-matrix".into());
+        }
+        if let (Some(flag), "fault-matrix") = (run_flag, first) {
+            return Err(format!(
+                "{flag} does not apply to fault-matrix (it picks its own seeds and scale; use --seeds N)"
+            ));
+        }
+        cfg.command = match first {
+            "scenario" => {
+                let selected = resolve(
+                    rest.iter().filter(|n| *n != "list"),
+                    scenario::find,
+                    "unknown scenario",
+                    "`scenario list`",
+                )?;
+                if rest.is_empty() || rest == ["list"] {
+                    Command::List
+                } else if rest.iter().any(|n| n == "list") {
+                    return Err("`scenario list` takes no scenario names".into());
+                } else {
+                    Command::Scenarios(selected)
                 }
             }
-            "-h" | "--help" => {
-                print!("{}", help());
-                return;
+            "fleet" if !rest.is_empty() => {
+                return Err("fleet takes no further arguments (use --tenants N)".into())
             }
-            flag if flag.starts_with('-') => die(&format!("unknown option `{flag}` (try --help)")),
-            other => cmds.push(other.to_owned()),
-        }
-    }
-    if cmds.is_empty() {
-        cmds.push("all".to_owned());
-    }
-    // A count flag outside its one command would otherwise be ignored,
-    // and so would a run flag on the one command that ignores them.
-    if tenants.is_some() && cmds[0] != "fleet" {
-        die("--tenants only applies to fleet");
-    }
-    if fault_seeds.is_some() && cmds[0] != "fault-matrix" {
-        die("--seeds only applies to fault-matrix");
-    }
-    if let (Some(flag), "fault-matrix") = (run_flag, cmds[0].as_str()) {
-        die(&format!(
-            "{flag} does not apply to fault-matrix (it picks its own seeds and scale; use --seeds N)"
-        ));
-    }
-    if cmds[0] == "scenario" {
-        run_scenarios(&cmds[1..], scale, seed);
-        return;
-    }
-    if cmds[0] == "fleet" {
-        if cmds.len() > 1 {
-            die("fleet takes no further arguments (use --tenants N)");
-        }
-        let tenants = tenants.unwrap_or(64);
-        let cfg = fleet::FleetConfig::standard(tenants, seed, scale);
-        let title = format!("Fleet — {tenants} tenants from the standard templates");
-        emit("fleet", &title, || fleet::run_fleet(&cfg).render());
-        return;
-    }
-    if cmds[0] == "fault-matrix" {
-        if cmds.len() > 1 {
-            die("fault-matrix takes no further arguments (use --seeds N)");
-        }
-        if pc_cache::fault::current().is_some() {
-            die("fault-matrix arms its own faults; unset PC_FAULT first");
-        }
-        if !pc_bench::faultmatrix::run(fault_seeds.unwrap_or(3)) {
-            std::process::exit(2);
-        }
-        return;
-    }
-    let named = resolve(
-        cmds.iter().filter(|c| *c != "all"),
-        exp::find,
-        "unknown experiment",
-        "--help",
-    );
-    let selected = if cmds.iter().any(|c| c == "all") {
-        exp::table().iter().collect()
-    } else {
-        named
-    };
-    for e in selected {
-        emit(e.name, e.title, || (e.report)(scale, seed).render());
+            "fleet" => Command::Fleet {
+                tenants: tenants.unwrap_or(64),
+            },
+            "fault-matrix" if !rest.is_empty() => {
+                return Err("fault-matrix takes no further arguments (use --seeds N)".into())
+            }
+            "fault-matrix" if cfg.fault.is_some() => {
+                return Err("fault-matrix arms its own faults; unset PC_FAULT first".into())
+            }
+            "fault-matrix" => Command::FaultMatrix {
+                seeds: fault_seeds.unwrap_or(3),
+            },
+            _ => {
+                let named = resolve(
+                    cmds.iter().filter(|c| *c != "all"),
+                    exp::find,
+                    "unknown experiment",
+                    "--help",
+                )?;
+                if cmds.iter().any(|c| c == "all") {
+                    Command::Experiments(exp::table().iter().collect())
+                } else {
+                    Command::Experiments(named)
+                }
+            }
+        };
+        Ok(cfg)
     }
 }
 
@@ -197,14 +290,14 @@ fn help() -> String {
     let names: Vec<&str> = exp::table().iter().map(|e| e.name).collect();
     let lines: Vec<String> = names.chunks(8).map(|line| line.join(" ")).collect();
     format!(
-        "usage: repro [--full] [--seed N] [--queues N] <experiment|all>
+        "usage: repro [--full] [--seed N] <experiment|all>
        repro [--full] [--seed N] [--queues N] scenario <name>... | list
-       repro [--full] [--seed N] [--tenants N] fleet
+       repro [--full] [--seed N] [--queues N] [--tenants N] fleet
        repro [--seeds N] fault-matrix
 --full:      paper-like parameters (minutes); --quick, the default,
              runs each experiment in seconds
---queues:    rx queue count for every TestBed (1..={}; overrides
-             scenario defaults; routed via PC_RSS_QUEUES)
+--queues:    rx queue count (1..={}) for every TestBed of the selected
+             scenarios or fleet templates, replacing their defaults
 experiments: {}
 scenario:    registered end-to-end workloads (`scenario list`)
 fleet:       --tenants N independent tenants from the standard
@@ -223,85 +316,29 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Checks the `PC_*` variables that configure the whole run, before
-/// anything reads them: `pc_par::max_threads` keeps its first read for
-/// the rest of the process, and the library parsers would otherwise
-/// fall back silently (`PC_BENCH_THREADS`) or panic (`PC_RSS_QUEUES`
-/// mid-report). A bad value exits 2 with one line on stderr.
-/// `PC_FAULT` is checked where `main` arms it.
-fn validate_env() {
-    // Lossy, so a non-UTF-8 value fails its parse instead of reading as
-    // unset; `{v:?}` keeps a value with a newline on one line.
-    let var = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    if let Some(v) = var("PC_BENCH_THREADS") {
-        if !v.parse::<usize>().is_ok_and(|n| n > 0) {
-            die(&format!(
-                "PC_BENCH_THREADS must be a positive integer, got {v:?}"
-            ));
-        }
-    }
-    if let Some(v) = var("PC_RSS_QUEUES") {
-        let queues = 1..=pc_nic::MAX_RSS_QUEUES;
-        if !v.parse::<usize>().is_ok_and(|n| queues.contains(&n)) {
-            die(&format!(
-                "PC_RSS_QUEUES must be {}..={}, got {v:?}",
-                queues.start(),
-                queues.end()
-            ));
-        }
-    }
+/// A flag's value parsed as a number in `range`, or `Err(need)` when
+/// it is missing, malformed or out of range.
+fn number<T: FromStr + PartialOrd>(
+    value: Option<String>,
+    range: RangeInclusive<T>,
+    need: String,
+) -> Result<T, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|n| range.contains(n))
+        .ok_or(need)
 }
 
-/// Arms the fault `PC_FAULT` names, if it is set. A malformed value —
-/// non-UTF-8 included — is an `Err` with a one-line `PC_FAULT: …`
-/// message and arms nothing; the caller must not carry on, since a
-/// fault that silently fails to arm would fake a surviving mutant.
-fn arm_fault_from_env() -> Result<(), String> {
-    let Some(v) = std::env::var_os("PC_FAULT") else {
-        return Ok(());
-    };
-    let spec = pc_cache::fault::FaultSpec::parse(&v.to_string_lossy())
-        .map_err(|e| format!("PC_FAULT: {e}"))?;
-    pc_cache::fault::arm(spec);
-    Ok(())
-}
-
-/// Looks every name up before the first report runs, so a typo late in
-/// the list cannot follow a full report with exit 2.
+/// Looks every name up, failing on the first unknown one.
 fn resolve<'a, T>(
     names: impl Iterator<Item = &'a String>,
     find: impl Fn(&str) -> Option<T>,
     unknown: &str,
     hint: &str,
-) -> Vec<T> {
+) -> Result<Vec<T>, String> {
     names
-        .map(|n| find(n).unwrap_or_else(|| die(&format!("{unknown} `{n}` (try {hint})"))))
+        .map(|n| find(n).ok_or_else(|| format!("{unknown} `{n}` (try {hint})")))
         .collect()
-}
-
-/// `scenario <name>...` runs the named scenarios; `scenario list` (or
-/// `scenario` alone) prints the registry, and takes no names.
-fn run_scenarios(names: &[String], scale: Scale, seed: u64) {
-    let selected = resolve(
-        names.iter().filter(|n| *n != "list"),
-        scenario::find,
-        "unknown scenario",
-        "`scenario list`",
-    );
-    if names.is_empty() || names == ["list"] {
-        println!("registered scenarios:");
-        print!("{}", scenario::render_list());
-        return;
-    }
-    if names.iter().any(|n| n == "list") {
-        die("`scenario list` takes no scenario names");
-    }
-    for s in selected {
-        let title = format!("Scenario {} — {}", s.name(), s.summary());
-        emit(&format!("scenario {}", s.name()), &title, || {
-            s.run(scale, seed)
-        });
-    }
 }
 
 /// Prints one titled report — the separator, the title and the
@@ -318,6 +355,15 @@ fn emit(label: &str, title: &str, render: impl FnOnce() -> String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::os::unix::ffi::OsStringExt;
+
+    fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<RunConfig, String> {
+        let env: Vec<(String, OsString)> = env.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+        RunConfig::parse(args.iter().map(OsString::from), |name| {
+            env.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+        })
+    }
 
     #[test]
     fn experiment_table_names_are_unique_free_and_in_the_help() {
@@ -338,5 +384,91 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(names.len(), before, "duplicate experiment name");
+    }
+
+    #[test]
+    fn parse_builds_the_typed_command() {
+        let cfg = parse(&["--queues", "4", "--seed", "7", "fleet"], &[]).expect("valid");
+        assert!(matches!(cfg.command, Command::Fleet { tenants: 64 }));
+        assert_eq!((cfg.seed, cfg.queues), (7, Some(4)));
+        let cfg = parse(&[], &[("PC_FAULT", "stale-lru:1")]).expect("valid");
+        assert!(matches!(&cfg.command, Command::Experiments(e) if e.len() == exp::table().len()));
+        assert!(cfg.fault.is_some());
+        let cfg = parse(&["--seeds", "2", "fault-matrix"], &[]).expect("valid");
+        assert!(matches!(cfg.command, Command::FaultMatrix { seeds: 2 }));
+        let cfg = parse(&["scenario", "kv-store", "chasing"], &[]).expect("valid");
+        assert!(matches!(&cfg.command, Command::Scenarios(s) if s.len() == 2));
+        assert!(matches!(
+            parse(&["scenario"], &[]).expect("valid").command,
+            Command::List
+        ));
+        let err = parse(&["fault-matrix"], &[("PC_FAULT", "stale-lru:1")]).err();
+        assert!(err.is_some_and(|e| e.contains("PC_FAULT")));
+    }
+
+    /// Argument tokens the property draws from: every flag, command
+    /// and kind of value, plus empty and non-UTF-8 strings.
+    fn token(i: usize) -> OsString {
+        const WORDS: [&str; 24] = [
+            "--full",
+            "--quick",
+            "--seed",
+            "--seeds",
+            "--tenants",
+            "--queues",
+            "--help",
+            "--bogus",
+            "all",
+            "fig5",
+            "table2",
+            "scenario",
+            "list",
+            "kv-store",
+            "fleet",
+            "fault-matrix",
+            "bogus",
+            "0",
+            "1",
+            "4",
+            "17",
+            "5000000000000",
+            "-1",
+            "",
+        ];
+        WORDS
+            .get(i)
+            .map_or_else(|| OsString::from_vec(vec![b'f', 0xff]), OsString::from)
+    }
+
+    /// A variable value: unset, valid, malformed or non-UTF-8.
+    fn value(i: usize) -> Option<OsString> {
+        const VALUES: [&str; 7] = ["1", "0", "abc", "", "stale-lru:1", "stale-lru", "a\nb"];
+        match i {
+            0 => None,
+            i if i <= VALUES.len() => Some(VALUES[i - 1].into()),
+            _ => Some(OsString::from_vec(vec![0xff])),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any argv and environment parses to `Ok` or to a one-line
+        /// `Err`; nothing panics.
+        #[test]
+        fn parse_never_panics(
+            args in proptest::collection::vec(0usize..25, 0..7),
+            threads in 0usize..9,
+            fault in 0usize..9,
+        ) {
+            let result = RunConfig::parse(args.into_iter().map(token), |name| match name {
+                "PC_BENCH_THREADS" => value(threads),
+                "PC_FAULT" => value(fault),
+                _ => None,
+            });
+            if let Err(e) = result {
+                prop_assert!(!e.contains('\n') && !e.is_empty(), "message {e:?}");
+            }
+        }
     }
 }

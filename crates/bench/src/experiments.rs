@@ -16,7 +16,7 @@
 //!
 //! Experiments with independent repetitions (runs, packet sizes,
 //! encodings, buffer counts, DDIO configurations) fan those repetitions
-//! out over threads via [`crate::par::parallel_map`]; each repetition
+//! out over threads via [`pc_par::parallel_map`]; each repetition
 //! derives its own seed and results are collected in input order, so
 //! output is byte-identical to a sequential run.
 
@@ -199,7 +199,7 @@ fn fig7(scale: Scale, seed: u64) -> ScenarioReport {
 /// of 1..4-block packets.
 fn fig8(scale: Scale, seed: u64) -> ScenarioReport {
     // One independent capture per packet size, fanned out over threads.
-    let per_size = crate::par::parallel_map((1..=4u32).collect(), |size| {
+    let per_size = pc_par::parallel_map((1..=4u32).collect(), |size| {
         let mut tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(seed));
         let geom = tb.hierarchy().llc().geometry();
         // Monitor rows 0..3 jointly (labels encode row * 256 + column).
@@ -257,8 +257,8 @@ fn table1(scale: Scale, seed: u64) -> ScenarioReport {
     // Per-run streams come from the workspace seed-splitting helper
     // (Repetition domain) instead of ad-hoc `seed + run` arithmetic,
     // which could collide with a neighboring experiment's offsets.
-    let results = crate::par::parallel_map((0..runs).collect(), |run| {
-        let run_seed = crate::par::stream_seed(seed, crate::par::SeedDomain::Repetition, run);
+    let results = pc_par::parallel_map((0..runs).collect(), |run| {
+        let run_seed = pc_par::stream_seed(seed, pc_par::SeedDomain::Repetition, run);
         let mut tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(run_seed));
         let geom = tb.hierarchy().llc().geometry();
         let targets: Vec<SliceSet> = page_aligned_targets(&geom)
@@ -266,7 +266,7 @@ fn table1(scale: Scale, seed: u64) -> ScenarioReport {
             .take(monitored)
             .collect();
         let pool = AddressPool::allocate(seed ^ 0x7ab1e, 12288);
-        let mut rng = SmallRng::seed_from_u64(crate::par::mix_seed(run_seed, 1));
+        let mut rng = SmallRng::seed_from_u64(pc_par::mix_seed(run_seed, 1));
         let frames = ArrivalSchedule::new(LineRate::gigabit())
             .frames_per_second(packet_rate)
             .jitter(0.02)
@@ -368,7 +368,7 @@ fn fig11(scale: Scale, seed: u64) -> ScenarioReport {
             combos.push((ename, enc, probe_khz));
         }
     }
-    let rows = crate::par::parallel_map(combos, |(ename, enc, probe_khz)| {
+    let rows = pc_par::parallel_map(combos, |(ename, enc, probe_khz)| {
         let mut tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(seed));
         let pool = AddressPool::allocate(seed ^ 0xf1611, 12288);
         let symbols = lfsr_symbols(enc, symbols_n, 0x2fd1);
@@ -403,7 +403,7 @@ fn fig11(scale: Scale, seed: u64) -> ScenarioReport {
 /// Figure 12a/b: bandwidth scales with the number of monitored buffers;
 /// error jumps at 16.
 fn fig12ab(scale: Scale, seed: u64) -> ScenarioReport {
-    let rows = crate::par::parallel_map(vec![1usize, 2, 4, 8, 16], |buffers| {
+    let rows = pc_par::parallel_map(vec![1usize, 2, 4, 8, 16], |buffers| {
         let symbols_n = scale.pick(40, 400) * buffers.min(4);
         let mut tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(seed));
         let pool = AddressPool::allocate(seed ^ 0xf1612, 12288);
@@ -438,7 +438,7 @@ fn fig12ab(scale: Scale, seed: u64) -> ScenarioReport {
 /// increasing offered bandwidth.
 fn fig12cd(scale: Scale, seed: u64) -> ScenarioReport {
     let symbols_n = scale.pick(1_500, 8_000);
-    let rows = crate::par::parallel_map(vec![80u64, 160, 320, 640], |bandwidth_kbps| {
+    let rows = pc_par::parallel_map(vec![80u64, 160, 320, 640], |bandwidth_kbps| {
         let packet_rate =
             (bandwidth_kbps as f64 * 1_000.0 / Encoding::Ternary.bits_per_symbol()) as u64;
         let mut cfg_bed = TestBedConfig::paper_baseline().with_seed(seed);

@@ -422,6 +422,22 @@ mod tests {
     }
 
     #[test]
+    fn template_queue_counts_reach_the_tenants() {
+        // 16 tenants cover the whole cycle, multi-queue flow templates
+        // included; pinning every template to one queue must show.
+        let default = tiny_fleet(16, 2);
+        let mut single = default.clone();
+        for t in &mut single.templates {
+            t.spec = t.spec.clone().with_queues(1);
+        }
+        assert_ne!(
+            run_fleet(&default).render(),
+            run_fleet(&single).render(),
+            "the template queue count does not reach the tenant beds"
+        );
+    }
+
+    #[test]
     fn outcomes_come_back_in_tenant_index_order() {
         let cfg = tiny_fleet(13, 3);
         let outcomes = run_fleet_outcomes(&cfg);

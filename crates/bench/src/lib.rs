@@ -14,9 +14,6 @@
 //!   instantiated from weighted scenario templates, fanned out
 //!   shared-nothing over workers, merged in tenant-index order into
 //!   fleet-level statistics (byte-identical at any thread count).
-//! * [`par`] — facade over [`pc_par`], the workspace-wide deterministic
-//!   parallelism substrate (`PC_BENCH_THREADS` governs every parallel
-//!   path from one place).
 //! * [`scenario`] — the scenario registry: named end-to-end workloads
 //!   (`repro scenario <name>`) unifying the `pc-net` traffic generators
 //!   and `pc-defense` measurement workloads on the op-stream pipeline.
@@ -36,5 +33,4 @@
 pub mod experiments;
 pub mod faultmatrix;
 pub mod fleet;
-pub mod par;
 pub mod scenario;

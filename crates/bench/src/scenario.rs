@@ -215,7 +215,8 @@ impl ModeSweep {
 /// Registry specs carry the historical parameters exactly, so their
 /// rendered reports are byte-identical to the pre-spec scenario
 /// structs (the golden snapshots pin this). The builder methods
-/// ([`ScenarioSpec::with_units`], [`ScenarioSpec::with_mode`]) derive
+/// ([`ScenarioSpec::with_units`], [`ScenarioSpec::with_queues`],
+/// [`ScenarioSpec::with_mode`]) derive
 /// variants for fleet tenant templates without touching the registry's
 /// copies.
 #[derive(Clone, PartialEq, Debug)]
@@ -226,10 +227,11 @@ pub struct ScenarioSpec {
     duration: Duration,
     arrival: Arrival,
     modes: ModeSweep,
-    /// Default rx queue count for the spec's TestBeds (overridable at
-    /// run time via `PC_RSS_QUEUES` / `repro --queues`). The pre-RSS
-    /// scenarios carry 1 and stay byte-identical to their single-ring
-    /// goldens; the multi-queue scenarios default to 4.
+    /// Rx queue count of every TestBed the spec builds
+    /// ([`ScenarioSpec::with_queues`] replaces it; `repro --queues`
+    /// applies that). The pre-RSS scenarios carry 1 and stay
+    /// byte-identical to their single-ring goldens; the multi-queue
+    /// scenarios default to 4.
     queues: usize,
 }
 
@@ -259,21 +261,29 @@ impl ScenarioSpec {
         &self.modes
     }
 
-    /// Default rx queue count of the spec's simulated NIC.
+    /// Rx queue count of the spec's simulated NIC.
     pub fn queues(&self) -> usize {
         self.queues
     }
 
-    /// The queue count this run's TestBeds actually use: the
-    /// `PC_RSS_QUEUES` override when set (the CI determinism legs pin
-    /// it), else the spec default.
-    fn bed_queues(&self) -> usize {
-        pc_core::rss_queues_from_env().unwrap_or(self.queues)
+    /// The paper machine at `seed` with this spec's queue count: the
+    /// config every TestBed of the spec starts from.
+    fn bed_config(&self, seed: u64) -> TestBedConfig {
+        TestBedConfig::paper_baseline()
+            .with_seed(seed)
+            .with_queues(self.queues)
     }
 
     /// Replaces the per-scale work units (builder style).
     pub fn with_units(mut self, quick: u64, full: u64) -> Self {
         self.duration = Duration { quick, full };
+        self
+    }
+
+    /// Replaces the rx queue count of the spec's TestBeds (builder
+    /// style).
+    pub fn with_queues(mut self, queues: usize) -> Self {
+        self.queues = queues;
         self
     }
 
@@ -314,7 +324,7 @@ impl ScenarioSpec {
     fn report_chasing(&self, scale: Scale, seed: u64) -> ScenarioReport {
         let monitored = 16usize;
         let samples = self.duration.pick(scale) as usize;
-        let mut tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(seed));
+        let mut tb = TestBed::new(self.bed_config(seed));
         let geom = tb.hierarchy().llc().geometry();
         let targets: Vec<SliceSet> = pc_core::footprint::page_aligned_targets(&geom)
             .into_iter()
@@ -369,7 +379,7 @@ impl ScenarioSpec {
         let trials = self.duration.pick(scale) as usize;
         let sites = ClosedWorld::paper_five_sites();
         let acc = evaluate_closed_world(
-            TestBedConfig::paper_baseline(),
+            TestBedConfig::paper_baseline().with_queues(self.queues),
             sites.sites(),
             training,
             trials,
@@ -452,7 +462,7 @@ impl ScenarioSpec {
         for (name, mode) in self.modes.entries() {
             let tb = scratch.bed(TestBedConfig {
                 ddio: mode,
-                ..TestBedConfig::paper_baseline().with_seed(seed)
+                ..self.bed_config(seed)
             });
             let (frames, elapsed, stats, dram_lines) = self.web_mix_drive(tb, sizes.clone(), seed);
             report.push_row(vec![
@@ -484,8 +494,8 @@ impl ScenarioSpec {
             }
         }
         // Independent machines per combo: perfect ordered fan-out.
-        let rows = crate::par::parallel_map(combos, |(link_name, link, bytes)| {
-            let mut tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(seed));
+        let rows = pc_par::parallel_map(combos, |(link_name, link, bytes)| {
+            let mut tb = TestBed::new(self.bed_config(seed));
             let fps = link.max_frames_per_second(bytes);
             let mut rng = SmallRng::seed_from_u64(seed ^ u64::from(bytes));
             let frames = ArrivalSchedule::new(link).frames_per_second(fps).generate(
@@ -532,8 +542,8 @@ impl ScenarioSpec {
     /// swept along the rate axis instead of the probe axis).
     fn report_covert(&self, scale: Scale, seed: u64) -> ScenarioReport {
         let symbols_n = self.duration.pick(scale) as usize;
-        let rows = crate::par::parallel_map(vec![100_000u64, 200_000, 400_000, 500_000], |rate| {
-            let mut tb = TestBed::new(TestBedConfig::paper_baseline().with_seed(seed));
+        let rows = pc_par::parallel_map(vec![100_000u64, 200_000, 400_000, 500_000], |rate| {
+            let mut tb = TestBed::new(self.bed_config(seed));
             let pool = AddressPool::allocate(seed ^ 0xc0e7, 12288);
             let symbols = lfsr_symbols(Encoding::Ternary, symbols_n, 0x2fd1);
             let cfg = ChannelConfig {
@@ -664,7 +674,6 @@ impl ScenarioSpec {
     /// bed, web-mix-shaped columns plus the queue count.
     fn report_flow_traffic(&self, scale: Scale, seed: u64) -> ScenarioReport {
         let frames_n = self.duration.pick(scale) as usize;
-        let queues = self.bed_queues();
         let mut report = ScenarioReport::new(vec![
             "config",
             "queues",
@@ -677,21 +686,19 @@ impl ScenarioSpec {
         for (name, mode) in self.modes.entries() {
             let tb = scratch.bed(TestBedConfig {
                 ddio: mode,
-                ..TestBedConfig::paper_baseline()
-                    .with_seed(seed)
-                    .with_queues(queues)
+                ..self.bed_config(seed)
             });
             let (frames, elapsed, stats, dram_lines) = self.flow_drive(tb, frames_n, seed);
             report.push_row(vec![
                 Metric::Text(name.to_string()),
-                Metric::Count(queues as u64),
+                Metric::Count(self.queues as u64),
                 Metric::Count(frames),
                 Metric::Count(elapsed / frames),
                 Metric::Fixed(stats.miss_rate(), 3),
                 Metric::Count(dram_lines),
             ]);
         }
-        report.comment(format!("{queues} rx queues, Toeplitz flow steering"));
+        report.comment(format!("{} rx queues, Toeplitz flow steering", self.queues));
         report
     }
 
@@ -705,8 +712,8 @@ impl ScenarioSpec {
         let monitored = 16usize;
         let samples = self.duration.pick(scale) as usize;
         let mut counts = vec![1usize];
-        if self.bed_queues() > 1 {
-            counts.push(self.bed_queues());
+        if self.queues > 1 {
+            counts.push(self.queues);
         }
         let mut report = ScenarioReport::new(vec![
             "queues",
@@ -788,7 +795,7 @@ impl ScenarioSpec {
                 let sizes = Self::web_mix_sizes(units, seed);
                 let tb = scratch.bed(TestBedConfig {
                     ddio: mode,
-                    ..TestBedConfig::paper_baseline().with_seed(seed)
+                    ..self.bed_config(seed)
                 });
                 let (frames, elapsed, llc, dram_lines) = self.web_mix_drive(tb, sizes, seed);
                 Some(TenantMetrics {
@@ -803,9 +810,7 @@ impl ScenarioSpec {
             SpecKind::KvStore | SpecKind::DnsFlood | SpecKind::LargeTransfer => {
                 let tb = scratch.bed(TestBedConfig {
                     ddio: mode,
-                    ..TestBedConfig::paper_baseline()
-                        .with_seed(seed)
-                        .with_queues(self.bed_queues())
+                    ..self.bed_config(seed)
                 });
                 let (frames, elapsed, llc, dram_lines) = self.flow_drive(tb, units as usize, seed);
                 Some(TenantMetrics {
@@ -1260,6 +1265,28 @@ mod tests {
             assert_eq!(m.units, 600);
             assert!(m.units_per_second() > 0.0);
         }
+    }
+
+    #[test]
+    fn queue_override_reaches_the_flow_beds() {
+        // kv-store defaults to 4 queues; `with_queues(1)` must change
+        // the beds it builds, not only the spec's field.
+        let spec = find("kv-store")
+            .expect("registered")
+            .clone()
+            .with_units(300, 300);
+        let four = spec.report(Scale::Quick, 7);
+        let one = spec.with_queues(1).report(Scale::Quick, 7);
+        assert!(one.rows.iter().all(|r| r[1] == Metric::Count(1)));
+        // Not just the queues column: the DDIO row's cache behaviour
+        // moves with the steering.
+        let ddio = |r: &ScenarioReport| r.rows[1][3..].to_vec();
+        assert_eq!(one.rows[1][0], Metric::Text("DDIO".into()));
+        assert_ne!(
+            ddio(&four),
+            ddio(&one),
+            "the queue count does not reach the beds"
+        );
     }
 
     #[test]

@@ -53,4 +53,4 @@ pub mod levenshtein;
 pub mod sequencer;
 mod testbed;
 
-pub use testbed::{rss_queues_from_env, RxRecord, TestBed, TestBedConfig, WindowStats};
+pub use testbed::{RxRecord, TestBed, TestBedConfig, WindowStats};

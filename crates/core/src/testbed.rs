@@ -35,29 +35,6 @@ pub struct WindowStats {
     pub frames: u64,
 }
 
-/// Reads the `PC_RSS_QUEUES` environment variable (an rx queue count,
-/// `1..=`[`pc_nic::MAX_RSS_QUEUES`]) — the CI multi-queue determinism
-/// job and `repro --queues` use it to re-run whole scenario suites at
-/// another queue count without touching scenario code. Returns `None`
-/// when unset.
-///
-/// # Panics
-///
-/// Panics on a non-numeric or out-of-range value: a CI leg silently
-/// falling back to the default queue count would pass vacuously.
-pub fn rss_queues_from_env() -> Option<usize> {
-    let v = std::env::var("PC_RSS_QUEUES").ok()?;
-    let n: usize = v
-        .parse()
-        .unwrap_or_else(|_| panic!("PC_RSS_QUEUES must be a queue count, got `{v}`"));
-    assert!(
-        (1..=pc_nic::MAX_RSS_QUEUES).contains(&n),
-        "PC_RSS_QUEUES must be 1..={}, got {n}",
-        pc_nic::MAX_RSS_QUEUES
-    );
-    Some(n)
-}
-
 /// Everything needed to stand up a [`TestBed`].
 #[derive(Copy, Clone, Debug)]
 pub struct TestBedConfig {
@@ -72,9 +49,6 @@ pub struct TestBedConfig {
     /// Master seed for the bed's stochastic pieces (page placement,
     /// driver decisions).
     pub seed: u64,
-    /// Record every received packet as ground truth (cheap; on by
-    /// default).
-    pub record_rx: bool,
     /// Rx queue count: RSS spreads flows over this many independent
     /// rings / driver streams (1 — the default — is the pre-RSS
     /// single-ring model; legacy all-zero flows always land on
@@ -83,11 +57,9 @@ pub struct TestBedConfig {
 }
 
 impl TestBedConfig {
-    /// The paper's vulnerable baseline: DDIO on, stock IGB driver.
-    ///
-    /// The queue count honours [`rss_queues_from_env`], so one binary
-    /// can run a whole scenario suite at each queue count; an explicit
-    /// [`TestBedConfig::with_queues`] still wins.
+    /// The paper's vulnerable baseline: DDIO on, stock IGB driver, one
+    /// rx queue (§III-A). A constant: other queue counts come from
+    /// [`TestBedConfig::with_queues`].
     pub fn paper_baseline() -> Self {
         TestBedConfig {
             geometry: CacheGeometry::xeon_e5_2660(),
@@ -95,8 +67,7 @@ impl TestBedConfig {
             driver: DriverConfig::paper_defaults(),
             latencies: LatencyModel::server_defaults(),
             seed: 0x9ac4e7,
-            record_rx: true,
-            rss_queues: rss_queues_from_env().unwrap_or(1),
+            rss_queues: 1,
         }
     }
 
@@ -189,7 +160,6 @@ pub struct TestBed {
     queues: Vec<RxQueue>,
     pending: VecDeque<ScheduledFrame>,
     records: Vec<RxRecord>,
-    record_rx: bool,
     window_stats: WindowStats,
 }
 
@@ -233,7 +203,6 @@ impl TestBed {
             queues,
             pending: VecDeque::new(),
             records: Vec::new(),
-            record_rx: cfg.record_rx,
             window_stats: WindowStats::default(),
         }
     }
@@ -251,7 +220,6 @@ impl TestBed {
         self.queues = queues;
         self.pending.clear();
         self.records.clear();
-        self.record_rx = cfg.record_rx;
         self.window_stats = WindowStats::default();
     }
 
@@ -309,7 +277,7 @@ impl TestBed {
         &self.window_stats
     }
 
-    /// Ground-truth receive log (empty when `record_rx` is off).
+    /// Ground-truth receive log: one record per received frame.
     pub fn records(&self) -> &[RxRecord] {
         &self.records
     }
@@ -421,14 +389,12 @@ impl TestBed {
         let queue = &mut self.queues[qi];
         let ev = queue.driver.receive(&mut self.h, sf.frame, &mut queue.rng);
         queue.deferred.extend(ev.deferred_reads.iter().copied());
-        if self.record_rx {
-            self.records.push(RxRecord {
-                at: sf.at,
-                buffer_index: ev.buffer_index,
-                buffer_addr: ev.buffer_addr,
-                blocks: ev.blocks,
-            });
-        }
+        self.records.push(RxRecord {
+            at: sf.at,
+            buffer_index: ev.buffer_index,
+            buffer_addr: ev.buffer_addr,
+            blocks: ev.blocks,
+        });
     }
 }
 

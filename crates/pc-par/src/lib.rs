@@ -31,8 +31,8 @@
 //!   curve per item.
 //!
 //! This crate sits below `pc-cache` (whose fault sites key their
-//! firing decisions with [`mix_seed`]) and is re-exported as
-//! `pc_bench::par` for the harness. The
+//! firing decisions with [`mix_seed`]); the harness calls it
+//! directly. The
 //! README next to this crate maps each primitive to its users; the
 //! workspace-wide determinism contract is spelled out in the top-level
 //! `ARCHITECTURE.md`.
