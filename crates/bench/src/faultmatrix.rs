@@ -1,56 +1,68 @@
-//! The fault-injection kill matrix behind `repro fault-matrix`.
+//! The fault-injection kill matrix behind `repro fault-matrix` and the
+//! `fault_kill` test.
 //!
 //! Mutation testing for the equivalence suites: every catalog site in
 //! [`pc_cache::fault`] is armed in turn (for each fault seed) and each
-//! of the cheap detector suites gets a fresh arming and one chance to
-//! notice — a reported divergence *or* a panic kills the mutant. The
-//! matrix printed at the end shows which suite killed what; a fault ×
-//! seed cell no suite kills is a **survivor** and fails the run: it
-//! means a single-point mutation in one engine slipped past every
-//! differential check the repository relies on.
+//! detector suite gets a fresh arming and one chance to notice — a
+//! reported divergence *or* a panic kills the mutant. The matrix
+//! printed at the end shows which suite killed what; a fault × seed
+//! cell no suite kills is a **survivor** and fails the run: it means a
+//! single-point mutation slipped past every differential check the
+//! repository relies on. Every detector is defined here once;
+//! [`SUITES`], [`trial`], [`kill_row`] and [`negative_control`] are
+//! the entry points `repro` and the `fault_kill` test share.
 //!
-//! The five suites, cheapest first (the order is part of the printed
+//! The six suites, in run order (the order is part of the printed
 //! contract):
 //!
-//! * `ops` — the op-stream differential from
-//!   `crates/pc-cache/tests/fault_kill.rs`: the per-access oracle and
-//!   the fast path's three entry points (streaming applier, buffered
-//!   `run_ops`, unbuffered `run_trace`) replay seeded fuzz streams
-//!   over carried state and are compared on clock, memory traffic,
-//!   merged and per-slice statistics, and residency.
+//! * `reference` — the LLC against an independent model: a seeded
+//!   20 000-access fuzz stream through [`SlicedCache`] and
+//!   [`ReferenceCache`] (its own per-set layout, its own `u64` LRU) in
+//!   DDIO mode and two adaptive configurations, compared on outcome,
+//!   I/O occupancy and partition limit after every access, then on
+//!   statistics, per-slice defense evaluations and residency. The four
+//!   shard-substrate sites (`stale-lru`, `skipped-defense-eval`,
+//!   `stale-dirty-set`, `skipped-epoch-bump`) mutate every engine that
+//!   shares the shard, so this is the suite that kills them.
+//! * `ops` — the op-stream differential: the per-access oracle and the
+//!   fast path's three entry points (streaming applier, buffered
+//!   `run_ops`, unbuffered `run_trace`) replay seeded fuzz streams over
+//!   carried state and are compared on clock, memory traffic, merged
+//!   and per-slice statistics, and residency.
 //! * `driver` — a compact `pc-nic` batch-equivalence pass: batched
 //!   receive against the per-access scalar path over a mixed
 //!   frame-size cycle, per DDIO mode × randomization defense, with a
 //!   CPU re-read of the older buffers' blocks (fast path against
-//!   per-access reads) between two receive rounds — the receive-path
-//!   detector for `stale-lru`.
-//! * `testbed` — the bed ↔ hand-driven per-access reference trajectory
-//!   comparison from `crates/core/tests/fault_kill_rx.rs`, the rx-path
+//!   per-access reads) between two receive rounds.
+//! * `testbed` — the bed against a hand-driven per-access reference,
+//!   compared along the trajectory and after the drain; the rx-path
 //!   detector for `dropped-deferred-read`.
-//! * `monitor` — mirroring `crates/pc-probe/tests/fault_kill_probe.rs`:
-//!   the attacker pool's eviction-set memo against the memo-free oracle
-//!   walk (the only detector that exercises `stale-eviction-memo`,
-//!   whose mutation lives in the memo lookup alone), then a probe-walk
-//!   differential: the spy's decoded prime and probe walks
-//!   (`Hierarchy::run_walk`) against per-access `cpu_read` walks on a
-//!   cloned machine.
+//! * `monitor` — the attacker pool's eviction-set memo against the
+//!   memo-free oracle walk (the only detector that exercises
+//!   `stale-eviction-memo`, whose mutation lives in the memo lookup
+//!   alone), then a probe-walk differential: the spy's decoded prime
+//!   and probe walks (`Hierarchy::run_walk`) against per-access
+//!   `cpu_read` walks on a cloned machine.
 //! * `golden` — the scenario registry at the blessed parameters
 //!   (`Scale::Quick`, seed 2020) byte-compared against the snapshots
 //!   in `tests/golden/` (`fingerprint` is excluded: it costs more than
 //!   every other scenario combined and the sites it could kill are
-//!   already covered by the cheaper suites).
+//!   already covered by the cheaper suites). The only suite that sees
+//!   `swapped-queue-steer`, which is inert on the single-queue beds
+//!   the others build.
 //!
-//! A negative control runs first: with nothing armed, all five suites
-//! must stay silent, pinning that the matrix only ever reports
-//! injected faults. The run aborts (exit 2 via the caller) if the
-//! control trips.
+//! A negative control runs first: with nothing armed, every suite (and
+//! `ops` on a second stream seed) must stay silent, pinning that the
+//! matrix only ever reports injected faults. The run aborts (exit 2
+//! via the caller) if the control trips.
 
 use crate::experiments::Scale;
-use crate::scenario;
+use crate::scenario::{self, ScenarioSpec};
 use pc_cache::fault::{self, FaultSite, FaultSpec};
+use pc_cache::reference::ReferenceCache;
 use pc_cache::{
-    AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, CacheStats, Cycles, DdioMode, Hierarchy,
-    OpBuffer, OpSink, PhysAddr, SliceSet, SlicedCache,
+    AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, CacheStats, Cycles, DdioMode, Domain,
+    Hierarchy, OpBuffer, OpSink, PhysAddr, SliceSet, SlicedCache,
 };
 use pc_core::{RxRecord, TestBed, TestBedConfig};
 use pc_net::{EthernetFrame, ScheduledFrame};
@@ -60,21 +72,115 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
-/// A detector suite: runs a fixed workload and reports the first
-/// divergence, if any. A panic inside the suite also counts as a kill
-/// (the harness catches it).
-type Suite = fn() -> Option<String>;
+/// A detector suite: the matrix column it heads and a fixed workload
+/// that reports the first divergence it sees, if any.
+#[derive(Copy, Clone, Debug)]
+pub struct Suite {
+    /// The matrix column header.
+    pub name: &'static str,
+    /// Runs the workload; `Some` names the first divergence. A panic
+    /// also counts as a kill ([`trial`] catches it).
+    pub detect: fn() -> Option<String>,
+}
 
-/// The suites in run order (cheap → expensive). Names are the matrix
-/// column headers.
-const SUITES: [(&str, Suite); 5] = [
-    ("ops", op_stream_differential),
-    ("driver", driver_batch_equivalence),
-    ("testbed", testbed_trajectory),
-    ("monitor", monitor_differential),
-    ("golden", scenario_goldens),
+/// The suites in run order. `golden` comes last: it costs more than
+/// the other five together.
+pub const SUITES: [Suite; 6] = [
+    Suite {
+        name: "reference",
+        detect: reference_differential,
+    },
+    Suite {
+        name: "ops",
+        detect: || op_stream_differential(0xD1FF),
+    },
+    Suite {
+        name: "driver",
+        detect: driver_batch_equivalence,
+    },
+    Suite {
+        name: "testbed",
+        detect: testbed_trajectory,
+    },
+    Suite {
+        name: "monitor",
+        detect: monitor_differential,
+    },
+    Suite {
+        name: "golden",
+        detect: scenario_goldens,
+    },
 ];
+
+/// What one detector run saw under one arming.
+#[derive(Clone, Debug)]
+pub struct Trial {
+    /// `None` when the detector stayed silent; otherwise the divergence
+    /// it reported, or the panic that ended it — either kills.
+    pub kill: Option<String>,
+    /// Consultations of the armed counter site during the run
+    /// ([`fault::consultations`]); a survivor with zero was never
+    /// reached, which is a harness gap rather than a suite gap.
+    pub consultations: u64,
+}
+
+/// The fault state is process-global: trials serialize here, so test
+/// threads in one process cannot interleave their armings.
+static TRIAL_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs `detect` once with `fault` armed (nothing armed for `None`),
+/// then disarms. A panic inside `detect` is caught and reported as the
+/// kill (the panic hook has already printed its message).
+pub fn trial(fault: Option<FaultSpec>, detect: impl FnOnce() -> Option<String>) -> Trial {
+    let _g = TRIAL_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    match fault {
+        Some(spec) => fault::arm(spec),
+        None => fault::disarm(),
+    }
+    let outcome = catch_unwind(AssertUnwindSafe(detect));
+    let consultations = fault::consultations();
+    fault::disarm();
+    Trial {
+        kill: outcome.unwrap_or_else(|_| Some("panicked".to_owned())),
+        consultations,
+    }
+}
+
+/// One matrix row: `site:seed` against each of `suites` in order, each
+/// with a *fresh* arming — counter sites are one-shot, and a suite that
+/// consumed the firing without noticing must not shield the suites
+/// after it.
+pub fn kill_row(site: FaultSite, seed: u64, suites: &[Suite]) -> Vec<Trial> {
+    let spec = FaultSpec {
+        site,
+        seed,
+        nth: None,
+    };
+    suites.iter().map(|s| trial(Some(spec), s.detect)).collect()
+}
+
+/// The negative control: with nothing armed, every suite — and `ops`
+/// on a second stream seed — must stay silent. `Err` names the first
+/// suite that did not.
+pub fn negative_control() -> Result<(), String> {
+    let second_ops = Suite {
+        name: "ops (stream 0x5EED)",
+        detect: || op_stream_differential(0x5EED),
+    };
+    for suite in SUITES.iter().chain([&second_ops]) {
+        if let Some(d) = trial(None, suite.detect).kill {
+            return Err(format!(
+                "suite `{}` reports a divergence with no fault armed: {d}",
+                suite.name
+            ));
+        }
+    }
+    Ok(())
+}
 
 /// Runs the full matrix — every catalog site × `seeds` fault seeds ×
 /// every suite — printing the kill matrix as it goes. Returns `true`
@@ -85,45 +191,27 @@ pub fn run(seeds: u64) -> bool {
         FaultSite::ALL.len(),
         SUITES.len()
     );
-    fault::disarm();
-    for (name, suite) in SUITES {
-        match catch_unwind(AssertUnwindSafe(suite)) {
-            Ok(None) => {}
-            Ok(Some(d)) => {
-                println!("# NEGATIVE CONTROL FAILED: suite `{name}` reports a divergence with no fault armed: {d}");
-                return false;
-            }
-            Err(_) => {
-                println!("# NEGATIVE CONTROL FAILED: suite `{name}` panicked with no fault armed");
-                return false;
-            }
-        }
+    if let Err(e) = negative_control() {
+        println!("# NEGATIVE CONTROL FAILED: {e}");
+        return false;
     }
     println!("# negative control: all suites silent with no fault armed");
-    let header: Vec<&str> = SUITES.iter().map(|(n, _)| *n).collect();
+    let header: Vec<&str> = SUITES.iter().map(|s| s.name).collect();
     println!("site,seed,{},killed_by", header.join(","));
     let mut survivors = Vec::new();
     for site in FaultSite::ALL {
         for seed in 0..seeds {
-            let mut cells = Vec::new();
-            let mut killed_by = Vec::new();
-            for (name, suite) in SUITES {
-                // Each suite gets a *fresh* arming: counter sites are
-                // one-shot, and a suite that consumed the firing
-                // without noticing must not shield the suites after it.
-                fault::arm(FaultSpec {
-                    site,
-                    seed,
-                    nth: None,
-                });
-                let outcome = catch_unwind(AssertUnwindSafe(suite));
-                fault::disarm();
-                let killed = !matches!(outcome, Ok(None));
-                cells.push(if killed { "KILL" } else { "miss" });
-                if killed {
-                    killed_by.push(name);
-                }
-            }
+            let row = kill_row(site, seed, &SUITES);
+            let cells: Vec<&str> = row
+                .iter()
+                .map(|t| if t.kill.is_some() { "KILL" } else { "miss" })
+                .collect();
+            let killed_by: Vec<&str> = SUITES
+                .iter()
+                .zip(&row)
+                .filter(|(_, t)| t.kill.is_some())
+                .map(|(s, _)| s.name)
+                .collect();
             if killed_by.is_empty() {
                 survivors.push(format!("{}:{seed}", site.name()));
             }
@@ -153,16 +241,17 @@ pub fn run(seeds: u64) -> bool {
     }
 }
 
-// --- suite `ops`: the op-stream differential -----------------------
+// --- the shared op stream ------------------------------------------
 
-/// The op_fuzz stream shape: mixed kinds, occasional leads, a hot
-/// conflict region so LRU order and slice skew both matter.
-fn fuzz_stream(seed: u64, len: usize) -> Vec<CacheOp> {
+/// The op_fuzz stream shape: mixed kinds, occasional leads, and 60 % of
+/// the accesses in a hot conflict region of `hot_lines` lines, so LRU
+/// order and slice skew both matter.
+fn fuzz_stream(seed: u64, len: usize, hot_lines: u64) -> Vec<CacheOp> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..len)
         .map(|_| {
             let line = if rng.gen_range(0..100) < 60 {
-                rng.gen_range(0..64u64)
+                rng.gen_range(0..hot_lines)
             } else {
                 rng.gen_range(0..(1 << 16))
             };
@@ -181,6 +270,74 @@ fn fuzz_stream(seed: u64, len: usize) -> Vec<CacheOp> {
         })
         .collect()
 }
+
+// --- suite `reference`: the LLC against an independent model -------
+
+/// [`SlicedCache`] against [`ReferenceCache`], which shares none of the
+/// shard code: one 20 000-access fuzz stream per mode, checked after
+/// every access and at the end. DDIO mode exercises the hit path's
+/// recency order; the two adaptive configurations (paper defaults, and
+/// `t_high`/`t_low` 4 over 1–3 I/O lines, both re-evaluated every 16
+/// accesses) exercise the defense's period clock, dirty worklist and
+/// epochs.
+///
+/// The keyed substrate sites fire on line tags and set indices, so the
+/// machine is sized to offer many of both: 64 sets per slice (the tiny
+/// geometry's 16 leave some fault seeds no set to fire on) and a hot
+/// region of 2048 lines, four times the 512-line capacity, so hits
+/// land on many tags and LRU order decides what the hot misses evict.
+fn reference_differential() -> Option<String> {
+    let geom = CacheGeometry::new(6, 2, 4);
+    let ops = fuzz_stream(0xD1FF, 20_000, 2048);
+    let modes = [
+        DdioMode::enabled(),
+        DdioMode::Adaptive(AdaptiveConfig {
+            period: 16,
+            ..AdaptiveConfig::paper_defaults()
+        }),
+        DdioMode::Adaptive(AdaptiveConfig {
+            period: 16,
+            t_high: 4,
+            t_low: 4,
+            min_io_lines: 1,
+            max_io_lines: 3,
+        }),
+    ];
+    for mode in modes {
+        let mut llc = SlicedCache::new(geom, mode);
+        let mut model = ReferenceCache::new(geom, mode);
+        for (i, op) in ops.iter().enumerate() {
+            let (got, want) = (llc.access(op.addr, op.kind), model.access(op.addr, op.kind));
+            if got != want {
+                return Some(format!("{mode:?} op {i}: outcome {got:?} != {want:?}"));
+            }
+            let ss = llc.locate(op.addr);
+            if llc.domain_count(ss, Domain::Io) != model.domain_count(ss, Domain::Io) {
+                return Some(format!("{mode:?} op {i}: I/O occupancy of {ss:?}"));
+            }
+            if llc.io_partition_limit(ss) != model.io_partition_limit(ss) {
+                return Some(format!("{mode:?} op {i}: partition limit of {ss:?}"));
+            }
+        }
+        if llc.stats() != model.stats() {
+            return Some(format!("{mode:?}: statistics"));
+        }
+        for slice in 0..geom.slices() {
+            if llc.slice_stats(slice).defense_evals != model.slice_defense_evals(slice) {
+                return Some(format!("{mode:?}: defense evaluations of slice {slice}"));
+            }
+        }
+        if let Some(op) = ops
+            .iter()
+            .find(|op| llc.contains(op.addr) != model.contains(op.addr))
+        {
+            return Some(format!("{mode:?}: residency of {:?}", op.addr));
+        }
+    }
+    None
+}
+
+// --- suite `ops`: the op-stream differential -----------------------
 
 fn slice_stats(h: &Hierarchy) -> Vec<CacheStats> {
     (0..h.llc().geometry().slices())
@@ -211,9 +368,10 @@ fn hierarchy_differs(oracle: &Hierarchy, other: &Hierarchy, ops: &[CacheOp]) -> 
 }
 
 /// The oracle and three fast-path entry points over carried state,
-/// compared after every round (six rounds per DDIO mode — enough
-/// consultations for every counter site's trigger range).
-fn op_stream_differential() -> Option<String> {
+/// replaying streams seeded from `stream_seed` and compared after every
+/// round (six rounds per DDIO mode — enough consultations for every
+/// counter site's trigger range).
+fn op_stream_differential(stream_seed: u64) -> Option<String> {
     let geom = CacheGeometry::tiny();
     let modes = [
         DdioMode::Disabled,
@@ -230,7 +388,7 @@ fn op_stream_differential() -> Option<String> {
         let mut traced = Hierarchy::new(geom, mode);
         let mut buf = OpBuffer::new();
         for round in 0..6u64 {
-            let ops = fuzz_stream(pc_par::mix_seed(0xD1FF, round), 6000);
+            let ops = fuzz_stream(pc_par::mix_seed(stream_seed, round), 6000, 64);
             for &op in &ops {
                 oracle.op(op);
             }
@@ -421,8 +579,7 @@ fn testbed_config() -> TestBedConfig {
 /// detect steps (head and tail).
 const BURST_PERIOD: u64 = 60_000;
 
-/// The kill schedule from `crates/core/tests/fault_kill_rx.rs`: each
-/// burst puts `burst % 24` zero-gap copybreak frames before its MTU
+/// The kill schedule: each burst puts `burst % 24` zero-gap copybreak frames before its MTU
 /// frame (so the deferred payload due lands at a different offset in
 /// every burst), then an 8-frame small train that brackets the due time
 /// at one-replay (~900 cycle) spacing — a dropped or shifted read
@@ -505,12 +662,22 @@ impl RxReference {
     }
 }
 
+/// Residency of every block the records name, compared across both
+/// machines.
+fn residency_differs(records: &[RxRecord], a: &Hierarchy, b: &Hierarchy) -> Option<String> {
+    records
+        .iter()
+        .flat_map(|rec| (0..u64::from(rec.blocks)).map(move |b| rec.buffer_addr.add_blocks(b)))
+        .find(|&addr| a.llc().contains(addr) != b.llc().contains(addr))
+        .map(|addr| format!("residency of {addr}"))
+}
+
 /// Drives the bed and the per-access reference through the schedule in
 /// lockstep, comparing the *trajectory* — clock, traffic, statistics,
-/// records and mid-flight residency after every step. Two steps per
-/// burst: the head step delivers `[smalls…, MTU]`; the tail step
-/// delivers the train, with the payload reads running between its
-/// frames.
+/// records and mid-flight residency after every step — then records,
+/// ring placement and residency after the drain. Two steps per burst:
+/// the head step delivers `[smalls…, MTU]`; the tail step delivers the
+/// train, with the payload reads running between its frames.
 fn testbed_trajectory() -> Option<String> {
     let cfg = testbed_config();
     let frames = testbed_schedule();
@@ -545,13 +712,8 @@ fn testbed_trajectory() -> Option<String> {
         // order in sets where every later access is a forced miss, so
         // the divergence never reaches the statistics and the ring
         // eventually rewrites the evidence.
-        for rec in bed.records() {
-            for b in 0..u64::from(rec.blocks) {
-                let addr = rec.buffer_addr.add_blocks(b);
-                if bh.llc().contains(addr) != rh.llc().contains(addr) {
-                    return Some(format!("residency of {addr} at step {t}"));
-                }
-            }
+        if let Some(d) = residency_differs(bed.records(), bh, rh) {
+            return Some(format!("{d} at step {t}"));
         }
     }
     bed.drain();
@@ -562,7 +724,8 @@ fn testbed_trajectory() -> Option<String> {
     if bed.driver().ring().page_addresses() != reference.driver.ring().page_addresses() {
         return Some("ring placement after drain".into());
     }
-    None
+    residency_differs(bed.records(), bed.hierarchy(), &reference.h)
+        .map(|d| format!("{d} after drain"))
 }
 
 // --- suite `monitor`: eviction-set memo vs walk, probe walks --------
@@ -657,24 +820,22 @@ fn conflicting_line(llc: &SlicedCache, set: &EvictionSet) -> PhysAddr {
 /// more than the rest of the registry combined, and its engines are
 /// covered by the cheaper suites.
 fn scenario_goldens() -> Option<String> {
+    scenario::registry()
+        .iter()
+        .filter(|s| s.name() != "fingerprint")
+        .find_map(scenario_golden)
+}
+
+/// One scenario at the blessed parameters (`Scale::Quick`, seed 2020)
+/// against its snapshot under `tests/golden/`.
+pub fn scenario_golden(s: &ScenarioSpec) -> Option<String> {
     let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
-    for s in scenario::registry() {
-        if s.name() == "fingerprint" {
-            continue;
-        }
-        let path = dir.join(format!("{}.golden.txt", s.name()));
-        let want = match std::fs::read_to_string(&path) {
-            Ok(w) => w,
-            // Reported as a divergence so the *negative control* fails
-            // loudly on a missing snapshot instead of crediting kills.
-            Err(e) => return Some(format!("missing golden {path:?}: {e}")),
-        };
-        if s.run(Scale::Quick, 2020) != want {
-            return Some(format!(
-                "scenario `{}` diverged from its snapshot",
-                s.name()
-            ));
-        }
+    let path = dir.join(format!("{}.golden.txt", s.name()));
+    match std::fs::read_to_string(&path) {
+        // Reported as a divergence so the *negative control* fails
+        // loudly on a missing snapshot instead of crediting kills.
+        Err(e) => Some(format!("missing golden {path:?}: {e}")),
+        Ok(want) => (s.run(Scale::Quick, 2020) != want)
+            .then(|| format!("scenario `{}` diverged from its snapshot", s.name())),
     }
-    None
 }

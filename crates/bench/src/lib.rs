@@ -9,7 +9,7 @@
 //!
 //! * [`faultmatrix`] — the fault-injection kill matrix behind
 //!   `repro fault-matrix`: every `pc_cache::fault` catalog site ×
-//!   seed armed against four detector suites, failing on survivors.
+//!   seed armed against six detector suites, failing on survivors.
 //! * [`fleet`] — fleet orchestration behind `repro fleet`: N tenants
 //!   instantiated from weighted scenario templates, fanned out
 //!   shared-nothing over workers, merged in tenant-index order into

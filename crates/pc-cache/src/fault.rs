@@ -2,6 +2,7 @@
 //! executable.
 //!
 //! The reproduction's determinism story rests on differential suites —
+//! the LLC against its independent [`crate::reference::ReferenceCache`],
 //! op-fuzz rounds, driver batch equivalence, the test bed against its
 //! per-access reference, scenario goldens — that compare independent engines
 //! byte for byte. A suite that has never caught a divergence proves
@@ -10,9 +11,10 @@
 //! off-by-one, a dropped flush, a skipped update), armed globally via
 //! [`arm`] (`repro` arms the `PC_FAULT` spec it parses with
 //! [`FaultSpec::parse`]) and consulted by a
-//! hook at the mutation site. The kill-matrix harness
-//! (`repro fault-matrix`, `fault_kill` tests) arms every site in turn
-//! and asserts at least one suite kills each mutant.
+//! hook at the mutation site. The kill-matrix harness (pc-bench's
+//! `faultmatrix`, behind `repro fault-matrix` and the `fault_kill`
+//! test) arms every site in turn and asserts at least one suite kills
+//! each mutant.
 //!
 //! ## Arming rules
 //!
@@ -21,17 +23,16 @@
 //!   single relaxed atomic first; when nothing is armed they cost one
 //!   load and a predictable branch — the negative-control suites pin
 //!   that arming hooks perturb nothing.
-//! * Every site mutates exactly **one** engine, so the differential
-//!   suites always have a clean engine to differ against. Sites whose
-//!   hook sits in the shard substrate, which the fast path shares with
-//!   the per-access oracle, additionally require the fast-path scope
-//!   ([`fast_path_scope`]), held by the hierarchy's op replay loop,
-//!   its decoded-walk replay and the streaming applier; outside it the
-//!   site never fires, so
-//!   the oracle stays clean. The one exception is
-//!   `dropped-deferred-read`: its counter fires once per arming, so of
-//!   two paths driven in lockstep through the shared queue exactly one
-//!   is mutated.
+//! * A site fires wherever its hook's code runs, as a real defect
+//!   would. Most hooks sit in code unique to one engine, so the
+//!   differential suites have a clean engine to differ against. The
+//!   four shard-substrate sites (`stale-lru`, `skipped-defense-eval`,
+//!   `stale-dirty-set`, `skipped-epoch-bump`) mutate the fast path and
+//!   the per-access oracle alike; only a model that shares none of the
+//!   shard's code, [`crate::reference::ReferenceCache`], can out-vote
+//!   them. `dropped-deferred-read` hooks a queue both receive paths
+//!   share, but its counter fires once per arming, so of two paths
+//!   driven in lockstep exactly one is mutated.
 //! * Firing is deterministic. *Counter* sites fire exactly once, on
 //!   the `nth` consultation after arming (`nth` derived from the
 //!   fault seed when not given). *Keyed* sites fire as a pure
@@ -43,10 +44,11 @@
 //!
 //! When a new engine joins an equivalence class, give it a site here:
 //! add a variant, extend [`FaultSite::ALL`] and the `match` tables
-//! (name, kind, scope, salt), hook the mutation into the new
-//! engine behind [`fires`]/[`fires_keyed`], and add the site to the
-//! kill harness — the matrix then proves the suites notice when that
-//! engine, and only that engine, misbehaves.
+//! (name, kind, salt), hook the mutation into the new engine behind
+//! [`fires`]/[`fires_keyed`], and make sure a kill-harness suite
+//! compares that engine with a model that does not share the hooked
+//! code — the matrix then proves the suites notice when it
+//! misbehaves.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -76,10 +78,10 @@ pub enum FaultSite {
     /// clock/memory deltas — the streaming applier silently loses its
     /// tail. Counter-fired, applier only.
     DroppedFlush,
-    /// The shard hit path skips the LRU touch for keyed tags — the
-    /// fast path ages lines the oracle refreshes, so eviction order
-    /// drifts. Keyed on the line tag; requires the fast-path scope
-    /// (the hook sits in the shared shard substrate).
+    /// The shard hit path skips the LRU touch for keyed tags — the LLC
+    /// ages lines the reference model refreshes, so eviction order
+    /// drifts. Keyed on the line tag; the hook sits in the shard
+    /// substrate every engine shares.
     StaleLru,
     /// [`crate::OpBuffer`] skews keyed ops' leads by +13 cycles — the
     /// buffered batch's clock walks away from the per-access oracle's.
@@ -92,22 +94,20 @@ pub enum FaultSite {
     /// one loses the read.
     DroppedDeferredRead,
     /// A shard skips one adaptive-defense period evaluation — the
-    /// fast path's defense clock crosses a boundary without
-    /// re-evaluating. Keyed on the shard's defense clock; requires
-    /// the fast-path scope.
+    /// shard's defense clock crosses a boundary without re-evaluating.
+    /// Keyed on the shard's defense clock; shard substrate.
     SkippedDefenseEval,
     /// The adaptive defense's incremental bookkeeping stamps a keyed
     /// set's dirty epoch without pushing it onto the dirty worklist —
     /// the set silently skips its period evaluation while later writes
-    /// think it is queued. Keyed on the slice-local set index; requires
-    /// the fast-path scope (the hook sits in the shared shard
-    /// substrate).
+    /// think it is queued. Keyed on the slice-local set index; shard
+    /// substrate.
     StaleDirtySet,
     /// A shard's period evaluation skips the epoch bump that retires
     /// last period's dirty stamps — sets touched last period falsely
     /// appear already-queued, so their next I/O write never re-enters
-    /// them into the worklist. Keyed on the shard's dirty epoch;
-    /// requires the fast-path scope.
+    /// them into the worklist. Keyed on the shard's dirty epoch; shard
+    /// substrate.
     SkippedEpochBump,
     /// The RSS steer routes a keyed flow to the *next* queue index —
     /// frames land in the wrong ring, so per-queue ring order, page
@@ -184,20 +184,6 @@ impl FaultSite {
             | FaultSite::SwappedQueueSteer
             | FaultSite::StaleEvictionMemo => FiringKind::Keyed,
         }
-    }
-
-    /// `true` for the sites whose hook sits in the shard substrate the
-    /// fast path shares with the per-access oracle: they fire only
-    /// inside [`fast_path_scope`]. Every other hook's location is
-    /// already unique to one engine.
-    pub fn fast_path_only(self) -> bool {
-        matches!(
-            self,
-            FaultSite::StaleLru
-                | FaultSite::StaleDirtySet
-                | FaultSite::SkippedDefenseEval
-                | FaultSite::SkippedEpochBump
-        )
     }
 
     /// Position in [`FaultSite::ALL`]: the armed-site encoding.
@@ -362,41 +348,8 @@ pub fn bless_guard() -> Result<(), String> {
     }
 }
 
-thread_local! {
-    static IN_FAST_PATH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// RAII guard marking the current thread as inside the op-stream fast
-/// path (see [`fast_path_scope`]); restores the previous mark on drop.
-#[derive(Debug)]
-pub struct FastPathScope {
-    /// The mark to restore; `None` when the guard is inert.
-    prev: Option<bool>,
-}
-
-impl Drop for FastPathScope {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev {
-            IN_FAST_PATH.set(prev);
-        }
-    }
-}
-
-/// Marks the current thread as inside the op-stream fast path until
-/// the returned guard drops, so the [`FaultSite::fast_path_only`]
-/// sites can fire. The hierarchy's op replay loop, decoded-walk replay
-/// and streaming applier hold one; the per-access oracle never does. When no fault is armed
-/// the guard is inert (one atomic load, no TLS write).
-pub fn fast_path_scope() -> FastPathScope {
-    let prev = ARMED
-        .load(Ordering::Relaxed)
-        .then(|| IN_FAST_PATH.replace(true));
-    FastPathScope { prev }
-}
-
 /// Hot-path predicate for counter sites: `true` exactly when `site` is
-/// armed, its fast-path scope (if required) is held, and this is the
-/// resolved `nth` consultation since arming. One relaxed load when
+/// armed and this is the resolved `nth` consultation since arming. One relaxed load when
 /// nothing is armed.
 #[inline]
 pub fn fires(site: FaultSite) -> bool {
@@ -407,8 +360,7 @@ pub fn fires(site: FaultSite) -> bool {
 }
 
 /// Hot-path predicate for keyed sites: `true` exactly when `site` is
-/// armed, its fast-path scope (if required) is held, and
-/// `mix_seed(seed, key)` lands on the resolved modulus — a pure
+/// armed and `mix_seed(seed, key)` lands on the resolved modulus — a pure
 /// function of `key`, schedule-independent. One relaxed load when
 /// nothing is armed.
 #[inline]
@@ -422,9 +374,6 @@ pub fn fires_keyed(site: FaultSite, key: u64) -> bool {
 #[cold]
 fn fires_slow(site: FaultSite, key: Option<u64>) -> bool {
     if SITE.load(Ordering::Relaxed) != site.index() as u8 + 1 {
-        return false;
-    }
-    if site.fast_path_only() && !IN_FAST_PATH.get() {
         return false;
     }
     match key {
@@ -534,31 +483,6 @@ mod tests {
         }
         // A different (un-armed) site never fires.
         assert!((0..200u64).all(|k| !fires_keyed(FaultSite::SwappedQueueSteer, k)));
-        disarm();
-    }
-
-    #[test]
-    fn context_gated_sites_need_their_engine_scope() {
-        let _g = serialized();
-        arm(FaultSpec {
-            site: FaultSite::StaleLru,
-            seed: 3,
-            nth: Some(1), // modulus 1: fires on every key, context permitting
-        });
-        assert!(!fires_keyed(FaultSite::StaleLru, 0), "no scope, no fire");
-        {
-            let _scope = fast_path_scope();
-            assert!(fires_keyed(FaultSite::StaleLru, 0));
-            {
-                let _inner = fast_path_scope();
-                assert!(fires_keyed(FaultSite::StaleLru, 0));
-            }
-            assert!(
-                fires_keyed(FaultSite::StaleLru, 0),
-                "inner scope restored the outer mark"
-            );
-        }
-        assert!(!fires_keyed(FaultSite::StaleLru, 0), "scope left");
         disarm();
     }
 

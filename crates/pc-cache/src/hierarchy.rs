@@ -10,8 +10,7 @@
 //! Op streams replay through one fast path — [`Hierarchy::run_trace`],
 //! [`Hierarchy::run_ops`], the streaming [`OpApplier`] and the decoded
 //! walks of [`Hierarchy::run_walk`] share one access + latency + clock
-//! step and hold the fault layer's fast-path scope — while the
-//! hierarchy itself, as an [`OpSink`], is the per-access oracle every
+//! step — while the hierarchy itself, as an [`OpSink`], is the per-access oracle every
 //! fast-path result is checked against.
 
 use crate::addr::PhysAddr;
@@ -300,7 +299,6 @@ impl Hierarchy {
             self.llc.geometry(),
             "walk decoded for another cache geometry"
         );
-        let _scope = fault::fast_path_scope();
         let allocates = self.llc.mode().allocates_in_llc();
         let mut sum = TraceSummary::default();
         match order {
@@ -322,17 +320,15 @@ impl Hierarchy {
     /// The op replay behind [`Hierarchy::run_trace`] and
     /// [`Hierarchy::run_ops`]. `ahead(llc, i)` runs before op `i`
     /// replays — the `run_ops` prefetch; `run_trace` passes a no-op,
-    /// which compiles away. Like [`Hierarchy::run_walk`], it holds the
-    /// fault layer's fast-path scope, hoists the latency rule's
-    /// loop-invariant mode input and keeps the summary a local, so the
-    /// per-op accumulators stay in registers and fold into the
-    /// hierarchy once.
+    /// which compiles away. Like [`Hierarchy::run_walk`], it hoists the
+    /// latency rule's loop-invariant mode input and keeps the summary a
+    /// local, so the per-op accumulators stay in registers and fold into
+    /// the hierarchy once.
     fn replay<I, F>(&mut self, ops: I, mut ahead: F) -> TraceSummary
     where
         I: Iterator<Item = CacheOp>,
         F: FnMut(&SlicedCache, usize),
     {
-        let _scope = fault::fast_path_scope();
         let allocates = self.llc.mode().allocates_in_llc();
         let mut sum = TraceSummary::default();
         for (i, op) in ops.enumerate() {
@@ -397,9 +393,6 @@ pub struct OpApplier<'a> {
     h: &'a mut Hierarchy,
     allocates: bool,
     sum: TraceSummary,
-    /// Holds the fault layer's fast-path scope for the applier's
-    /// lifetime (inert unless a fault is armed).
-    _scope: fault::FastPathScope,
 }
 
 impl Hierarchy {
@@ -409,7 +402,6 @@ impl Hierarchy {
         OpApplier {
             allocates: self.llc.mode().allocates_in_llc(),
             sum: TraceSummary::default(),
-            _scope: fault::fast_path_scope(),
             h: self,
         }
     }

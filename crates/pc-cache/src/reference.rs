@@ -10,7 +10,10 @@
 //! every mode. The property tests in
 //! `tests/soa_equivalence.rs` (and the `adaptive_replay` and
 //! `incremental_eval` suites) drive both implementations with identical
-//! random traces and assert exactly that.
+//! random traces and assert exactly that, and the fault matrix's
+//! `reference` suite (pc-bench's `faultmatrix`) out-votes the shard
+//! substrate's fault sites with it: they mutate every engine built on
+//! the shards, but not this model.
 //!
 //! The model is *not* a fossil of old bugs: behavioral fixes applied to
 //! the real cache (the adaptation-list deduplication, see
@@ -19,8 +22,9 @@
 //! cache's per-slice adaptation timing and worklists are part of the
 //! intended semantics and are mirrored here. Its LRU is its own: per-set
 //! `u64` stamps that never wrap, an independent oracle for the real
-//! cache's re-ranked `u8` stamps. Do not use this type outside tests —
-//! it is an order of magnitude slower on large geometries.
+//! cache's re-ranked `u8` stamps. Do not use this type outside tests and
+//! the fault matrix — it is an order of magnitude slower on large
+//! geometries.
 
 use crate::addr::PhysAddr;
 use crate::geometry::CacheGeometry;

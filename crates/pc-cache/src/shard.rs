@@ -164,8 +164,8 @@ impl Shard {
         }
         if let DdioMode::Adaptive(cfg) = mode {
             if self.clock - self.adapt_last >= cfg.period
-                // Fault site `skipped-defense-eval`: the fast path
-                // lets keyed period boundaries pass without
+                // Fault site `skipped-defense-eval`: the shard lets
+                // keyed period boundaries pass without
                 // re-evaluating (keyed on the shard's defense clock,
                 // which is schedule-independent by construction).
                 && !crate::fault::fires_keyed(
@@ -188,9 +188,9 @@ impl Shard {
     ) -> AccessOutcome {
         let write = kind == AccessKind::CpuWrite;
         if let Some(way) = self.store.lookup(set, tag) {
-            // Fault site `stale-lru`: the fast path leaves keyed lines'
+            // Fault site `stale-lru`: the shard leaves keyed lines'
             // recency stamps stale on a hit, so eviction order drifts
-            // from the per-access oracle's.
+            // from the reference model's.
             if !crate::fault::fires_keyed(crate::fault::FaultSite::StaleLru, u64::from(tag)) {
                 self.store.touch(set, way);
             }
@@ -396,7 +396,7 @@ impl Shard {
         self.store.sets[set].io_activity = self.store.sets[set].io_activity.saturating_add(1);
         if self.store.sets[set].touch_epoch != self.epoch {
             self.store.sets[set].touch_epoch = self.epoch;
-            // Fault site `stale-dirty-set`: the fast path stamps the
+            // Fault site `stale-dirty-set`: the shard stamps the
             // epoch (so later writes in the period think the set is
             // queued) but loses the worklist push — the set silently
             // skips its evaluation. Keyed on the slice-local set index,
@@ -465,8 +465,8 @@ impl Shard {
         // Bumping the epoch invalidates every stamp at once — this IS
         // the old per-set touched-flag clear pass, in O(1).
         //
-        // Fault site `skipped-epoch-bump`: the fast path keeps
-        // the stale epoch, so sets stamped last period falsely appear
+        // Fault site `skipped-epoch-bump`: the shard keeps the
+        // stale epoch, so sets stamped last period falsely appear
         // already-queued and their next I/O write never re-enters them
         // into the dirty worklist. Keyed on the epoch itself
         // (schedule-independent by construction) — and self-latching:
