@@ -1,5 +1,5 @@
 //! The fault-injection kill matrix behind `repro fault-matrix` and the
-//! `fault_kill` test.
+//! `fault_kill*` tests.
 //!
 //! Mutation testing for the equivalence suites: every catalog site in
 //! [`pc_cache::fault`] is armed in turn (for each fault seed) and each
@@ -9,8 +9,9 @@
 //! cell no suite kills is a **survivor** and fails the run: it means a
 //! single-point mutation slipped past every differential check the
 //! repository relies on. Every detector is defined here once;
-//! [`SUITES`], [`trial`], [`kill_row`] and [`negative_control`] are
-//! the entry points `repro` and the `fault_kill` test share.
+//! [`SUITES`], [`find`], [`trial`], [`kill_row`] and
+//! [`negative_control`] are the entry points `repro` and the
+//! `fault_kill*` tests share.
 //!
 //! The six suites, in run order (the order is part of the printed
 //! contract):
@@ -113,6 +114,11 @@ pub const SUITES: [Suite; 6] = [
         detect: scenario_goldens,
     },
 ];
+
+/// Looks a suite up by its column name.
+pub fn find(name: &str) -> Option<Suite> {
+    SUITES.into_iter().find(|s| s.name == name)
+}
 
 /// What one detector run saw under one arming.
 #[derive(Clone, Debug)]

@@ -33,10 +33,7 @@ fn detector_is_silent_with_no_fault_armed() {
 /// clean round reproduces the clean round exactly.
 #[test]
 fn disarm_restores_clean_behaviour() {
-    let ops = SUITES
-        .iter()
-        .find(|s| s.name == "ops")
-        .expect("an ops suite");
+    let ops = suite("ops");
     let armed = trial(
         Some(FaultSpec {
             site: FaultSite::CorruptedLead,
@@ -53,6 +50,49 @@ fn disarm_restores_clean_behaviour() {
         trial(None, ops.detect).kill,
         None,
         "disarm must fully restore"
+    );
+}
+
+/// The seven catalog sites whose mutation lives at or below the
+/// op-stream replay.
+const CACHE_SITES: [FaultSite; 7] = [
+    FaultSite::StatOffByOne,
+    FaultSite::DroppedFlush,
+    FaultSite::StaleLru,
+    FaultSite::CorruptedLead,
+    FaultSite::SkippedDefenseEval,
+    FaultSite::StaleDirtySet,
+    FaultSite::SkippedEpochBump,
+];
+
+/// The matrix suite named `name`.
+fn suite(name: &str) -> Suite {
+    faultmatrix::find(name).unwrap_or_else(|| panic!("no `{name}` suite"))
+}
+
+/// For fault seeds 0..3: every cache-side site is killed by the two
+/// cache-level suites alone (`reference`, `ops`), with no NIC, bed or
+/// attacker above the replay.
+#[test]
+fn every_cache_fault_site_is_killed_for_every_seed() {
+    let suites = [suite("reference"), suite("ops")];
+    let mut survivors = Vec::new();
+    for site in CACHE_SITES {
+        for seed in 0..3u64 {
+            let row = kill_row(site, seed, &suites);
+            if row.iter().all(|t| t.kill.is_none()) {
+                let consultations = row.iter().map(|t| t.consultations).max().unwrap_or(0);
+                survivors.push(format!(
+                    "{}:{seed} survived ({consultations} consultations)",
+                    site.name()
+                ));
+            }
+        }
+    }
+    assert!(
+        survivors.is_empty(),
+        "surviving mutants:\n{}",
+        survivors.join("\n")
     );
 }
 

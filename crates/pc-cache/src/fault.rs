@@ -12,8 +12,8 @@
 //! [`arm`] (`repro` arms the `PC_FAULT` spec it parses with
 //! [`FaultSpec::parse`]) and consulted by a
 //! hook at the mutation site. The kill-matrix harness (pc-bench's
-//! `faultmatrix`, behind `repro fault-matrix` and the `fault_kill`
-//! test) arms every site in turn and asserts at least one suite kills
+//! `faultmatrix`, behind `repro fault-matrix` and the `fault_kill*`
+//! tests) arms every site in turn and asserts at least one suite kills
 //! each mutant.
 //!
 //! ## Arming rules
