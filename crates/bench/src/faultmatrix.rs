@@ -8,10 +8,14 @@
 //! printed at the end shows which suite killed what; a fault × seed
 //! cell no suite kills is a **survivor** and fails the run: it means a
 //! single-point mutation slipped past every differential check the
-//! repository relies on. Every detector is defined here once;
-//! [`SUITES`], [`find`], [`trial`], [`kill_row`] and
-//! [`negative_control`] are the entry points `repro` and the
-//! `fault_kill*` tests share.
+//! repository relies on. A survivor whose site fired under no suite
+//! ([`fault::firings`]) prints as `inert`: its mutation never happened
+//! (a keyed site whose key hash hit no consulted key, or a counter
+//! site consulted too few times), a key-space or harness gap rather
+//! than a suite gap. It fails the run all the same. Every detector is
+//! defined here once; [`SUITES`], [`find`], [`trial`], [`kill_row`],
+//! [`verdict`] and [`negative_control`] are the entry points `repro`
+//! and the `fault_kill*` tests share.
 //!
 //! The six suites, in run order (the order is part of the printed
 //! contract):
@@ -126,10 +130,9 @@ pub struct Trial {
     /// `None` when the detector stayed silent; otherwise the divergence
     /// it reported, or the panic that ended it — either kills.
     pub kill: Option<String>,
-    /// Consultations of the armed counter site during the run
-    /// ([`fault::consultations`]); a survivor with zero was never
-    /// reached, which is a harness gap rather than a suite gap.
-    pub consultations: u64,
+    /// Firings of the armed site during the run ([`fault::firings`]);
+    /// a survivor with zero under every suite was inert.
+    pub firings: u64,
 }
 
 /// The fault state is process-global: trials serialize here, so test
@@ -148,11 +151,11 @@ pub fn trial(fault: Option<FaultSpec>, detect: impl FnOnce() -> Option<String>) 
         None => fault::disarm(),
     }
     let outcome = catch_unwind(AssertUnwindSafe(detect));
-    let consultations = fault::consultations();
+    let firings = fault::firings();
     fault::disarm();
     Trial {
         kill: outcome.unwrap_or_else(|_| Some("panicked".to_owned())),
-        consultations,
+        firings,
     }
 }
 
@@ -188,6 +191,26 @@ pub fn negative_control() -> Result<(), String> {
     Ok(())
 }
 
+/// A matrix row's last column: `Ok` with the names of the `suites` that
+/// killed the mutant, joined by `+`; `Err("inert")` when none did and
+/// the site fired under none of them; `Err("SURVIVED")` when it fired
+/// and no suite noticed.
+pub fn verdict(suites: &[Suite], row: &[Trial]) -> Result<String, &'static str> {
+    let killed_by: Vec<&str> = suites
+        .iter()
+        .zip(row)
+        .filter(|(_, t)| t.kill.is_some())
+        .map(|(s, _)| s.name)
+        .collect();
+    if !killed_by.is_empty() {
+        Ok(killed_by.join("+"))
+    } else if row.iter().all(|t| t.firings == 0) {
+        Err("inert")
+    } else {
+        Err("SURVIVED")
+    }
+}
+
 /// Runs the full matrix — every catalog site × `seeds` fault seeds ×
 /// every suite — printing the kill matrix as it goes. Returns `true`
 /// when the negative control passed and no mutant survived.
@@ -212,25 +235,14 @@ pub fn run(seeds: u64) -> bool {
                 .iter()
                 .map(|t| if t.kill.is_some() { "KILL" } else { "miss" })
                 .collect();
-            let killed_by: Vec<&str> = SUITES
-                .iter()
-                .zip(&row)
-                .filter(|(_, t)| t.kill.is_some())
-                .map(|(s, _)| s.name)
-                .collect();
-            if killed_by.is_empty() {
-                survivors.push(format!("{}:{seed}", site.name()));
-            }
-            println!(
-                "{},{seed},{},{}",
-                site.name(),
-                cells.join(","),
-                if killed_by.is_empty() {
-                    "SURVIVED".to_owned()
-                } else {
-                    killed_by.join("+")
+            let verdict = match verdict(&SUITES, &row) {
+                Ok(killed_by) => killed_by,
+                Err(survivor) => {
+                    survivors.push(format!("{}:{seed} ({survivor})", site.name()));
+                    survivor.to_owned()
                 }
-            );
+            };
+            println!("{},{seed},{},{verdict}", site.name(), cells.join(","));
         }
     }
     let total = FaultSite::ALL.len() as u64 * seeds;

@@ -53,6 +53,49 @@ fn disarm_restores_clean_behaviour() {
     );
 }
 
+/// A keyed site whose key modulus no consulted key reaches never fires:
+/// the matrix prints its missed row as `inert`, not as a suite gap, and
+/// a row that fired without a kill as `SURVIVED`. Both fail the run.
+#[test]
+fn a_site_that_never_fires_is_inert() {
+    let reference = suite("reference");
+    let never = trial(
+        Some(FaultSpec {
+            site: FaultSite::StaleDirtySet,
+            seed: 0,
+            nth: Some(u64::MAX), // no set's key hash is a multiple
+        }),
+        reference.detect,
+    );
+    assert_eq!((never.kill.as_deref(), never.firings), (None, 0));
+    assert_eq!(faultmatrix::verdict(&[reference], &[never]), Err("inert"));
+
+    let fired = trial(
+        Some(FaultSpec {
+            site: FaultSite::StaleDirtySet,
+            seed: 0,
+            nth: None,
+        }),
+        reference.detect,
+    );
+    assert!(
+        fired.firings > 0,
+        "stale-dirty-set:0 fires under `reference`"
+    );
+    let unnoticed = faultmatrix::Trial {
+        kill: None,
+        ..fired.clone()
+    };
+    assert_eq!(
+        faultmatrix::verdict(&[reference], &[unnoticed]),
+        Err("SURVIVED")
+    );
+    assert_eq!(
+        faultmatrix::verdict(&[reference], &[fired]),
+        Ok("reference".to_owned())
+    );
+}
+
 /// The seven catalog sites whose mutation lives at or below the
 /// op-stream replay.
 const CACHE_SITES: [FaultSite; 7] = [
@@ -81,9 +124,9 @@ fn every_cache_fault_site_is_killed_for_every_seed() {
         for seed in 0..3u64 {
             let row = kill_row(site, seed, &suites);
             if row.iter().all(|t| t.kill.is_none()) {
-                let consultations = row.iter().map(|t| t.consultations).max().unwrap_or(0);
+                let firings: u64 = row.iter().map(|t| t.firings).sum();
                 survivors.push(format!(
-                    "{}:{seed} survived ({consultations} consultations)",
+                    "{}:{seed} survived ({firings} firings)",
                     site.name()
                 ));
             }
@@ -116,9 +159,9 @@ fn every_site_is_killed_without_golden_for_every_seed() {
                     .any(|(s, t)| s.name == name && t.kill.is_some())
             };
             if row.iter().all(|t| t.kill.is_none()) {
-                let consultations = row.iter().map(|t| t.consultations).max().unwrap_or(0);
+                let firings: u64 = row.iter().map(|t| t.firings).sum();
                 failures.push(format!(
-                    "{}:{seed} survived ({consultations} consultations)",
+                    "{}:{seed} survived ({firings} firings)",
                     site.name()
                 ));
             } else if SUBSTRATE_SITES.contains(&site) && !killed_by("reference") {
@@ -150,7 +193,7 @@ fn swapped_queue_steer_is_killed_by_the_kv_store_golden() {
     );
     assert!(
         armed.kill.is_some(),
-        "swapped-queue-steer:0 survived ({} consultations)",
-        armed.consultations
+        "swapped-queue-steer:0 survived ({} firings)",
+        armed.firings
     );
 }

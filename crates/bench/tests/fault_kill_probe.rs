@@ -20,8 +20,8 @@ fn stale_eviction_memo_is_killed_for_every_seed() {
             let row = kill_row(FaultSite::StaleEvictionMemo, seed, &[monitor()]);
             row[0].kill.is_none().then(|| {
                 format!(
-                    "stale-eviction-memo:{seed} survived ({} consultations)",
-                    row[0].consultations
+                    "stale-eviction-memo:{seed} survived ({} firings)",
+                    row[0].firings
                 )
             })
         })

@@ -21,8 +21,8 @@ fn every_rx_fault_site_is_killed_for_every_seed() {
             let row = kill_row(FaultSite::DroppedDeferredRead, seed, &[testbed()]);
             row[0].kill.is_none().then(|| {
                 format!(
-                    "dropped-deferred-read:{seed} survived ({} consultations)",
-                    row[0].consultations
+                    "dropped-deferred-read:{seed} survived ({} firings)",
+                    row[0].firings
                 )
             })
         })

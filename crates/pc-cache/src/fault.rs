@@ -39,6 +39,9 @@
 //!   function of the consulted key — `mix_seed(seed, key) % m == 0` —
 //!   so a keyed site mutates the same keys in every run, whatever the
 //!   experiment-level thread count.
+//! * Every firing of either kind is counted ([`firings`]), so the kill
+//!   matrix can tell a mutant no suite noticed from one that never
+//!   happened.
 //!
 //! ## Adding a site
 //!
@@ -294,6 +297,7 @@ static SITE: AtomicU8 = AtomicU8::new(0);
 static SEED: AtomicU64 = AtomicU64::new(0);
 static PARAM: AtomicU64 = AtomicU64::new(0);
 static EVENTS: AtomicU64 = AtomicU64::new(0);
+static FIRINGS: AtomicU64 = AtomicU64::new(0);
 static SPEC: Mutex<Option<FaultSpec>> = Mutex::new(None);
 
 fn spec_slot() -> std::sync::MutexGuard<'static, Option<FaultSpec>> {
@@ -304,7 +308,8 @@ fn spec_slot() -> std::sync::MutexGuard<'static, Option<FaultSpec>> {
 }
 
 /// Arms `spec`, replacing any previously armed fault and resetting the
-/// consultation counter (so counter sites fire freshly per arming).
+/// consultation and firing counters (so counter sites fire freshly per
+/// arming).
 pub fn arm(spec: FaultSpec) {
     let mut slot = spec_slot();
     ARMED.store(false, Ordering::SeqCst);
@@ -312,6 +317,7 @@ pub fn arm(spec: FaultSpec) {
     SEED.store(spec.seed, Ordering::SeqCst);
     PARAM.store(spec.resolved_param(), Ordering::SeqCst);
     EVENTS.store(0, Ordering::SeqCst);
+    FIRINGS.store(0, Ordering::SeqCst);
     *slot = Some(spec);
     ARMED.store(true, Ordering::SeqCst);
 }
@@ -329,12 +335,14 @@ pub fn current() -> Option<FaultSpec> {
     *spec_slot()
 }
 
-/// How many times the armed site's predicate has been consulted since
-/// arming (counter sites only; keyed sites don't count). Harness
-/// diagnostics: a mutant that "survived" with zero consultations was
-/// never reached, which is a harness bug, not a suite gap.
-pub fn consultations() -> u64 {
-    EVENTS.load(Ordering::SeqCst)
+/// How many times the armed site has fired since arming, counter and
+/// keyed sites alike. Harness diagnostics: a mutant that "survived"
+/// with zero firings was *inert* — a counter site consulted fewer than
+/// `nth` times, or a keyed site whose `mix_seed(seed, key) % m` hit no
+/// consulted key — so no suite could have seen it: a harness or
+/// key-space gap, not a suite gap.
+pub fn firings() -> u64 {
+    FIRINGS.load(Ordering::SeqCst)
 }
 
 /// Guard for golden refreshes: `Err` when a fault is armed, so
@@ -376,13 +384,17 @@ fn fires_slow(site: FaultSite, key: Option<u64>) -> bool {
     if SITE.load(Ordering::Relaxed) != site.index() as u8 + 1 {
         return false;
     }
-    match key {
+    let fired = match key {
         Some(k) => {
             let m = PARAM.load(Ordering::Relaxed).max(1);
             pc_par::mix_seed(SEED.load(Ordering::Relaxed), k).is_multiple_of(m)
         }
         None => EVENTS.fetch_add(1, Ordering::Relaxed) + 1 == PARAM.load(Ordering::Relaxed),
+    };
+    if fired {
+        FIRINGS.fetch_add(1, Ordering::Relaxed);
     }
+    fired
 }
 
 #[cfg(test)]
@@ -454,7 +466,7 @@ mod tests {
         });
         let fired: Vec<bool> = (0..6).map(|_| fires(FaultSite::DroppedFlush)).collect();
         assert_eq!(fired, [false, false, true, false, false, false]);
-        assert_eq!(consultations(), 6);
+        assert_eq!(firings(), 1);
         // Re-arming resets the one-shot.
         arm(FaultSpec {
             site: FaultSite::DroppedFlush,
@@ -483,6 +495,11 @@ mod tests {
         }
         // A different (un-armed) site never fires.
         assert!((0..200u64).all(|k| !fires_keyed(FaultSite::SwappedQueueSteer, k)));
+        assert_eq!(
+            firings(),
+            2 * hits.len() as u64,
+            "every keyed firing counts"
+        );
         disarm();
     }
 

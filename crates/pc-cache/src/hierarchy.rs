@@ -21,12 +21,16 @@ use crate::memory::MemoryStats;
 use crate::ops::{CacheOp, OpBuffer, OpSink};
 use crate::Cycles;
 
-/// How many ops ahead of the replay the inline [`Hierarchy::run_ops`]
-/// walk hints each op's LLC row into the host cache. A paper-geometry
-/// model is ≈ 1.8 MiB of host memory and a request's working-set reads
-/// land on random sets, so nearly every access misses the host's L2;
-/// 8 ops (≈ 0.5 µs of replay) covers an L3 or DRAM fetch. Distances 4
-/// and 16 measured no better on Figure 16's load.
+/// How many ops ahead of the replay the [`Hierarchy::run_ops`] walk
+/// decodes each op and hints its LLC row into the host cache, and so
+/// the size of the walk's ring of decoded lines. A paper-geometry model
+/// is ≈ 1.8 MiB of host memory and a request's working-set reads land
+/// on random sets, so a row is often outside the host's L1; 8 ops
+/// (≈ 0.2 µs of replay) covers an L2 or L3 fetch. With the hint, a
+/// 12 MiB working set replays within about 10 % of a 64 KiB one
+/// (measured on a 2-vCPU x86-64 host), so host-memory stalls are no
+/// longer where the time goes. Distances 4 and 16 measured no better
+/// on Figure 16's load (before the decode-once ring).
 const PREFETCH_DISTANCE: usize = 8;
 
 /// Latency (in cycles) of the modelled components.
@@ -241,11 +245,18 @@ impl Hierarchy {
     where
         I: IntoIterator<Item = CacheOp>,
     {
-        self.replay(ops.into_iter(), |_, _| {})
+        let allocates = self.llc.mode().allocates_in_llc();
+        let mut sum = TraceSummary::default();
+        for op in ops {
+            self.step_op(allocates, op, &mut sum);
+        }
+        self.absorb(&sum);
+        sum
     }
 
-    /// Replays a recorded op batch: the ops through the trace walk, then
-    /// the buffer's trailing advance.
+    /// Replays a recorded op batch: the ops through the fast path's
+    /// step, as [`Hierarchy::run_trace`] does, then the buffer's
+    /// trailing advance.
     ///
     /// This is the entry point behind every emit-then-replay producer
     /// (the NIC driver's per-frame batches, the defense workloads'
@@ -254,19 +265,32 @@ impl Hierarchy {
     /// against the hierarchy — which is exactly what pointing the emit
     /// code at the hierarchy itself (it implements [`OpSink`]) does.
     ///
-    /// The walk prefetches: before op *i* it hints op *i* + 8's
-    /// `(slice, set)` row — line words, LRU stamps, set record — into
-    /// the host's L1. The hint touches no simulated state, so accesses,
-    /// their order and statistics are exactly the unhinted walk's.
+    /// The walk decodes each op once, 8 ops ahead: before op *i*
+    /// replays it decodes op *i* + 8, hints that line's `(slice, set)`
+    /// row — line words, LRU stamps, set record — into the host's L1
+    /// and parks the decoded line in a ring until its turn. The hint
+    /// touches no simulated state, so accesses, their order and
+    /// statistics are exactly the unhinted walk's; only a panic on an
+    /// address past the bound comes up to 8 ops early.
     pub fn run_ops(&mut self, buf: &OpBuffer) -> TraceSummary {
         let ops = buf.ops();
-        let mut sum = self.replay(ops.iter().copied(), |llc, i| {
-            if let Some(op) = ops.get(i + PREFETCH_DISTANCE) {
-                llc.prefetch(op.addr);
+        let allocates = self.llc.mode().allocates_in_llc();
+        let mut sum = TraceSummary::default();
+        let mut ring = [Line::default(); PREFETCH_DISTANCE];
+        for (slot, op) in ring.iter_mut().zip(ops) {
+            *slot = self.llc.decode(op.addr);
+        }
+        for (i, op) in ops.iter().enumerate() {
+            let slot = &mut ring[i % PREFETCH_DISTANCE];
+            let line = *slot;
+            if let Some(ahead) = ops.get(i + PREFETCH_DISTANCE) {
+                *slot = self.llc.decode(ahead.addr);
+                self.llc.prefetch(*slot);
             }
-        });
-        self.clock += buf.trailing();
+            self.step(allocates, line, op.kind, op.lead, &mut sum);
+        }
         sum.cycles += buf.trailing();
+        self.absorb(&sum);
         sum
     }
 
@@ -317,28 +341,6 @@ impl Hierarchy {
         sum
     }
 
-    /// The op replay behind [`Hierarchy::run_trace`] and
-    /// [`Hierarchy::run_ops`]. `ahead(llc, i)` runs before op `i`
-    /// replays — the `run_ops` prefetch; `run_trace` passes a no-op,
-    /// which compiles away. Like [`Hierarchy::run_walk`], it hoists the
-    /// latency rule's loop-invariant mode input and keeps the summary a
-    /// local, so the per-op accumulators stay in registers and fold into
-    /// the hierarchy once.
-    fn replay<I, F>(&mut self, ops: I, mut ahead: F) -> TraceSummary
-    where
-        I: Iterator<Item = CacheOp>,
-        F: FnMut(&SlicedCache, usize),
-    {
-        let allocates = self.llc.mode().allocates_in_llc();
-        let mut sum = TraceSummary::default();
-        for (i, op) in ops.enumerate() {
-            ahead(&self.llc, i);
-            self.step_op(allocates, op, &mut sum);
-        }
-        self.absorb(&sum);
-        sum
-    }
-
     /// [`Hierarchy::step`] for an op: decodes its address first.
     #[inline(always)]
     fn step_op(&mut self, allocates: bool, op: CacheOp, sum: &mut TraceSummary) {
@@ -349,9 +351,12 @@ impl Hierarchy {
     /// The fast path's one step, shared by every replay and by
     /// [`OpApplier`]: the access to a decoded line, its DRAM traffic and
     /// its lead + latency, accumulated into `sum` rather than the
-    /// hierarchy. Always inlined: left to the inliner it stayed out of
-    /// line, and the loop's accumulators went through memory on every
-    /// access.
+    /// hierarchy. Every replay hoists the latency rule's loop-invariant
+    /// mode input (`allocates`) and keeps the summary a local, so the
+    /// per-op accumulators stay in registers and fold into the
+    /// hierarchy once. Always inlined: left to the inliner it stayed
+    /// out of line, and the loop's accumulators went through memory on
+    /// every access.
     #[inline(always)]
     fn step(
         &mut self,

@@ -209,13 +209,12 @@ impl SlicedCache {
         }
     }
 
-    /// Hints the host cache with the `(slice, set)` row `addr` maps
-    /// to, so a replay loop can fetch it a few ops before it accesses
-    /// it. No simulated state changes: no access, no statistic.
+    /// Hints the host cache with a decoded line's `(slice, set)` row,
+    /// so a replay loop can fetch it a few ops before it accesses it.
+    /// No simulated state changes: no access, no statistic.
     #[inline]
-    pub(crate) fn prefetch(&self, addr: PhysAddr) {
-        let ss = self.locate(addr);
-        self.shards[ss.slice].prefetch(ss.set);
+    pub(crate) fn prefetch(&self, line: Line) {
+        self.shards[line.slice].prefetch(line.set);
     }
 
     /// Where `addr`'s line lives: its slice, set and packed tag — the
@@ -375,7 +374,7 @@ impl SlicedCache {
 /// One line's coordinates in the sliced cache: its slice, its set within
 /// the slice and its packed tag. Crate-private: attacker code holds
 /// [`DecodedWalk`]s, never coordinates.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default)]
 pub(crate) struct Line {
     slice: usize,
     set: usize,

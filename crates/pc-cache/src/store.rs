@@ -8,12 +8,15 @@
 //! LLC into parallel arrays indexed by `set * ways + way`:
 //!
 //! * `lines` — one packed `u32` per line: `tag << 3 | IO | DIRTY |
-//!   VALID`, so the whole lookup is a single load + mask + compare per
-//!   way over one contiguous array. An invalid line is the all-zero
-//!   word. A word holds tags up to [`MAX_TAG`] (2^29 − 1): addresses
-//!   below 2^46 on the paper's geometry. Every simulated address is
-//!   below 2^36, and [`crate::SlicedCache`] asserts the bound where it
-//!   forms a tag.
+//!   VALID`, so a lookup is a mask + compare per way over one
+//!   contiguous row. It compares every way, four words to one SSE2
+//!   compare, into a hit mask, with no per-way exit branch: at
+//!   Figure 16's working set a hit lands on a random way, and an
+//!   early-exit scan mispredicted its exit on most lookups. An invalid
+//!   line is the all-zero word. A word holds tags up to [`MAX_TAG`]
+//!   (2^29 − 1): addresses below 2^46 on the paper's geometry. Every
+//!   simulated address is below 2^36, and [`crate::SlicedCache`]
+//!   asserts the bound where it forms a tag.
 //! * replacement state — flat per-line `u8` LRU stamps plus one `u8`
 //!   LRU clock per set ([`crate::replacement::Lru`]).
 //! * per-set bookkeeping — one packed 16-byte [`SetMeta`] record (valid
@@ -207,14 +210,35 @@ impl LineStore {
     }
 
     /// Way of set `set` holding `tag`, if present and valid.
+    ///
+    /// Branch-free: every way is compared and the matches are OR'd
+    /// into a hit mask, four ways to a nibble, so the compare has no
+    /// exit branch for the host to mispredict when hits land on random
+    /// ways. On x86-64 each group of four is one `pcmpeqd`/`movmskps`.
+    /// A valid tag occurs at most once per set, so the lowest set bit
+    /// is the only match.
     #[inline]
     pub(crate) fn lookup(&self, set: usize, tag: u32) -> Option<usize> {
         let key = (tag << TAG_SHIFT) | VALID;
         // Dirty/domain bits vary per line; mask them off so the compare
         // is tag+valid only.
-        self.set_lines(set)
-            .iter()
-            .position(|&w| w & !(DIRTY | IO) == key)
+        let hit = |w: Word| u64::from(w & !(DIRTY | IO) == key);
+        let lines = self.set_lines(set);
+        let groups = lines.chunks_exact(4);
+        let rest = groups.remainder();
+        let mut mask = 0u64;
+        for (g, w) in groups.enumerate() {
+            let nibble = hit(w[0]) | hit(w[1]) << 1 | hit(w[2]) << 2 | hit(w[3]) << 3;
+            mask |= nibble << (4 * g);
+        }
+        let base = lines.len() - rest.len();
+        // `take(3)` states the remainder's bound, so LLVM unrolls it
+        // instead of emitting a vector loop that never runs.
+        for (i, &w) in rest.iter().take(3).enumerate() {
+            mask |= hit(w) << (base + i);
+        }
+        debug_assert!(mask.count_ones() <= 1, "tag {tag} valid in two ways");
+        (mask != 0).then(|| mask.trailing_zeros() as usize)
     }
 
     /// Records a recency touch of `(set, way)`.

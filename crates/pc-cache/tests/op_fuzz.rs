@@ -8,7 +8,7 @@
 //! pins every entry point byte-identical to the oracle on each:
 //!
 //! * **batch** — emit into an [`OpBuffer`], replay via
-//!   [`Hierarchy::run_ops`] (the prefetching walk);
+//!   [`Hierarchy::run_ops`] (the decode-ahead, prefetching walk);
 //! * **streaming** — the one-pass [`Hierarchy::applier`] sink;
 //! * **oracle** — the per-access path (the hierarchy is itself an
 //!   [`OpSink`]).
@@ -175,11 +175,12 @@ proptest! {
     }
 
     /// Short streams on the paper geometry exercise the `run_ops`
-    /// walk's prefetch lookahead (8 ops ahead) on the geometry whose
-    /// rows it hints. The lengths straddle the lookahead distance — a stream
-    /// shorter than it never prefetches, one just past it prefetches
-    /// once — and random lengths sweep the rest of the inline range, in
-    /// every mode.
+    /// walk's decode-ahead ring (8 lines, decoded 8 ops ahead) on the
+    /// geometry whose rows it hints. The lengths pin the ring's edges —
+    /// an empty buffer holding only its trailing advance, a stream
+    /// shorter than the ring (never decoded ahead), one just past it
+    /// (decoded ahead once), and 16 and 17 (the ring wraps twice) — and
+    /// random lengths sweep the rest of the inline range, in every mode.
     #[test]
     fn inline_replay_agrees_on_the_paper_geometry(
         seed in 0u64..u64::MAX,
@@ -188,7 +189,7 @@ proptest! {
         long in 10usize..4096,
     ) {
         for mode in modes() {
-            let rounds: Vec<Vec<CacheOp>> = [1usize, 7, 8, 9, long]
+            let rounds: Vec<Vec<CacheOp>> = [0usize, 1, 7, 8, 9, 16, 17, long]
                 .iter()
                 .enumerate()
                 .map(|(k, &len)| fuzz_stream(seed ^ k as u64, len, io_pct, skew_pct))

@@ -11,6 +11,11 @@
 //! On top of the scalar equivalence, the batch trace walk
 //! (`Hierarchy::run_trace`), fed the same trace in chunks, must land in
 //! the same state as the reference model driven one op at a time.
+//!
+//! The store's tag match compares ways four at a time plus a scalar
+//! remainder, so associativities that are not a multiple of four (and
+//! 64, the top bit of its hit mask) are compared with the reference
+//! too.
 
 use pc_cache::reference::ReferenceCache;
 use pc_cache::{
@@ -51,10 +56,9 @@ fn mode_strategy() -> impl Strategy<Value = DdioMode> {
     ]
 }
 
-/// Drives both implementations through `ops` and asserts identical
-/// observable behaviour at every step.
-fn assert_equivalent(mode: DdioMode, ops: &[(PhysAddr, AccessKind)]) {
-    let geom = CacheGeometry::tiny();
+/// Drives both implementations through `ops` on `geom` and asserts
+/// identical observable behaviour at every step.
+fn assert_equivalent(geom: CacheGeometry, mode: DdioMode, ops: &[(PhysAddr, AccessKind)]) {
     let mut soa = SlicedCache::new(geom, mode);
     let mut reference = ReferenceCache::new(geom, mode);
     for (i, &(a, k)) in ops.iter().enumerate() {
@@ -136,7 +140,7 @@ proptest! {
         mode in mode_strategy(),
         ops in proptest::collection::vec((addr_strategy(), kind_strategy()), 1..600),
     ) {
-        assert_equivalent(mode, &ops);
+        assert_equivalent(CacheGeometry::tiny(), mode, &ops);
     }
 
     /// The chunked batch trace walk against the reference model:
@@ -170,6 +174,67 @@ proptest! {
             assert_eq!(soa.access(a, k), reference.access(a, k));
         }
         assert_eq!(soa.stats(), reference.stats());
+    }
+}
+
+/// Associativities around the tag match's four-way groups: the
+/// remainder alone (1, 2, 3), one group plus a remainder (5), several
+/// (11: Figure 14's 11 MiB machine), and the 64-bit hit mask's top bits
+/// (33, 63, 64).
+const ODD_WAYS: [u32; 8] = [1, 2, 3, 5, 11, 33, 63, 64];
+
+/// Every mode `ways` admits: DDIO limited to `min(2, ways)` ways, and
+/// the adaptive partition (which must leave a CPU way) capped at
+/// `min(3, ways - 1)`, so a 1-way cache has no adaptive mode.
+fn modes_for(ways: u32) -> Vec<DdioMode> {
+    let mut modes = vec![
+        DdioMode::Disabled,
+        DdioMode::Enabled {
+            io_way_limit: ways.min(2) as u8,
+        },
+    ];
+    if ways > 1 {
+        modes.push(DdioMode::Adaptive(AdaptiveConfig {
+            period: 32,
+            max_io_lines: (ways - 1).min(3) as u8,
+            ..AdaptiveConfig::paper_defaults()
+        }));
+    }
+    modes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Fuzz streams at associativities that are not a multiple of four.
+    /// Each set draws from `ways + 2` tags, so sets fill to their last
+    /// way, hits land on every way and evictions keep coming.
+    #[test]
+    fn odd_associativities_are_equivalent(
+        which in 0usize..ODD_WAYS.len(),
+        sets_log2 in 2u32..5,
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let ways = ODD_WAYS[which];
+        let geom = CacheGeometry::new(sets_log2, 2, ways);
+        let lines = (geom.total_sets() * (ways as usize + 2)) as u64;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let ops: Vec<(PhysAddr, AccessKind)> = (0..3 * lines)
+            .map(|_| {
+                let kind = match rng.gen_range(0..10u32) {
+                    0..=4 => AccessKind::CpuRead,
+                    5 | 6 => AccessKind::CpuWrite,
+                    7 | 8 => AccessKind::IoWrite,
+                    _ => AccessKind::IoRead,
+                };
+                (PhysAddr::new(rng.gen_range(0..lines) * 64), kind)
+            })
+            .collect();
+        for mode in modes_for(ways) {
+            assert_equivalent(geom, mode, &ops);
+        }
     }
 }
 

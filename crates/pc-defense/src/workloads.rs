@@ -166,9 +166,8 @@ impl Workbench {
     /// replayed through [`Hierarchy::run_ops`] — byte-identical to the
     /// per-access walk, since the random lines are drawn before the
     /// replay and the RNG never observes the hierarchy. `run_ops`
-    /// prefetches each op's LLC row a few ops ahead: the random
-    /// working-set reads would otherwise stall on host cache misses
-    /// (this loop is Figure 16's dominant cost).
+    /// decodes each op once, a few ops ahead, and prefetches its LLC
+    /// row then (this loop is Figure 16's dominant cost).
     pub fn nginx_request(&mut self, cfg: &NginxConfig) -> Cycles {
         let t0 = self.h.now();
         let frame = EthernetFrame::clamped(cfg.request_bytes);
