@@ -12,16 +12,20 @@
 //!   contiguous row. It compares every way, four words to one SSE2
 //!   compare, into a hit mask, with no per-way exit branch: at
 //!   Figure 16's working set a hit lands on a random way, and an
-//!   early-exit scan mispredicted its exit on most lookups. An invalid
-//!   line is the all-zero word. A word holds tags up to [`MAX_TAG`]
+//!   early-exit scan mispredicted its exit on most lookups. A set that
+//!   has only ever filled its first four ways (its reach, kept in
+//!   [`SetMeta`]) is compared as that one group: under a packet flood
+//!   most sets hold a line or two, and comparing all 20 ways there
+//!   cost more than the early exit at way 0 did. An invalid line is
+//!   the all-zero word. A word holds tags up to [`MAX_TAG`]
 //!   (2^29 − 1): addresses below 2^46 on the paper's geometry. Every
 //!   simulated address is below 2^36, and [`crate::SlicedCache`]
 //!   asserts the bound where it forms a tag.
 //! * replacement state — flat per-line `u8` LRU stamps plus one `u8`
 //!   LRU clock per set ([`crate::replacement::Lru`]).
 //! * per-set bookkeeping — one packed 16-byte [`SetMeta`] record (valid
-//!   count, I/O count, partition limit, activity, flags, dirty-epoch
-//!   stamp) per set.
+//!   count, I/O count, partition limit, flags, reach, activity,
+//!   dirty-epoch stamp) per set.
 //!
 //! A paper-geometry model (327 680 lines, 16 384 sets) thus takes
 //! 1.25 MiB of line words, 320 KiB of stamps, 16 KiB of clocks and
@@ -125,6 +129,10 @@ pub(crate) struct SetMeta {
     /// Adaptive-defense scratch flags
     /// ([`FLAG_ELEVATED`] / [`FLAG_PARKED`]).
     pub(crate) flags: u8,
+    /// One past the highest way filled since the last flush, so every
+    /// valid line of the set lies below it. It never shrinks on an
+    /// invalidation, only on a flush.
+    pub(crate) reach: u8,
     /// I/O accesses observed during the current adaptation period.
     pub(crate) io_activity: u32,
     /// Adaptive epoch in which the set last saw an I/O write
@@ -142,6 +150,7 @@ impl Default for SetMeta {
             io: 0,
             io_limit: 0,
             flags: 0,
+            reach: 0,
             io_activity: 0,
             touch_epoch: NEVER_TOUCHED,
         }
@@ -211,19 +220,32 @@ impl LineStore {
 
     /// Way of set `set` holding `tag`, if present and valid.
     ///
-    /// Branch-free: every way is compared and the matches are OR'd
-    /// into a hit mask, four ways to a nibble, so the compare has no
-    /// exit branch for the host to mispredict when hits land on random
-    /// ways. On x86-64 each group of four is one `pcmpeqd`/`movmskps`.
-    /// A valid tag occurs at most once per set, so the lowest set bit
-    /// is the only match.
+    /// Branch-free: the compared ways' matches are OR'd into a hit
+    /// mask, four ways to a nibble, so the compare has no exit branch
+    /// for the host to mispredict when hits land on random ways. On
+    /// x86-64 each group of four is one `pcmpeqd`/`movmskps`. A set
+    /// whose reach is at most 4 is compared as its first group alone,
+    /// any other set whole (the choice is a conditional move): a nearly
+    /// empty set costs one compare, as it did with an early exit at way
+    /// 0, and a fuller set's compare has a fixed length. A valid tag
+    /// occurs at most once per set, so the lowest set bit is the only
+    /// match.
     #[inline]
     pub(crate) fn lookup(&self, set: usize, tag: u32) -> Option<usize> {
         let key = (tag << TAG_SHIFT) | VALID;
         // Dirty/domain bits vary per line; mask them off so the compare
         // is tag+valid only.
         let hit = |w: Word| u64::from(w & !(DIRTY | IO) == key);
-        let lines = self.set_lines(set);
+        let row = self.set_lines(set);
+        let lines = if self.sets[set].reach <= 4 {
+            &row[..row.len().min(4)]
+        } else {
+            row
+        };
+        debug_assert!(
+            row[lines.len()..].iter().all(|&w| w & VALID == 0),
+            "valid line past the reach of set {set}"
+        );
         let groups = lines.chunks_exact(4);
         let rest = groups.remainder();
         let mut mask = 0u64;
@@ -303,6 +325,7 @@ impl LineStore {
     fn install(&mut self, set: usize, way: usize, tag: u32, domain: Domain, dirty: bool) {
         self.lines[set * self.ways + way] = pack(tag, domain, dirty);
         self.sets[set].valid += 1;
+        self.sets[set].reach = self.sets[set].reach.max(way as u8 + 1);
         if domain == Domain::Io {
             self.sets[set].io += 1;
         }
@@ -330,6 +353,7 @@ impl LineStore {
         self.lines.fill(0);
         for m in &mut self.sets {
             m.valid = 0;
+            m.reach = 0;
             m.io = 0;
         }
         dirty
@@ -503,6 +527,29 @@ mod tests {
             0,
             "counter tracks invalidation"
         );
+    }
+
+    /// Invalidations leave a set's reach where it was, so a line past
+    /// the first group is still compared once the ways below it are
+    /// empty; a flush resets the reach.
+    #[test]
+    fn lookup_compares_every_way_below_the_reach() {
+        let mut st = store(8);
+        for t in 0..6 {
+            st.fill(S, t, Domain::Cpu, false, Victims::Any).unwrap();
+        }
+        for t in 0..5 {
+            st.invalidate(S, t).unwrap();
+        }
+        assert_eq!(st.valid_count(S), 1);
+        assert_eq!(st.sets[S].reach, 6);
+        assert_eq!(st.lookup(S, 5), Some(5));
+        assert_eq!(st.invalidate_all(), 0);
+        assert_eq!(st.sets[S].reach, 0);
+        assert_eq!(st.lookup(S, 5), None);
+        let (way, _) = st.fill(S, 7, Domain::Io, false, Victims::Any).unwrap();
+        assert_eq!((way, st.sets[S].reach), (0, 1));
+        assert_eq!(st.lookup(S, 7), Some(0));
     }
 
     #[test]
